@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import QuantumOperator, QuantumState, SpaceLayout, qubit_ket
+from .hilbert import QuantumOperator, QuantumState, SpaceLayout, apply_local, qubit_ket
 from .noise import NoiseParams, apply_noise_step
 
 _SQ = 1 / math.sqrt(2)
@@ -35,6 +35,12 @@ CZ_MATRIX = np.diag([1, 1, 1, -1]).astype(complex)
 ISWAP_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
+# CNOT from its controlled-Z equivalent: H on the target, CZ, H on the target
+_H_TARGET = np.kron(np.eye(2, dtype=complex), SINGLE_QUBIT_GATES["H"])
+CNOT_MATRIX = _H_TARGET @ CZ_MATRIX @ _H_TARGET
+
+# two-qubit matrices index their targets control-first (first target most significant)
+GATE_MATRICES = {**SINGLE_QUBIT_GATES, "CZ": CZ_MATRIX, "CNOT": CNOT_MATRIX, "ISWAP": ISWAP_MATRIX}
 
 TWO_QUBIT_GATES = ("CZ", "CNOT", "ISWAP")
 GATE_KINDS = tuple(SINGLE_QUBIT_GATES) + TWO_QUBIT_GATES
@@ -107,39 +113,9 @@ class Circuit:
 def gate_unitary(gate: Gate, n_qubits: int) -> QuantumOperator:
     """Full-register unitary for one gate, identity-padded onto n qubits."""
     layout = SpaceLayout.qubits(n_qubits)
-    if gate.kind in SINGLE_QUBIT_GATES:
-        mat = _embed_one(SINGLE_QUBIT_GATES[gate.kind], n_qubits, gate.targets[0])
-    elif gate.kind == "CZ":
-        mat = _embed_two(CZ_MATRIX, n_qubits, *gate.targets)
-    elif gate.kind == "ISWAP":
-        mat = _embed_two(ISWAP_MATRIX, n_qubits, *gate.targets)
-    else:  # CNOT from its controlled-Z equivalent: H on target, CZ, H on target
-        h_target = np.kron(np.eye(2, dtype=complex), SINGLE_QUBIT_GATES["H"])
-        mat = _embed_two(h_target @ CZ_MATRIX @ h_target, n_qubits, *gate.targets)
+    mat = apply_local(GATE_MATRICES[gate.kind], np.eye(layout.total_dim, dtype=complex),
+                      layout.dims, gate.targets)
     return QuantumOperator(layout, mat, unitary=True)
-
-
-def _embed_one(u2: np.ndarray, n: int, target: int) -> np.ndarray:
-    mat = np.eye(1, dtype=complex)
-    for k in range(n):
-        mat = np.kron(mat, u2 if k == target else np.eye(2, dtype=complex))
-    return mat
-
-
-def _embed_two(u4: np.ndarray, n: int, q1: int, q2: int) -> np.ndarray:
-    dim = 2 ** n
-    s1, s2 = n - 1 - q1, n - 1 - q2
-    U = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        b1 = (col >> s1) & 1
-        b2 = (col >> s2) & 1
-        base = col & ~(1 << s1) & ~(1 << s2)
-        for r1 in (0, 1):
-            for r2 in (0, 1):
-                amp = u4[(r1 << 1) | r2, (b1 << 1) | b2]
-                if amp != 0:
-                    U[base | (r1 << s1) | (r2 << s2), col] += amp
-    return U
 
 
 def circuit_unitary(circuit: Circuit) -> QuantumOperator:
@@ -409,81 +385,3 @@ def factor_fifteen(
         success_probability=success,
     )
     return result, run
-
-
-# ---------------------------------------------------------------------------
-# text serialization (docs and golden tests)
-# ---------------------------------------------------------------------------
-
-def circuit_to_text(circuit: Circuit) -> str:
-    lines = [f"NQUBITS {circuit.n_qubits}"]
-    if circuit.qubit_names:
-        lines.append("NAMES " + " ".join(circuit.qubit_names))
-    position = 0
-    by_position = {}
-    for name, pos in circuit.breakpoints.items():
-        by_position.setdefault(pos, []).append(name)
-    for pos in by_position:
-        by_position[pos] = sorted(by_position[pos])
-    for name in by_position.get(0, []):
-        lines.append(f"BREAK {name}")
-    for op in circuit.ops:
-        if isinstance(op, Gate):
-            lines.append(op.kind + " " + " ".join(str(t) for t in op.targets))
-        else:
-            lines.append(f"IDLE {op.duration_class}")
-        position += 1
-        for name in by_position.get(position, []):
-            lines.append(f"BREAK {name}")
-    if circuit.measured_register:
-        lines.append("MEASURE " + " ".join(str(q) for q in circuit.measured_register))
-    if circuit.output_bits:
-        tokens = ["zero" if b is None else f"q{b}" for b in circuit.output_bits]
-        lines.append("OUTPUT " + " ".join(tokens))
-    if circuit.analysis_qubits:
-        lines.append("ANALYZE " + " ".join(str(q) for q in circuit.analysis_qubits))
-    return "\n".join(lines) + "\n"
-
-
-def circuit_from_text(text: str) -> Circuit:
-    n_qubits = None
-    names = ()
-    ops = []
-    breakpoints = {}
-    measured = ()
-    output_bits = ()
-    analysis = ()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, *rest = line.split()
-        if head == "NQUBITS":
-            n_qubits = int(rest[0])
-        elif head == "NAMES":
-            names = tuple(rest)
-        elif head == "BREAK":
-            breakpoints[rest[0]] = len(ops)
-        elif head == "IDLE":
-            ops.append(Idle(rest[0]))
-        elif head == "MEASURE":
-            measured = tuple(int(t) for t in rest)
-        elif head == "OUTPUT":
-            output_bits = tuple(None if t == "zero" else int(t[1:]) for t in rest)
-        elif head == "ANALYZE":
-            analysis = tuple(int(t) for t in rest)
-        elif head in GATE_KINDS:
-            ops.append(Gate(head, tuple(int(t) for t in rest)))
-        else:
-            raise ValueError(f"unrecognized circuit line {line!r}")
-    if n_qubits is None:
-        raise ValueError("circuit text is missing the NQUBITS header")
-    return Circuit(
-        n_qubits=n_qubits,
-        ops=tuple(ops),
-        breakpoints=breakpoints,
-        measured_register=measured,
-        output_bits=output_bits,
-        qubit_names=names,
-        analysis_qubits=analysis,
-    )

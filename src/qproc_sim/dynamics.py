@@ -31,6 +31,7 @@ from .hilbert import (
     SIGMA_MINUS,
     SIGMA_X,
     SpaceLayout,
+    apply_local,
     basis_ket,
     destroy,
     permute_factors,
@@ -212,14 +213,6 @@ class OccupationTrace:
 # Hamiltonians
 # ---------------------------------------------------------------------------
 
-def _embed(ops_by_factor: dict, dims: Sequence[int]) -> np.ndarray:
-    mat = np.eye(1, dtype=complex)
-    for k, dim in enumerate(dims):
-        op = ops_by_factor.get(k, np.eye(dim, dtype=complex))
-        mat = np.kron(mat, op)
-    return mat
-
-
 def _resolve_resonator(config: DeviceConfig, resonator_id: str):
     """Return (frequency GHz, per-qubit coupling GHz) for a resonator id."""
     if resonator_id == "bus":
@@ -258,17 +251,18 @@ def build_jc_hamiltonian(
 
     layout = device_layout(config, qubits)
     dims = layout.dims
+    eye = np.eye(layout.total_dim, dtype=complex)
     res_pos = len(qubits)
-    a = destroy(config.n_max + 1)
+    exchange_op = np.kron(SIGMA_MINUS, destroy(config.n_max + 1).conj().T)  # σ⁻ a†
     n_e = np.diag([0.0, 1.0]).astype(complex)
 
     H = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
     for pos, q in enumerate(qubits):
         delta = float(qubit_freqs[pos]) - f_res
         if delta != 0.0:
-            H += delta * _embed({pos: n_e}, dims)
+            H += delta * apply_local(n_e, eye, dims, (pos,))
         half_g = couplings[q] / 2
-        exchange = _embed({pos: SIGMA_MINUS, res_pos: a.conj().T}, dims)
+        exchange = apply_local(exchange_op, eye, dims, (pos, res_pos))
         H += half_g * (exchange + exchange.conj().T)
     return QuantumOperator(layout, H, hermitian=True)
 
@@ -283,29 +277,30 @@ def build_spectroscopy_hamiltonian(
     """
     layout = device_layout(config, (qubit_index,), n_resonators=2)
     dims = layout.dims
+    eye = np.eye(layout.total_dim, dtype=complex)
     a = destroy(config.n_max + 1)
+    exchange_op = np.kron(SIGMA_MINUS, a.conj().T)  # σ⁻ a†
     n_e = np.diag([0.0, 1.0]).astype(complex)
     n_phot = a.conj().T @ a
 
     delta_q = qubit_freq - config.f_bus
     delta_m = config.f_memory[qubit_index] - config.f_bus
-    H = delta_q * _embed({0: n_e}, dims) + delta_m * _embed({2: n_phot}, dims)
+    H = (delta_q * apply_local(n_e, eye, dims, (0,))
+         + delta_m * apply_local(n_phot, eye, dims, (2,)))
     for res_pos, g in ((1, config.g_bus_ghz(qubit_index)), (2, config.g_mem_ghz(qubit_index))):
-        exchange = _embed({0: SIGMA_MINUS, res_pos: a.conj().T}, dims)
+        exchange = apply_local(exchange_op, eye, dims, (0, res_pos))
         H += (g / 2) * (exchange + exchange.conj().T)
     return QuantumOperator(layout, H, hermitian=True)
 
 
 def excitation_number(layout: SpaceLayout) -> QuantumOperator:
     """N_exc = Σ σ⁺σ⁻ over qubit factors + Σ a†a over resonator factors."""
-    dims = layout.dims
-    total = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
+    eye = np.eye(layout.total_dim, dtype=complex)
+    total = np.zeros_like(eye)
     for k, factor in enumerate(layout.factors):
-        if factor.kind == "qubit":
-            op = np.diag([0.0, 1.0]).astype(complex)
-        else:
-            op = np.diag(np.arange(factor.dim, dtype=float)).astype(complex)
-        total += _embed({k: op}, dims)
+        # σ⁺σ⁻ on a qubit and a†a on a resonator are both diag(0, 1, ..., dim - 1)
+        op = np.diag(np.arange(factor.dim, dtype=float)).astype(complex)
+        total += apply_local(op, eye, layout.dims, (k,))
     return QuantumOperator(layout, total, hermitian=True)
 
 
@@ -326,11 +321,11 @@ def _occupations(probs: np.ndarray, n_qubits: int, res_dim: int):
 
 
 def _apply_x(state, position: int):
-    dims = state.layout.dims
-    X = QuantumOperator(state.layout, _embed({position: SIGMA_X}, dims), unitary=True)
+    dims, axes = state.layout.dims, (position,)
     if isinstance(state, QuantumState):
-        return X.apply(state)
-    return X.conjugate(state)
+        return QuantumState(state.layout, apply_local(SIGMA_X, state.amplitudes, dims, axes))
+    half = apply_local(SIGMA_X, state.elements, dims, axes)
+    return DensityMatrix(state.layout, apply_local(SIGMA_X, half.conj().T, dims, axes).conj().T)
 
 
 def propagate(

@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -59,7 +57,12 @@ from .tomography import (
 
 EXPERIMENTS = ("spectroscopy", "rabi_scaling", "entangle", "shor")
 
-THREADS_ENV_VAR = "QPROC_SIM_THREADS"
+# the option naming each experiment's 1-based qubit labels, and its default
+_QUBIT_LABEL_OPTIONS = {
+    "spectroscopy": ("qubit", 1),
+    "rabi_scaling": ("qubits", [1, 2, 3, 4]),
+    "entangle": ("participants", [1, 2]),
+}
 
 
 @dataclass
@@ -160,14 +163,6 @@ def _write_manifest(spec: ExperimentSpec, config, noise) -> None:
     })
 
 
-def max_workers() -> int:
-    """Parallelism cap from QPROC_SIM_THREADS (default 1 = serial)."""
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # schema parsers (round-trip contract for every output file)
 # ---------------------------------------------------------------------------
@@ -209,9 +204,26 @@ def read_rabi_traces_csv(path) -> dict[int, tuple[np.ndarray, np.ndarray]]:
 # experiments
 # ---------------------------------------------------------------------------
 
+def _qubit_labels(spec: ExperimentSpec) -> list[int]:
+    """The 1-based qubit labels the experiment's options name, defaults included."""
+    key, default = _QUBIT_LABEL_OPTIONS[spec.name]
+    raw = spec.options.get(key, default)
+    return [int(q) for q in (raw if isinstance(raw, (list, tuple)) else [raw])]
+
+
+def _check_qubit_labels(spec: ExperimentSpec, config: DeviceConfig) -> None:
+    if spec.name not in _QUBIT_LABEL_OPTIONS:
+        return
+    bad = [q for q in _qubit_labels(spec) if not 1 <= q <= config.n_qubits]
+    if bad:
+        key = _QUBIT_LABEL_OPTIONS[spec.name][0]
+        raise ConfigError(f"option {key!r} names qubit(s) {bad} outside "
+                          f"Q1..Q{config.n_qubits} (labels are 1-based)")
+
+
 def _run_spectroscopy(spec: ExperimentSpec, config: DeviceConfig) -> None:
     opts = spec.options
-    qubit = int(opts.get("qubit", 1)) - 1
+    qubit = _qubit_labels(spec)[0] - 1
     f_min = float(opts.get("f_min", 6.0))
     f_max = float(opts.get("f_max", 7.3))
     f_step = float(opts.get("f_step", 0.005))
@@ -220,17 +232,7 @@ def _run_spectroscopy(spec: ExperimentSpec, config: DeviceConfig) -> None:
     freqs = np.round(np.arange(f_min, f_max + f_step / 2, f_step), 9)
     taus = np.round(np.arange(0.0, tau_max + tau_step / 2, tau_step), 9)
 
-    workers = max_workers()
-    if workers == 1:
-        grid = swap_spectroscopy(config, qubit, freqs, taus)
-    else:
-        chunks = np.array_split(freqs, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda chunk: swap_spectroscopy(config, qubit, chunk, taus),
-                [c for c in chunks if c.size],
-            ))
-        grid = np.vstack(parts)
+    grid = swap_spectroscopy(config, qubit, freqs, taus)
 
     rows = [
         (freqs[i], taus[j], grid[i, j])
@@ -242,7 +244,7 @@ def _run_spectroscopy(spec: ExperimentSpec, config: DeviceConfig) -> None:
 
 def _run_rabi_scaling(spec: ExperimentSpec, config: DeviceConfig) -> None:
     opts = spec.options
-    pool = [int(q) - 1 for q in opts.get("qubits", [1, 2, 3, 4])]
+    pool = [q - 1 for q in _qubit_labels(spec)]
     dtau_max = float(opts.get("dtau_max", 200.0))
     sample_dt = float(opts.get("sample_dt", 0.25))
 
@@ -271,7 +273,7 @@ def _entangle_target(n: int):
 
 def _run_entangle(spec: ExperimentSpec, config: DeviceConfig) -> None:
     opts = spec.options
-    participants = tuple(sorted(int(q) - 1 for q in opts.get("participants", [1, 2])))
+    participants = tuple(sorted(q - 1 for q in _qubit_labels(spec)))
     shots = int(opts.get("qst_shots", 10_000))
 
     state = prepare_shared_excitation(config, participants)
@@ -392,6 +394,7 @@ def run_experiment(spec: ExperimentSpec, config_path=None) -> int:
         if spec.name not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {spec.name!r}; choose from {EXPERIMENTS}")
         config, noise = load_device_document(config_path)
+        _check_qubit_labels(spec, config)
         spec.output_dir = Path(spec.output_dir)
         spec.output_dir.mkdir(parents=True, exist_ok=True)
         _write_manifest(spec, config, noise)

@@ -282,6 +282,25 @@ def tensor_product(items: Sequence):
     raise ValueError(f"unsupported tensor_product input kind {kind.__name__}")
 
 
+def apply_local(op, array, dims: Sequence[int], axes: Sequence[int]) -> np.ndarray:
+    """Apply ``op`` to the tensor factors ``axes`` of the row index of ``array``.
+
+    ``array`` is a vector of length prod(dims), or a matrix with that many
+    rows whose columns are left alone. ``op`` acts on the listed factors in
+    the order given, the first most significant, so ``axes=(2, 0)`` reads
+    op's index as (factor 2, factor 0). The full-space matrix of ``op`` is
+    ``apply_local(op, eye, dims, axes)``; ``op @ rho @ op†`` is two calls,
+    on rho and then on the conjugate transpose of the result.
+    """
+    dims, axes = tuple(dims), tuple(axes)
+    array = np.asarray(array)
+    k = len(axes)
+    op = np.asarray(op).reshape(tuple(dims[a] for a in axes) * 2)
+    out = np.tensordot(op, array.reshape(dims + array.shape[1:]),
+                       axes=(tuple(range(k, 2 * k)), axes))
+    return np.moveaxis(out, tuple(range(k)), axes).reshape(array.shape)
+
+
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced density matrix on the ``keep`` factors (ascending original order)."""
     keep = sorted(set(keep))

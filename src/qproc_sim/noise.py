@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import DensityMatrix
+from .hilbert import DensityMatrix, apply_local
 
 DEFAULT_T1_NS = 400.0
 DEFAULT_TPHI_NS = 200.0
@@ -99,22 +99,6 @@ def dephasing_kraus(dt: float, t_phi: float) -> tuple[np.ndarray, np.ndarray]:
     return K0, K1
 
 
-def _embed_single(op: np.ndarray, dims: Sequence[int], position: int) -> np.ndarray:
-    mat = np.eye(1, dtype=complex)
-    for k, dim in enumerate(dims):
-        mat = np.kron(mat, op if k == position else np.eye(dim, dtype=complex))
-    return mat
-
-
-def _apply_channel(rho: np.ndarray, kraus: Sequence[np.ndarray],
-                   dims: Sequence[int], position: int) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for K in kraus:
-        big = _embed_single(K, dims, position)
-        out += big @ rho @ big.conj().T
-    return out
-
-
 def apply_noise_step(
     rho: DensityMatrix,
     params: NoiseParams,
@@ -124,18 +108,23 @@ def apply_noise_step(
     """Damping then dephasing on each listed qubit factor for a duration dt.
 
     Trace-preserving and completely positive by construction (operator-sum
-    form with complete Kraus pairs).
+    form with complete Kraus pairs). Each Kraus operator K acts on its qubit
+    factor only: K rho, then K (K rho)†, conjugate-transposed back.
     """
     if dt < 0:
         raise ValueError("dt must be >= 0")
     dims = rho.layout.dims
     if qubits is None:
         qubits = tuple(k for k, f in enumerate(rho.layout.factors) if f.kind == "qubit")
-    mat = np.array(rho.elements, copy=True)
+    mat = rho.elements
     for q in qubits:
         if rho.layout.factors[q].kind != "qubit":
             raise ValueError(f"factor {q} is not a qubit")
-        mat = _apply_channel(mat, damping_kraus(dt, params.t1[q]), dims, q)
-        mat = _apply_channel(mat, dephasing_kraus(dt, params.t_phi[q]), dims, q)
+        for kraus in (damping_kraus(dt, params.t1[q]), dephasing_kraus(dt, params.t_phi[q])):
+            out = np.zeros_like(mat)
+            for K in kraus:
+                half = apply_local(K, mat, dims, (q,))
+                out += apply_local(K, half.conj().T, dims, (q,)).conj().T
+            mat = out
     mat = 0.5 * (mat + mat.conj().T)
     return DensityMatrix(rho.layout, mat)

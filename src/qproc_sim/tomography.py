@@ -38,11 +38,17 @@ _ROTATIONS = {
     "Y_half": SINGLE_QUBIT_GATES["Y_half"],
 }
 
-# rotation that maps each Pauli letter onto the measured Z axis, and the sign
+# Pauli operator each pre-rotation maps onto the measured Z axis, and the sign
 # it picks up: measuring Z after X_half reads +Y, after Y_half reads -X
-_LETTER_TO_ROTATION = {"Z": ("I", 1.0), "Y": ("X_half", 1.0), "X": ("Y_half", -1.0)}
+_MEASURED_PAULI = {"I": (SIGMA_Z, 1.0), "X_half": (SIGMA_Y, 1.0), "Y_half": (SIGMA_X, -1.0)}
 
-_PAULI = {"I": np.eye(2, dtype=complex), "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
+# per-qubit linear-inversion kernel, indexed [rotation, outcome bit, row, col]:
+# I/6 + sign·(-1)^b·P/2. The I/6 term is the identity's share of each of the
+# three rotations; the Pauli term is read by one rotation only.
+_INVERSION_KERNEL = np.array([
+    [np.eye(2) / 6 + sign * (-1) ** b * pauli / 2 for b in (0, 1)]
+    for pauli, sign in (_MEASURED_PAULI[r] for r in ROTATION_KINDS)
+])
 
 
 @dataclass(frozen=True)
@@ -193,10 +199,7 @@ def simulate_tomography(state, qubits: Sequence[int], shots_per_setting: int,
 
 def reconstruct(record: TomographyRecord) -> DensityMatrix:
     """Linear inversion over the Pauli basis, then PSD projection."""
-    n = record.n_qubits
-    if set(record.settings) != set(all_settings(n)):
-        raise ValueError("record is missing measurement settings")
-    return reconstruct_from_frequencies(record.settings, record.frequencies(), n)
+    return reconstruct_from_frequencies(record.settings, record.frequencies(), record.n_qubits)
 
 
 def reconstruct_from_frequencies(settings: Sequence[MeasurementSetting],
@@ -208,42 +211,24 @@ def reconstruct_from_frequencies(settings: Sequence[MeasurementSetting],
 
 
 def _linear_inversion(settings, frequencies, n: int) -> np.ndarray:
-    dim = 2 ** n
-    outcomes = np.arange(dim)
+    """rho = Σ_{r,b} f[r, b] ⊗_q K[r_q, b_q] with K the per-qubit kernel.
 
-    # parity of each outcome restricted to a support mask, per Pauli string
-    def parities(mask):
-        bits = outcomes & mask
-        pop = np.zeros(dim, dtype=int)
-        m = bits
-        while m.any():
-            pop += m & 1
-            m = m >> 1
-        return np.where(pop % 2 == 0, 1.0, -1.0)
-
-    rho = np.zeros((dim, dim), dtype=complex)
-    for letters in itertools.product("IXYZ", repeat=n):
-        support = [q for q, letter in enumerate(letters) if letter != "I"]
-        if not support:
-            rho += np.eye(dim, dtype=complex)  # <I...I> = 1
-            continue
-        required = {q: _LETTER_TO_ROTATION[letters[q]][0] for q in support}
-        sign = math.prod(_LETTER_TO_ROTATION[letters[q]][1] for q in support)
-        mask = sum(1 << (n - 1 - q) for q in support)
-        par = parities(mask)
-
-        estimates = [
-            float(par @ freq)
-            for setting, freq in zip(settings, frequencies)
-            if all(setting.pre_rotations[q] == required[q] for q in support)
-        ]
-        expectation = sign * (sum(estimates) / len(estimates))
-
-        pauli = np.eye(1, dtype=complex)
-        for letter in letters:
-            pauli = np.kron(pauli, _PAULI[letter])
-        rho += expectation * pauli
-    return rho / dim
+    Summing the kernel product over one qubit's Pauli letters reproduces the
+    Pauli-basis estimator: every Pauli string averaged over all settings that
+    read it, scaled by 1/2^n.
+    """
+    if len(settings) != 3 ** n or set(settings) != set(all_settings(n)):
+        raise ValueError(f"need each of the 3^{n} measurement settings exactly once")
+    # frequencies indexed [r_1..r_n, b_1..b_n] by each setting's rotations
+    table = np.empty((3,) * n + (2,) * n)
+    for setting, freq in zip(settings, frequencies, strict=True):
+        index = tuple(ROTATION_KINDS.index(r) for r in setting.pre_rotations)
+        table[index] = np.reshape(freq, (2,) * n)
+    # contract qubit q's (r_q, b_q) axes, leaving its (row, col) pair at the end
+    for q in range(n):
+        table = np.tensordot(table, _INVERSION_KERNEL, axes=([0, n - q], [0, 1]))
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return table.transpose(order).reshape(2 ** n, 2 ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +286,11 @@ def linear_entropy(rho: DensityMatrix) -> float:
     """Normalized linear entropy d/(d-1) · (1 - Tr rho²).
 
     0 for pure states, exactly 1 for the completely mixed state in any
-    dimension (for a qubit: 2[1 - Tr rho²]).
+    dimension (for a qubit: 2[1 - Tr rho²]). Clipped to [0, 1], since
+    rounding in Tr rho² can push a pure state's value to about -1e-15.
     """
     d = rho.layout.total_dim
-    return float(d / (d - 1) * (1.0 - rho.purity()))
+    return float(np.clip(d / (d - 1) * (1.0 - rho.purity()), 0.0, 1.0))
 
 
 def max_abs_imag(rho: DensityMatrix) -> float:

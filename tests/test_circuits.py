@@ -10,8 +10,6 @@ from qproc_sim.circuits import (
     Idle,
     analyze_output_counts,
     build_shor,
-    circuit_from_text,
-    circuit_to_text,
     circuit_unitary,
     classical_factors,
     extract_period,
@@ -54,6 +52,14 @@ def test_cnot_reversed_control_target():
         [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
     )
     np.testing.assert_allclose(cnot, expected, atol=1e-12)
+
+
+def test_cnot_targets_are_control_first_across_the_register():
+    # CNOT (2, 0): control is qubit 2, the target qubit 0 sits two factors away
+    cnot = gate_unitary(Gate("CNOT", (2, 0)), 3)
+    for label, flipped in (("gge", "ege"), ("ege", "gge"), ("egg", "egg"), ("gee", "eee")):
+        np.testing.assert_allclose(cnot.apply(qubit_ket(label)).amplitudes, ket(flipped),
+                                   atol=1e-12)
 
 
 def test_x_flips_ground_state():
@@ -278,25 +284,3 @@ def test_analyze_output_counts_prefers_frequent_valid_outcome():
     r, factors, success = analyze_output_counts({"00": 50, "10": 40, "01": 10}, a=4, N=15)
     assert (r, factors) == (2, (3, 5))
     assert success == pytest.approx(0.4)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("variant", ["three_qubit", "four_qubit", "control"])
-def test_circuit_text_roundtrip(variant):
-    circuit = build_shor(variant)
-    text = circuit_to_text(circuit)
-    again = circuit_from_text(text)
-    assert again == circuit
-    assert circuit_to_text(again) == text
-
-
-def test_circuit_text_format():
-    text = circuit_to_text(build_shor("three_qubit"))
-    lines = text.splitlines()
-    assert lines[0] == "NQUBITS 3"
-    assert "H 0" in lines
-    assert "CNOT 0 1" in lines
-    assert "BREAK step1" in lines

@@ -155,14 +155,16 @@ def test_detuned_rabi_matches_analytic_formula():
 
 def test_density_matrix_propagation_matches_pure():
     cfg = DeviceConfig.default()
-    start = tensor_product([qubit_ket("e"), basis_ket_res(cfg, 0)])
-    schedule = FrequencySchedule((Segment(12.0, (cfg.f_bus,)),))
-    pure_trace, pure_final = propagate(start, schedule, cfg, sample_dt=1.0, qubits=(0,))
-    mixed_trace, mixed_final = propagate(start.density_matrix(), schedule, cfg,
-                                         sample_dt=1.0, qubits=(0,))
-    np.testing.assert_allclose(mixed_trace.p_bus, pure_trace.p_bus, atol=1e-12)
-    np.testing.assert_allclose(mixed_final.elements,
-                               pure_final.density_matrix().elements, atol=1e-12)
+    # excited start, and ground start with a π-pulse at the segment start
+    for label, pulses in (("e", ()), ("g", (0,))):
+        start = tensor_product([qubit_ket(label), basis_ket_res(cfg, 0)])
+        schedule = FrequencySchedule((Segment(12.0, (cfg.f_bus,), pulses=pulses),))
+        pure_trace, pure_final = propagate(start, schedule, cfg, sample_dt=1.0, qubits=(0,))
+        mixed_trace, mixed_final = propagate(start.density_matrix(), schedule, cfg,
+                                             sample_dt=1.0, qubits=(0,))
+        np.testing.assert_allclose(mixed_trace.p_bus, pure_trace.p_bus, atol=1e-12)
+        np.testing.assert_allclose(mixed_final.elements,
+                                   pure_final.density_matrix().elements, atol=1e-12)
 
 
 def test_excitation_conserved_along_schedule():

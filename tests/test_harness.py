@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,6 @@ from qproc_sim.harness import (
     default_config_path,
     load_device_document,
     main,
-    max_workers,
     read_rabi_traces_csv,
     read_spectroscopy_csv,
     run_experiment,
@@ -213,18 +213,26 @@ def test_invariant_violation_exits_two(tmp_path, monkeypatch):
     assert run_experiment(spec) == 2
 
 
-def test_threads_env_var_does_not_change_results(tmp_path, monkeypatch):
+def test_small_spectroscopy_csv_matches_reference(tmp_path):
+    # reference written by an earlier release at the same options and seed
     options = {"qubit": 1, "f_min": 6.05, "f_max": 6.15, "f_step": 0.01,
                "tau_max": 20.0, "tau_step": 1.0}
-    monkeypatch.delenv("QPROC_SIM_THREADS", raising=False)
-    assert max_workers() == 1
-    run_experiment(ExperimentSpec("spectroscopy", dict(options), tmp_path / "serial", 1))
-    monkeypatch.setenv("QPROC_SIM_THREADS", "3")
-    assert max_workers() == 3
-    run_experiment(ExperimentSpec("spectroscopy", dict(options), tmp_path / "threaded", 1))
-    serial = (tmp_path / "serial" / "spectroscopy.csv").read_bytes()
-    threaded = (tmp_path / "threaded" / "spectroscopy.csv").read_bytes()
-    assert serial == threaded
+    assert run_experiment(ExperimentSpec("spectroscopy", options, tmp_path, 1)) == 0
+    reference = Path(__file__).parent / "data" / "spectroscopy_small.csv"
+    assert (tmp_path / "spectroscopy.csv").read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectroscopy", "--qubit", "0"],
+    ["spectroscopy", "--qubit", "5"],
+    ["entangle", "--participants", "0,1"],
+    ["rabi_scaling", "--qubits", "0,1"],
+])
+def test_out_of_range_qubit_labels_exit_one(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "manifest.json").exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "1-based" in err[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from qproc_sim.hilbert import (
     QuantumOperator,
     QuantumState,
     SpaceLayout,
+    apply_local,
     basis_ket,
     destroy,
     fock_ket,
@@ -288,3 +289,45 @@ def test_basis_ket_index():
     ket = basis_ket(layout, 5)
     assert ket.amplitudes[5] == 1.0
     assert ket.layout.total_dim == 8
+
+
+# ---------------------------------------------------------------------------
+# apply_local
+# ---------------------------------------------------------------------------
+
+def kron_oracle(op, dims, axes):
+    """Full-space matrix of op on factors ``axes``: kron(op, I) in the order
+    [axes..., other factors...], then the factors permuted back."""
+    n = len(dims)
+    order = list(axes) + [k for k in range(n) if k not in axes]
+    rest = int(np.prod([dims[k] for k in order[len(axes):]]))
+    big = np.kron(op, np.eye(rest))
+    inverse = [order.index(k) for k in range(n)]
+    permuted = [dims[k] for k in order]
+    big = big.reshape(permuted + permuted).transpose(inverse + [n + k for k in inverse])
+    d = int(np.prod(dims))
+    return big.reshape(d, d)
+
+
+@pytest.mark.parametrize("dims, axes", [
+    ((2, 3, 2), (1,)),
+    ((2, 3, 2), (2, 0)),          # reversed and non-adjacent
+    ((4, 2, 2, 3), (3, 1)),       # resonator axis first, then a qubit
+    ((2, 2, 4), (0, 2)),
+    ((3, 2, 2, 2), (3, 0, 2)),
+])
+def test_apply_local_matches_kron_oracle(dims, axes):
+    d_op = int(np.prod([dims[a] for a in axes]))
+    op = RNG.normal(size=(d_op, d_op)) + 1j * RNG.normal(size=(d_op, d_op))
+    full = kron_oracle(op, dims, axes)
+    d = int(np.prod(dims))
+    vec = RNG.normal(size=d) + 1j * RNG.normal(size=d)
+    mat = RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d))
+    np.testing.assert_allclose(apply_local(op, vec, dims, axes), full @ vec, atol=1e-12)
+    np.testing.assert_allclose(apply_local(op, mat, dims, axes), full @ mat, atol=1e-12)
+    np.testing.assert_array_equal(apply_local(op, np.eye(d), dims, axes), full)
+
+
+def test_apply_local_rejects_repeated_axes():
+    with pytest.raises(ValueError):
+        apply_local(np.eye(4), np.ones(8), (2, 2, 2), (1, 1))

@@ -9,7 +9,9 @@ from qproc_sim.hilbert import (
     SpaceLayout,
     partial_trace,
     permute_factors,
+    qubit,
     qubit_ket,
+    resonator,
 )
 from qproc_sim.noise import (
     NoiseParams,
@@ -116,6 +118,34 @@ def test_noise_preserves_trace():
     params = NoiseParams.default(2)
     after = apply_noise_step(rho, params, dt=37.0)
     assert np.trace(after.elements).real == pytest.approx(1.0, abs=1e-12)
+
+
+def dense_noise_step(rho, params, dt, qubits):
+    """Reference form: every Kraus operator as a dense full-space matrix."""
+    dims = rho.layout.dims
+    mat = rho.elements
+    for q in qubits:
+        for kraus in (damping_kraus(dt, params.t1[q]), dephasing_kraus(dt, params.t_phi[q])):
+            out = np.zeros_like(mat)
+            for K in kraus:
+                big = np.eye(1)
+                for k, dim in enumerate(dims):
+                    big = np.kron(big, K if k == q else np.eye(dim))
+                out += big @ mat @ big.conj().T
+            mat = out
+    return 0.5 * (mat + mat.conj().T)
+
+
+def test_noise_step_matches_dense_kraus_form():
+    layout = SpaceLayout((qubit(), resonator(2), qubit(), qubit()))
+    d = layout.total_dim
+    a = RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d))
+    rho = DensityMatrix(layout, a @ a.conj().T / np.trace(a @ a.conj().T))
+    params = NoiseParams(t1=(300.0, 1.0, 450.0, 380.0), t_phi=(150.0, 1.0, 260.0, 210.0))
+    for qubits in (None, (3, 0)):
+        after = apply_noise_step(rho, params, dt=42.0, qubits=qubits)
+        expected = dense_noise_step(rho, params, 42.0, (0, 2, 3) if qubits is None else qubits)
+        assert np.max(np.abs(after.elements - expected)) <= 1e-14
 
 
 def test_noise_commutes_with_relabeling_for_symmetric_params():

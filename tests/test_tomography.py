@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,6 +7,9 @@ import pytest
 
 from qproc_sim.circuits import build_shor, run_circuit
 from qproc_sim.hilbert import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     DensityMatrix,
     QuantumState,
     SpaceLayout,
@@ -14,6 +18,7 @@ from qproc_sim.hilbert import (
 )
 from qproc_sim.tomography import (
     GaugeFidelity,
+    _linear_inversion,
     MeasurementSetting,
     TomographyRecord,
     all_settings,
@@ -157,6 +162,53 @@ def test_reconstruct_rejects_missing_settings():
     )
     with pytest.raises(ValueError):
         reconstruct(crippled)
+
+
+def test_reconstruct_rejects_duplicate_settings():
+    record = simulate_tomography(qubit_ket("g"), (0,), 100, seed=0)
+    doubled = TomographyRecord(
+        qubits=record.qubits,
+        settings=record.settings + record.settings[:1],
+        shots_per_setting=record.shots_per_setting,
+        seed=record.seed,
+        counts=record.counts + record.counts[:1],
+    )
+    with pytest.raises(ValueError):
+        reconstruct(doubled)
+
+
+def pauli_string_inversion(settings, frequencies, n):
+    """Reference estimator: one Kronecker product per Pauli string, each
+    expectation averaged over every setting whose rotations read it."""
+    letter_to_rotation = {"Z": ("I", 1.0), "Y": ("X_half", 1.0), "X": ("Y_half", -1.0)}
+    paulis = {"I": np.eye(2), "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
+    dim = 2 ** n
+    bits = (np.arange(dim)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    rho = np.zeros((dim, dim), dtype=complex)
+    for letters in itertools.product("IXYZ", repeat=n):
+        support = [q for q, letter in enumerate(letters) if letter != "I"]
+        sign = math.prod(letter_to_rotation[letters[q]][1] for q in support)
+        parity = (-1.0) ** bits[:, support].sum(axis=1)
+        estimates = [
+            float(parity @ freq)
+            for setting, freq in zip(settings, frequencies)
+            if all(setting.pre_rotations[q] == letter_to_rotation[letters[q]][0] for q in support)
+        ]
+        pauli = np.eye(1)
+        for letter in letters:
+            pauli = np.kron(pauli, paulis[letter])
+        rho += sign * (sum(estimates) / len(estimates)) * pauli
+    return rho / dim
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_linear_inversion_matches_pauli_string_oracle(n):
+    # random, unphysical frequency tables, settings in shuffled list order
+    settings = list(all_settings(n))
+    RNG.shuffle(settings)
+    freqs = [f / f.sum() for f in RNG.uniform(size=(len(settings), 2 ** n))]
+    expected = pauli_string_inversion(settings, freqs, n)
+    assert np.max(np.abs(_linear_inversion(settings, freqs, n) - expected)) <= 1e-12
 
 
 def test_record_json_roundtrip():
