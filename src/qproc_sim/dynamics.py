@@ -10,9 +10,9 @@ Conventions (fixed across the package):
 * The frame rotates at the resonator frequency, so only detunings
   ``Δ_i = f_i - f_res`` enter the Hamiltonian.
 * Qubits not listed as active in a protocol are treated as exactly decoupled
-  (the far-detuned "coupling off" regime, idealized); full detuned dynamics of
-  every listed qubit is retained inside :func:`propagate` and
-  :func:`swap_spectroscopy`, where the detuning physics is the point.
+  (the far-detuned "coupling off" regime, idealized). :func:`propagate` keeps
+  full detuned dynamics of every listed qubit; :func:`swap_spectroscopy` is
+  exact in the one-excitation block, with the full space as its test oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 from .hilbert import (
     DensityMatrix,
     InvariantError,
+    NORM_TOL,
     QuantumOperator,
     QuantumState,
     SIGMA_MINUS,
@@ -48,6 +49,10 @@ OPERATING_HALF_RANGE_GHZ = 1.0
 
 # idle points must sit at least this many max-couplings away from the bus
 COUPLING_OFF_FACTOR = 5.0
+
+# trace samples evaluated per matrix product; bounds every per-sample array
+# to dim x SAMPLE_BLOCK, so a long trace does not raise peak memory
+SAMPLE_BLOCK = 128
 
 
 class ConfigError(ValueError):
@@ -179,10 +184,6 @@ class FrequencySchedule:
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
 
-    @property
-    def total_duration(self) -> float:
-        return sum(seg.duration for seg in self.segments)
-
 
 @dataclass(frozen=True)
 class OccupationTrace:
@@ -267,32 +268,6 @@ def build_jc_hamiltonian(
     return QuantumOperator(layout, H, hermitian=True)
 
 
-def build_spectroscopy_hamiltonian(
-    config: DeviceConfig, qubit_index: int, qubit_freq: float
-) -> QuantumOperator:
-    """One qubit coupled to both the bus and its own memory resonator.
-
-    Frame rotates at the bus frequency, so the memory mode carries the
-    detuning f_M - f_B. Layout: [qubit, bus, memory].
-    """
-    layout = device_layout(config, (qubit_index,), n_resonators=2)
-    dims = layout.dims
-    eye = np.eye(layout.total_dim, dtype=complex)
-    a = destroy(config.n_max + 1)
-    exchange_op = np.kron(SIGMA_MINUS, a.conj().T)  # σ⁻ a†
-    n_e = np.diag([0.0, 1.0]).astype(complex)
-    n_phot = a.conj().T @ a
-
-    delta_q = qubit_freq - config.f_bus
-    delta_m = config.f_memory[qubit_index] - config.f_bus
-    H = (delta_q * apply_local(n_e, eye, dims, (0,))
-         + delta_m * apply_local(n_phot, eye, dims, (2,)))
-    for res_pos, g in ((1, config.g_bus_ghz(qubit_index)), (2, config.g_mem_ghz(qubit_index))):
-        exchange = apply_local(exchange_op, eye, dims, (0, res_pos))
-        H += (g / 2) * (exchange + exchange.conj().T)
-    return QuantumOperator(layout, H, hermitian=True)
-
-
 def excitation_number(layout: SpaceLayout) -> QuantumOperator:
     """N_exc = Σ σ⁺σ⁻ over qubit factors + Σ a†a over resonator factors."""
     eye = np.eye(layout.total_dim, dtype=complex)
@@ -309,15 +284,12 @@ def excitation_number(layout: SpaceLayout) -> QuantumOperator:
 # ---------------------------------------------------------------------------
 
 def _occupations(probs: np.ndarray, n_qubits: int, res_dim: int):
-    table = probs.reshape(2 ** n_qubits, res_dim)
-    p_bus = float(table[:, 1].sum()) if res_dim > 1 else 0.0
-    p_vac = float(table[0, 0])
-    p_q = np.empty(n_qubits)
-    rows = np.arange(2 ** n_qubits)
-    for j in range(n_qubits):
-        mask = (rows >> (n_qubits - 1 - j)) & 1 == 1
-        p_q[j] = table[mask, :].sum()
-    return p_q, p_bus, p_vac
+    """(p_qubit, p_bus, p_vacuum) from basis-state probabilities, one column per sample."""
+    table = np.clip(probs, 0.0, None).reshape((2,) * n_qubits + (res_dim, -1))
+    qubit_axes = tuple(range(n_qubits))
+    p_q = np.array([table.sum(axis=tuple(a for a in range(n_qubits + 1) if a != j))[1]
+                    for j in qubit_axes]).reshape(n_qubits, -1)
+    return p_q, table[..., 1, :].sum(axis=qubit_axes), table[(0,) * (n_qubits + 1)]
 
 
 def _apply_x(state, position: int):
@@ -326,6 +298,33 @@ def _apply_x(state, position: int):
         return QuantumState(state.layout, apply_local(SIGMA_X, state.amplitudes, dims, axes))
     half = apply_local(SIGMA_X, state.elements, dims, axes)
     return DensityMatrix(state.layout, apply_local(SIGMA_X, half.conj().T, dims, axes).conj().T)
+
+
+def _evolve(state, vecs: np.ndarray, phases: np.ndarray):
+    """Apply the propagator vecs · diag(phases) · vecs† to a pure or mixed state."""
+    if isinstance(state, QuantumState):
+        return QuantumState(state.layout, vecs @ (phases * (vecs.conj().T @ state.amplitudes)))
+    U = (vecs * phases) @ vecs.conj().T
+    return DensityMatrix(state.layout, U @ state.elements @ U.conj().T)
+
+
+def _sample_probabilities(state, vecs: np.ndarray, rotated: np.ndarray, dts: np.ndarray):
+    """Basis-state probabilities after each step in ``dts``, one column per step.
+
+    ``rotated`` is -2πi·eigenvalues. A pure state is sampled with one matrix
+    product and every sample's norm is checked; a mixed state is evolved and
+    validated sample by sample.
+    """
+    if not isinstance(state, QuantumState):
+        return np.stack([_evolve(state, vecs, np.exp(rotated * dt)).probabilities()
+                         for dt in dts], axis=1)
+    amps = vecs @ (np.exp(np.multiply.outer(rotated, dts))
+                   * (vecs.conj().T @ state.amplitudes)[:, None])
+    probs = np.abs(amps) ** 2
+    defect = np.max(np.abs(np.sqrt(probs.sum(axis=0)) - 1.0))
+    if defect > NORM_TOL:
+        raise InvariantError(f"sampled state norm differs from 1 by {defect} beyond {NORM_TOL}")
+    return probs
 
 
 def propagate(
@@ -363,54 +362,37 @@ def propagate(
                     f"idle {idle} GHz for qubit {qubits[pos]}"
                 )
 
-    n_q = len(qubits)
-    res_dim = config.n_max + 1
-    pure = isinstance(state, QuantumState)
+    samples = []  # (times, p_qubit, p_bus, p_vacuum), one entry per block of samples
 
-    times, samples = [], []
-
-    def record(t, current):
-        probs = current.probabilities()
-        times.append(t)
-        samples.append(_occupations(np.clip(probs.real, 0.0, None), n_q, res_dim))
+    def record(times, probs):
+        samples.append((times, *_occupations(probs, len(qubits), config.n_max + 1)))
 
     current = state
     t0 = 0.0
-    first = True
-    for seg in schedule.segments:
+    for k, seg in enumerate(schedule.segments):
         for pos in seg.pulses:
             current = _apply_x(current, pos)
-        if first:
-            record(0.0, current)
-            first = False
+        if k == 0:
+            record(np.zeros(1), current.probabilities()[:, None])
         H = build_jc_hamiltonian(config, seg.qubit_freqs, resonator_id, qubits)
         evals, vecs = np.linalg.eigh(H.elements)
-
-        def advance(value, dt):
-            phases = np.exp(-2j * np.pi * evals * dt)
-            if pure:
-                return QuantumState(value.layout, vecs @ (phases * (vecs.conj().T @ value.amplitudes)))
-            U = (vecs * phases) @ vecs.conj().T
-            return DensityMatrix(value.layout, U @ value.elements @ U.conj().T)
+        rotated = -2j * np.pi * evals
 
         n_steps = int(math.floor(seg.duration / sample_dt + 1e-12))
-        for k in range(1, n_steps + 1):
-            record(t0 + k * sample_dt, advance(current, k * sample_dt))
+        dts = np.arange(1, n_steps + 1) * sample_dt
         if seg.duration > 0 and (n_steps == 0 or n_steps * sample_dt < seg.duration - 1e-12):
-            record(t0 + seg.duration, advance(current, seg.duration))
-        current = advance(current, seg.duration)
+            dts = np.append(dts, seg.duration)
+        for start in range(0, dts.size, SAMPLE_BLOCK):
+            block = dts[start:start + SAMPLE_BLOCK]
+            record(t0 + block, _sample_probabilities(current, vecs, rotated, block))
+        current = _evolve(current, vecs, np.exp(rotated * seg.duration))
         t0 += seg.duration
-    if first:
-        record(0.0, current)
+    if not schedule.segments:
+        record(np.zeros(1), current.probabilities()[:, None])
 
-    p_q = np.array([s[0] for s in samples]).T if samples else np.zeros((n_q, 0))
-    trace = OccupationTrace(
-        times=np.array(times),
-        qubit_ids=qubits,
-        p_qubit=np.clip(p_q, 0.0, 1.0),
-        p_bus=np.clip(np.array([s[1] for s in samples]), 0.0, 1.0),
-        p_vacuum=np.clip(np.array([s[2] for s in samples]), 0.0, 1.0),
-    )
+    times, p_q, p_bus, p_vac = (np.concatenate(parts, axis=-1) for parts in zip(*samples))
+    trace = OccupationTrace(times=times, qubit_ids=qubits, p_qubit=np.clip(p_q, 0.0, 1.0),
+                            p_bus=np.clip(p_bus, 0.0, 1.0), p_vacuum=np.clip(p_vac, 0.0, 1.0))
     return trace, current
 
 
@@ -529,7 +511,7 @@ def swap_spectroscopy(
     The scanned qubit is excited by a π-pulse, tuned to each grid frequency
     and left to interact with the bus and its memory resonator. Chevron
     centers sit at the resonator frequencies; the on-resonance oscillation
-    period gives 1/g.
+    period gives 1/g. Solved exactly in the one-excitation block {|e00>, |g10>, |g01>}.
     """
     freq_grid = np.asarray(freq_grid, dtype=float)
     tau_grid = np.asarray(tau_grid, dtype=float)
@@ -539,23 +521,17 @@ def swap_spectroscopy(
     if np.max(np.abs(freq_grid - idle)) > OPERATING_HALF_RANGE_GHZ + 1e-12:
         raise ValueError("frequency grid leaves the 2 GHz operating range")
 
-    res_dim = config.n_max + 1
-    dim = 2 * res_dim * res_dim
-    psi0 = np.zeros(dim, dtype=complex)
-    psi0[res_dim * res_dim] = 1.0  # qubit excited, both resonators in vacuum
-
-    # indices with the qubit excited (qubit is the most significant factor)
-    excited = np.arange(dim) >= res_dim * res_dim
-
-    p_e = np.empty((freq_grid.size, tau_grid.size))
-    for row, f in enumerate(freq_grid):
-        H = build_spectroscopy_hamiltonian(config, qubit_index, float(f))
-        evals, vecs = np.linalg.eigh(H.elements)
-        coeffs = vecs.conj().T @ psi0
-        phases = np.exp(-2j * np.pi * np.outer(evals, tau_grid))
-        amps = vecs @ (phases * coeffs[:, None])
-        p_e[row] = np.sum(np.abs(amps[excited, :]) ** 2, axis=0)
-    return np.clip(p_e, 0.0, 1.0)
+    # one-excitation block over {|e00>, |g10>, |g01>} (qubit, bus, memory), bus frame
+    H = np.zeros((freq_grid.size, 3, 3))
+    H[:, 0, 0] = freq_grid - config.f_bus
+    H[:, 2, 2] = config.f_memory[qubit_index] - config.f_bus
+    H[:, 0, 1] = H[:, 1, 0] = config.g_bus_ghz(qubit_index) / 2
+    H[:, 0, 2] = H[:, 2, 0] = config.g_mem_ghz(qubit_index) / 2
+    evals, vecs = np.linalg.eigh(H)
+    # <e00|U(τ)|e00> = Σ_k V_0k² exp(-2πi λ_k τ)
+    amps = np.einsum("fk,fkt->ft", vecs[:, 0, :] ** 2,
+                     np.exp(-2j * np.pi * evals[:, :, None] * tau_grid))
+    return np.clip(np.abs(amps) ** 2, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

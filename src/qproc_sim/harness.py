@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import sys
 from dataclasses import dataclass, field
@@ -28,6 +29,7 @@ import numpy as np
 from . import __version__
 from .circuits import Gate, build_shor, factor_fifteen, gate_unitary
 from .dynamics import (
+    OPERATING_HALF_RANGE_GHZ,
     ConfigError,
     DeviceConfig,
     effective_coupling,
@@ -57,12 +59,17 @@ from .tomography import (
 
 EXPERIMENTS = ("spectroscopy", "rabi_scaling", "entangle", "shor")
 
-# the option naming each experiment's 1-based qubit labels, and its default
-_QUBIT_LABEL_OPTIONS = {
-    "spectroscopy": ("qubit", 1),
-    "rabi_scaling": ("qubits", [1, 2, 3, 4]),
-    "entangle": ("participants", [1, 2]),
+# each experiment's options and their defaults, as the CLI passes them
+_OPTION_DEFAULTS = {
+    "spectroscopy": {"qubit": 1, "f_min": 6.0, "f_max": 7.3, "f_step": 0.005,
+                     "tau_max": 100.0, "tau_step": 0.5},
+    "rabi_scaling": {"qubits": [1, 2, 3, 4], "dtau_max": 200.0, "sample_dt": 0.25},
+    "entangle": {"participants": [1, 2], "qst_shots": 10_000},
+    "shor": {"variant": "three_qubit", "shots": 150_000, "qst_shots": 10_000},
 }
+
+# the option naming each experiment's 1-based qubit labels
+_LABEL_OPTIONS = {"spectroscopy": "qubit", "rabi_scaling": "qubits", "entangle": "participants"}
 
 
 @dataclass
@@ -137,15 +144,17 @@ def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, header, columns) -> None:
+    """Write equal-length columns as CSV rows of Python int/float ``repr`` cells."""
+    # each distinct bit pattern is formatted once; 0.0 and -0.0 stay distinct
+    cells = []
+    for column in map(np.ascontiguousarray, columns):
+        keys = column.view(np.int64) if column.dtype == np.float64 else column
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        text = np.array([repr(v) for v in column[first].tolist()], dtype=object)
+        cells.append(text[inverse])
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(map(",".join, zip(*cells)))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -167,94 +176,120 @@ def _write_manifest(spec: ExperimentSpec, config, noise) -> None:
 # schema parsers (round-trip contract for every output file)
 # ---------------------------------------------------------------------------
 
+def _read_csv(path, columns) -> np.ndarray:
+    """Check a CSV's header against ``columns``; return its body as a float table."""
+    lines = Path(path).read_text().strip().splitlines()
+    header = ",".join(columns)
+    if not lines or lines[0] != header:
+        raise ValueError(f"unexpected header in {path}: {lines[:1]}, expected {header!r}")
+    if len(lines) == 1:
+        return np.empty((0, len(columns)))
+    table = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    if table.shape[1] != len(columns):
+        raise ValueError(f"{path}: rows have {table.shape[1]} values, expected {len(columns)}")
+    return table
+
+
 def read_spectroscopy_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (freqs GHz, taus ns, P_e map) from a spectroscopy CSV."""
-    lines = Path(path).read_text().strip().splitlines()
-    if lines[0] != "freq_ghz,tau_ns,p_e":
-        raise ValueError(f"unexpected spectroscopy header {lines[0]!r}")
-    triples = [tuple(float(tok) for tok in line.split(",")) for line in lines[1:]]
-    freqs = sorted({t[0] for t in triples})
-    taus = sorted({t[1] for t in triples})
-    grid = np.full((len(freqs), len(taus)), np.nan)
-    f_index = {f: i for i, f in enumerate(freqs)}
-    t_index = {t: j for j, t in enumerate(taus)}
-    for f, t, p in triples:
-        grid[f_index[f], t_index[t]] = p
+    table = _read_csv(path, ("freq_ghz", "tau_ns", "p_e"))
+    freqs, f_index = np.unique(table[:, 0], return_inverse=True)
+    taus, t_index = np.unique(table[:, 1], return_inverse=True)
+    grid = np.full((freqs.size, taus.size), np.nan)
+    grid[f_index, t_index] = table[:, 2]
     if np.isnan(grid).any():
         raise ValueError("spectroscopy CSV does not cover the full grid")
-    return np.array(freqs), np.array(taus), grid
+    return freqs, taus, grid
 
 
 def read_rabi_traces_csv(path) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Return {N: (times, p_bus)} from a rabi_scaling traces CSV."""
-    lines = Path(path).read_text().strip().splitlines()
-    if lines[0] != "n_participants,time_ns,p_bus":
-        raise ValueError(f"unexpected traces header {lines[0]!r}")
-    rows = {}
-    for line in lines[1:]:
-        n, t, p = line.split(",")
-        rows.setdefault(int(n), []).append((float(t), float(p)))
-    return {
-        n: (np.array([t for t, _ in pairs]), np.array([p for _, p in pairs]))
-        for n, pairs in rows.items()
-    }
+    table = _read_csv(path, ("n_participants", "time_ns", "p_bus"))
+    ns = table[:, 0].astype(int)
+    if not np.array_equal(ns, table[:, 0]):
+        raise ValueError(f"{path}: n_participants must be whole numbers")
+    return {n: (table[ns == n, 1], table[ns == n, 2]) for n in dict.fromkeys(ns.tolist())}
 
 
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
 
+def _option(spec: ExperimentSpec, key: str):
+    return spec.options.get(key, _OPTION_DEFAULTS[spec.name][key])
+
+
 def _qubit_labels(spec: ExperimentSpec) -> list[int]:
     """The 1-based qubit labels the experiment's options name, defaults included."""
-    key, default = _QUBIT_LABEL_OPTIONS[spec.name]
-    raw = spec.options.get(key, default)
+    raw = _option(spec, _LABEL_OPTIONS[spec.name])
     return [int(q) for q in (raw if isinstance(raw, (list, tuple)) else [raw])]
 
 
-def _check_qubit_labels(spec: ExperimentSpec, config: DeviceConfig) -> None:
-    if spec.name not in _QUBIT_LABEL_OPTIONS:
-        return
-    bad = [q for q in _qubit_labels(spec) if not 1 <= q <= config.n_qubits]
-    if bad:
-        key = _QUBIT_LABEL_OPTIONS[spec.name][0]
-        raise ConfigError(f"option {key!r} names qubit(s) {bad} outside "
-                          f"Q1..Q{config.n_qubits} (labels are 1-based)")
+def _spectroscopy_grids(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
+    f_min, f_max, f_step, tau_max, tau_step = (
+        float(_option(spec, key)) for key in ("f_min", "f_max", "f_step", "tau_max", "tau_step"))
+    freqs = np.round(np.arange(f_min, f_max + f_step / 2, f_step), 9)
+    taus = np.round(np.arange(0.0, tau_max + tau_step / 2, tau_step), 9)
+    return freqs, taus
+
+
+def _check_options(spec: ExperimentSpec, config: DeviceConfig) -> None:
+    """Reject options the experiment cannot run with, before any file is written."""
+    for key, value in spec.options.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"option {key!r} must be a finite number (got {value})")
+    if spec.name in _LABEL_OPTIONS:
+        key, labels = _LABEL_OPTIONS[spec.name], _qubit_labels(spec)
+        bad = [q for q in labels if not 1 <= q <= config.n_qubits]
+        if bad:
+            raise ConfigError(f"option {key!r} names qubit(s) {bad} outside "
+                              f"Q1..Q{config.n_qubits} (labels are 1-based)")
+        if not labels or len(set(labels)) != len(labels):
+            raise ConfigError(f"option {key!r} must name distinct qubits (got {labels})")
+    for key in ("f_step", "tau_step", "sample_dt", "shots", "qst_shots"):
+        if key in _OPTION_DEFAULTS[spec.name] and not float(_option(spec, key)) > 0:
+            raise ConfigError(f"option {key!r} must be > 0")
+
+    if spec.name == "spectroscopy":
+        freqs, taus = _spectroscopy_grids(spec)
+        idle = config.f_idle[labels[0] - 1]
+        if freqs.size == 0 or taus.size == 0:
+            raise ConfigError("spectroscopy grid is empty (need f_min <= f_max and tau_max >= 0)")
+        if np.max(np.abs(freqs - idle)) > OPERATING_HALF_RANGE_GHZ + 1e-12:
+            raise ConfigError(
+                f"frequency grid {freqs[0]}..{freqs[-1]} GHz leaves the operating range "
+                f"{idle} ± {OPERATING_HALF_RANGE_GHZ} GHz of Q{labels[0]}")
+    elif spec.name == "rabi_scaling":
+        dtau_max, sample_dt = float(_option(spec, "dtau_max")), float(_option(spec, "sample_dt"))
+        n_steps = math.floor(dtau_max / sample_dt + 1e-12)
+        if n_steps < 7 or n_steps * sample_dt < dtau_max - 1e-12:
+            raise ConfigError(
+                f"dtau_max ({dtau_max} ns) must be a whole number of at least 7 sample_dt "
+                f"steps ({sample_dt} ns): the frequency fit needs 8 evenly spaced samples")
+    elif spec.name == "entangle" and len(labels) < 2:
+        raise ConfigError("option 'participants' must name at least 2 qubits")
 
 
 def _run_spectroscopy(spec: ExperimentSpec, config: DeviceConfig) -> None:
-    opts = spec.options
-    qubit = _qubit_labels(spec)[0] - 1
-    f_min = float(opts.get("f_min", 6.0))
-    f_max = float(opts.get("f_max", 7.3))
-    f_step = float(opts.get("f_step", 0.005))
-    tau_max = float(opts.get("tau_max", 100.0))
-    tau_step = float(opts.get("tau_step", 0.5))
-    freqs = np.round(np.arange(f_min, f_max + f_step / 2, f_step), 9)
-    taus = np.round(np.arange(0.0, tau_max + tau_step / 2, tau_step), 9)
-
-    grid = swap_spectroscopy(config, qubit, freqs, taus)
-
-    rows = [
-        (freqs[i], taus[j], grid[i, j])
-        for i in range(freqs.size)
-        for j in range(taus.size)
-    ]
-    _write_csv(spec.output_dir / "spectroscopy.csv", ["freq_ghz", "tau_ns", "p_e"], rows)
+    freqs, taus = _spectroscopy_grids(spec)
+    grid = swap_spectroscopy(config, _qubit_labels(spec)[0] - 1, freqs, taus)
+    f_col, tau_col = np.meshgrid(freqs, taus, indexing="ij")
+    _write_csv(spec.output_dir / "spectroscopy.csv", ["freq_ghz", "tau_ns", "p_e"],
+               [f_col.ravel(), tau_col.ravel(), grid.ravel()])
 
 
 def _run_rabi_scaling(spec: ExperimentSpec, config: DeviceConfig) -> None:
-    opts = spec.options
     pool = [q - 1 for q in _qubit_labels(spec)]
-    dtau_max = float(opts.get("dtau_max", 200.0))
-    sample_dt = float(opts.get("sample_dt", 0.25))
+    dtau_max = float(_option(spec, "dtau_max"))
+    sample_dt = float(_option(spec, "sample_dt"))
 
-    trace_rows = []
+    traces = []
     fits = []
     for n in range(1, len(pool) + 1):
         participants = tuple(pool[:n])
         trace = simultaneous_resonance(config, participants, dtau_max, sample_dt)
         freq, err = fit_oscillation_frequency(trace.times, trace.p_bus)
-        trace_rows.extend((n, t, p) for t, p in zip(trace.times, trace.p_bus))
+        traces.append((np.full(trace.times.size, n), trace.times, trace.p_bus))
         fits.append({
             "n": n,
             "participants": [q + 1 for q in participants],
@@ -262,8 +297,8 @@ def _run_rabi_scaling(spec: ExperimentSpec, config: DeviceConfig) -> None:
             "err_3db_ghz": err,
             "effective_coupling_ghz": effective_coupling(config, participants),
         })
-    _write_csv(spec.output_dir / "rabi_traces.csv",
-               ["n_participants", "time_ns", "p_bus"], trace_rows)
+    _write_csv(spec.output_dir / "rabi_traces.csv", ["n_participants", "time_ns", "p_bus"],
+               [np.concatenate(column) for column in zip(*traces)])
     _write_json(spec.output_dir / "rabi_fits.json", fits)
 
 
@@ -272,9 +307,8 @@ def _entangle_target(n: int):
 
 
 def _run_entangle(spec: ExperimentSpec, config: DeviceConfig) -> None:
-    opts = spec.options
     participants = tuple(sorted(q - 1 for q in _qubit_labels(spec)))
-    shots = int(opts.get("qst_shots", 10_000))
+    shots = int(_option(spec, "qst_shots"))
 
     state = prepare_shared_excitation(config, participants)
     target = _entangle_target(len(participants))
@@ -314,10 +348,9 @@ def _qst_with_metrics(state, qubits, shots, seed, metric_fn) -> dict:
 
 
 def _run_shor(spec: ExperimentSpec, config: DeviceConfig, noise: NoiseParams | None) -> None:
-    opts = spec.options
-    variant = str(opts.get("variant", "three_qubit"))
-    shots = int(opts.get("shots", 150_000))
-    qst_shots = int(opts.get("qst_shots", 10_000))
+    variant = str(_option(spec, "variant"))
+    shots = int(_option(spec, "shots"))
+    qst_shots = int(_option(spec, "qst_shots"))
     mode = "noisy_density" if noise is not None else "ideal_pure"
 
     circuit = build_shor(variant)
@@ -394,7 +427,7 @@ def run_experiment(spec: ExperimentSpec, config_path=None) -> int:
         if spec.name not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {spec.name!r}; choose from {EXPERIMENTS}")
         config, noise = load_device_document(config_path)
-        _check_qubit_labels(spec, config)
+        _check_options(spec, config)
         spec.output_dir = Path(spec.output_dir)
         spec.output_dir.mkdir(parents=True, exist_ok=True)
         _write_manifest(spec, config, noise)
@@ -482,13 +515,7 @@ def main(argv=None) -> int:
         print("config ok" if report.ok else f"{len(report.violations)} violation(s)")
         return 0 if report.ok else 1
 
-    option_keys = {
-        "spectroscopy": ("qubit", "f_min", "f_max", "f_step", "tau_max", "tau_step"),
-        "rabi_scaling": ("qubits", "dtau_max", "sample_dt"),
-        "entangle": ("participants", "qst_shots"),
-        "shor": ("variant", "shots", "qst_shots"),
-    }
-    options = {k: getattr(args, k) for k in option_keys[args.command]}
+    options = {k: getattr(args, k) for k in _OPTION_DEFAULTS[args.command]}
     spec = ExperimentSpec(
         name=args.command,
         options=options,

@@ -126,9 +126,6 @@ class QuantumState:
     def density_matrix(self) -> "DensityMatrix":
         return DensityMatrix(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def overlap(self, other: "QuantumState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -176,10 +173,6 @@ class QuantumOperator:
             defect = np.max(np.abs(arr.conj().T @ arr - np.eye(d)))
             if defect > OP_UNITARY_TOL:
                 raise InvariantError(f"operator flagged unitary has U†U-I defect {defect}")
-
-    def dagger(self) -> "QuantumOperator":
-        return QuantumOperator(self.layout, self.elements.conj().T,
-                               hermitian=self.hermitian, unitary=self.unitary)
 
     def apply(self, state: QuantumState) -> QuantumState:
         return QuantumState(state.layout, self.elements @ state.amplitudes)

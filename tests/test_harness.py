@@ -2,11 +2,15 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qproc_sim.dynamics import DeviceConfig
 from qproc_sim.harness import (
     ExperimentSpec,
+    _write_csv,
     default_config_path,
     load_device_document,
     main,
@@ -214,7 +218,8 @@ def test_invariant_violation_exits_two(tmp_path, monkeypatch):
 
 
 def test_small_spectroscopy_csv_matches_reference(tmp_path):
-    # reference written by an earlier release at the same options and seed
+    # reference written by the one-excitation block solver at the same options and seed;
+    # test_small_spectroscopy_fixture_matches_full_space_oracle ties it to the full space
     options = {"qubit": 1, "f_min": 6.05, "f_max": 6.15, "f_step": 0.01,
                "tau_max": 20.0, "tau_step": 1.0}
     assert run_experiment(ExperimentSpec("spectroscopy", options, tmp_path, 1)) == 0
@@ -222,17 +227,151 @@ def test_small_spectroscopy_csv_matches_reference(tmp_path):
     assert (tmp_path / "spectroscopy.csv").read_bytes() == reference.read_bytes()
 
 
-@pytest.mark.parametrize("argv", [
-    ["spectroscopy", "--qubit", "0"],
-    ["spectroscopy", "--qubit", "5"],
-    ["entangle", "--participants", "0,1"],
-    ["rabi_scaling", "--qubits", "0,1"],
-])
+# each bad option, with a fragment its one-line message must contain
+OPTION_ERRORS = {
+    ("spectroscopy", "--qubit", "0"): "1-based",
+    ("spectroscopy", "--qubit", "5"): "1-based",
+    ("entangle", "--participants", "0,1"): "1-based",
+    ("rabi_scaling", "--qubits", "0,1"): "1-based",
+    ("spectroscopy", "--f-max", "9"): "operating range",
+    ("spectroscopy", "--tau-step", "0"): "'tau_step' must be > 0",
+    ("spectroscopy", "--f-step", "-0.005"): "'f_step' must be > 0",
+    ("rabi_scaling", "--sample-dt", "0"): "'sample_dt' must be > 0",
+    ("rabi_scaling", "--dtau-max", "1"): "8 evenly spaced samples",
+    ("entangle", "--participants", "1"): "at least 2 qubits",
+    ("entangle", "--qst-shots", "0"): "'qst_shots' must be > 0",
+    ("shor", "--shots", "0"): "'shots' must be > 0",
+    ("rabi_scaling", "--dtau-max", "20.1"): "8 evenly spaced samples",
+    ("entangle", "--participants", "1,1,2"): "distinct",
+    ("spectroscopy", "--f-min", "7", "--f-max", "6"): "grid is empty",
+    ("spectroscopy", "--tau-max", "nan"): "finite",
+}
+
+
+@pytest.mark.parametrize("argv", [list(case) for case in OPTION_ERRORS])
 def test_out_of_range_qubit_labels_exit_one(tmp_path, capsys, argv):
+    # every option the experiment cannot run with is rejected before any file is written
     assert main(argv + ["--out", str(tmp_path)]) == 1
     assert not (tmp_path / "manifest.json").exists()
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("config error:") and "1-based" in err[0]
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert OPTION_ERRORS[tuple(argv)] in err[0]
+
+
+def test_sampled_norm_defect_exits_two(tmp_path, capsys, monkeypatch):
+    eigh = np.linalg.eigh
+
+    def scaled_eigh(a, *args, **kwargs):
+        evals, vecs = eigh(a, *args, **kwargs)
+        return evals, vecs * (1 + 1e-6)
+
+    monkeypatch.setattr(np.linalg, "eigh", scaled_eigh)
+    assert main(["rabi_scaling", "--dtau-max", "10", "--out", str(tmp_path)]) == 2
+    assert "sampled state norm" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# CSV writer and readers against the row-by-row versions they replaced
+# ---------------------------------------------------------------------------
+
+def row_write_csv(path, header, rows):
+    def fmt(value):
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return repr(float(value))
+
+    lines = [",".join(header)]
+    lines.extend(",".join(fmt(v) for v in row) for row in rows)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def row_read_spectroscopy_csv(path):
+    lines = Path(path).read_text().strip().splitlines()
+    if lines[0] != "freq_ghz,tau_ns,p_e":
+        raise ValueError(f"unexpected spectroscopy header {lines[0]!r}")
+    triples = [tuple(float(tok) for tok in line.split(",")) for line in lines[1:]]
+    freqs = sorted({t[0] for t in triples})
+    taus = sorted({t[1] for t in triples})
+    grid = np.full((len(freqs), len(taus)), np.nan)
+    f_index = {f: i for i, f in enumerate(freqs)}
+    t_index = {t: j for j, t in enumerate(taus)}
+    for f, t, p in triples:
+        grid[f_index[f], t_index[t]] = p
+    if np.isnan(grid).any():
+        raise ValueError("spectroscopy CSV does not cover the full grid")
+    return np.array(freqs), np.array(taus), grid
+
+
+def row_read_rabi_traces_csv(path):
+    lines = Path(path).read_text().strip().splitlines()
+    if lines[0] != "n_participants,time_ns,p_bus":
+        raise ValueError(f"unexpected traces header {lines[0]!r}")
+    rows = {}
+    for line in lines[1:]:
+        n, t, p = line.split(",")
+        rows.setdefault(int(n), []).append((float(t), float(p)))
+    return {
+        n: (np.array([t for t, _ in pairs]), np.array([p for _, p in pairs]))
+        for n, pairs in rows.items()
+    }
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_column_writer_matches_row_writer(tmp_path_factory, data):
+    n_rows = data.draw(st.integers(0, 30))
+    # small pools, so values repeat; 0.0/-0.0, nan and inf included
+    float_pool = data.draw(st.lists(st.floats(width=64) | st.sampled_from([0.0, -0.0]),
+                                    min_size=1, max_size=6))
+    pick = st.lists(st.integers(0, len(float_pool) - 1), min_size=n_rows, max_size=n_rows)
+    ints = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n_rows, max_size=n_rows)),
+                    dtype=np.int64)
+    floats = [np.array(float_pool)[data.draw(pick)] for _ in range(2)]
+    columns = [ints, *floats]
+    out = tmp_path_factory.mktemp("csv")
+    _write_csv(out / "columns.csv", ["n", "x", "y"], columns)
+    row_write_csv(out / "rows.csv", ["n", "x", "y"], list(zip(*columns)))
+    assert (out / "columns.csv").read_bytes() == (out / "rows.csv").read_bytes()
+
+
+def test_readers_match_row_readers(tmp_path):
+    assert run_experiment(ExperimentSpec("spectroscopy", {"qubit": 2}, tmp_path / "s", 4)) == 0
+    path = tmp_path / "s" / "spectroscopy.csv"
+    for got, expected in zip(read_spectroscopy_csv(path), row_read_spectroscopy_csv(path)):
+        np.testing.assert_array_equal(got, expected)
+
+    assert run_experiment(ExperimentSpec("rabi_scaling", {}, tmp_path / "r", 4)) == 0
+    path = tmp_path / "r" / "rabi_traces.csv"
+    got, expected = read_rabi_traces_csv(path), row_read_rabi_traces_csv(path)
+    assert list(got) == list(expected) == [1, 2, 3, 4]
+    for n in expected:
+        np.testing.assert_array_equal(got[n][0], expected[n][0])
+        np.testing.assert_array_equal(got[n][1], expected[n][1])
+
+
+@pytest.mark.parametrize("body", [
+    "freq_ghz,tau,p_e\n6.1,0.0,1.0\n",                            # bad header
+    "freq_ghz,tau_ns,p_e\n6.1,0.0,1.0\n6.1,1.0\n",              # ragged row
+    "freq_ghz,tau_ns,p_e\n6.1,0.0,1.0\n6.1,x,1.0\n",            # malformed value
+    "freq_ghz,tau_ns,p_e\n6.1,0.0,1.0\n6.2,1.0,0.5\n",          # grid not covered
+])
+def test_spectroscopy_reader_rejects_bad_files(tmp_path, body):
+    path = tmp_path / "spectroscopy.csv"
+    path.write_text(body)
+    with pytest.raises(ValueError):
+        read_spectroscopy_csv(path)
+
+
+@pytest.mark.parametrize("body", [
+    "n,time_ns,p_bus\n1,0.0,1.0\n",
+    "n_participants,time_ns,p_bus\n1,0.0\n",
+    "n_participants,time_ns,p_bus\n1.5,0.0,1.0\n",
+])
+def test_rabi_reader_rejects_bad_files(tmp_path, body):
+    path = tmp_path / "rabi_traces.csv"
+    path.write_text(body)
+    with pytest.raises(ValueError):
+        read_rabi_traces_csv(path)
 
 
 # ---------------------------------------------------------------------------
