@@ -130,6 +130,9 @@ def circuit_unitary(circuit: Circuit) -> QuantumOperator:
 # compiled factoring circuits (N=15, a=4)
 # ---------------------------------------------------------------------------
 
+SHOR_VARIANTS = ("four_qubit", "three_qubit", "control")
+
+
 def build_shor(variant: str) -> Circuit:
     """Compiled order-finding circuit for N=15 with co-prime a=4.
 

@@ -69,6 +69,11 @@ class ConfigError(ValueError):
 # device configuration
 # ---------------------------------------------------------------------------
 
+# device document key -> DeviceConfig field
+_DOC_KEYS = {"n_qubits": "n_qubits", "f_bus_ghz": "f_bus", "f_memory_ghz": "f_memory",
+             "f_idle_ghz": "f_idle", "g_bus_mhz": "g_bus", "g_mem_mhz": "g_mem", "n_max": "n_max"}
+
+
 @dataclass(frozen=True)
 class DeviceConfig:
     """Static device parameters: frequencies in GHz, couplings in MHz."""
@@ -92,13 +97,17 @@ class DeviceConfig:
 
     def validate(self) -> list[str]:
         out = []
-        if self.n_qubits < 1:
-            out.append("n_qubits must be >= 1")
-        if self.n_max < 1:
-            out.append("n_max must be >= 1")
+        for name in ("n_qubits", "n_max"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:  # bool is not a count
+                out.append(f"{name} must be a whole number >= 1 (got {value})")
+        for name in ("f_bus", "f_memory", "f_idle", "g_bus", "g_mem"):
+            values = np.atleast_1d(getattr(self, name))
+            if not np.isfinite(values).all():
+                out.append(f"{name} must be finite (got {values.tolist()})")
         for name in ("g_bus", "g_mem"):
             for i, g in enumerate(getattr(self, name)):
-                if not g > 0:
+                if g <= 0:
                     out.append(f"{name}[{i}] must be > 0 (got {g})")
         g_max = max(self.g_bus, default=0.0) * MHZ
         for i, f in enumerate(self.f_idle):
@@ -115,15 +124,15 @@ class DeviceConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DeviceConfig":
+        """Build from a device document; its optional ``noise`` block is read elsewhere."""
+        if not isinstance(doc, dict):
+            raise ConfigError("device config must be a JSON object")
+        unknown = sorted(set(doc) - set(_DOC_KEYS) - {"noise"})
+        if unknown:
+            raise ConfigError(f"unknown device config key(s) {unknown}; "
+                              f"expected {sorted(_DOC_KEYS)} and optionally 'noise'")
         try:
-            kwargs = {}
-            for key, attr in (("n_qubits", "n_qubits"), ("f_bus_ghz", "f_bus"),
-                              ("f_memory_ghz", "f_memory"), ("f_idle_ghz", "f_idle"),
-                              ("g_bus_mhz", "g_bus"), ("g_mem_mhz", "g_mem"),
-                              ("n_max", "n_max")):
-                if key in doc:
-                    kwargs[attr] = doc[key]
-            return cls(**kwargs)
+            return cls(**{attr: doc[key] for key, attr in _DOC_KEYS.items() if key in doc})
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuits import Gate, build_shor, factor_fifteen, gate_unitary
+from .circuits import SHOR_VARIANTS, Gate, build_shor, factor_fifteen, gate_unitary
 from .dynamics import (
     OPERATING_HALF_RANGE_GHZ,
     ConfigError,
@@ -115,7 +115,7 @@ def load_device_document(config_path=None) -> tuple[DeviceConfig, NoiseParams | 
     if "noise" in doc:
         try:
             noise = NoiseParams.from_dict(doc["noise"], n_qubits=config.n_qubits)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad noise parameters: {exc}") from exc
     return config, noise
 
@@ -268,6 +268,9 @@ def _check_options(spec: ExperimentSpec, config: DeviceConfig) -> None:
                 f"steps ({sample_dt} ns): the frequency fit needs 8 evenly spaced samples")
     elif spec.name == "entangle" and len(labels) < 2:
         raise ConfigError("option 'participants' must name at least 2 qubits")
+    elif spec.name == "shor" and _option(spec, "variant") not in SHOR_VARIANTS:
+        raise ConfigError(f"option 'variant' must be one of {SHOR_VARIANTS} "
+                          f"(got {_option(spec, 'variant')!r})")
 
 
 def _run_spectroscopy(spec: ExperimentSpec, config: DeviceConfig) -> None:
@@ -491,8 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("shor", help="compiled factoring of 15 with runtime QST")
-    p.add_argument("--variant", choices=["four_qubit", "three_qubit", "control"],
-                   default="three_qubit")
+    p.add_argument("--variant", choices=SHOR_VARIANTS, default="three_qubit")
     p.add_argument("--shots", type=int, default=150_000)
     p.add_argument("--qst-shots", type=int, default=10_000)
     common(p)

@@ -21,6 +21,8 @@ DEFAULT_TPHI_NS = 200.0
 DEFAULT_GATE_TIME_1Q_NS = 10.0
 DEFAULT_GATE_TIME_2Q_NS = 50.0
 
+NOISE_KEYS = ("t1_ns", "t_phi_ns", "gate_time_1q_ns", "gate_time_2q_ns", "invented_default")
+
 
 @dataclass(frozen=True)
 class NoiseParams:
@@ -40,9 +42,9 @@ class NoiseParams:
         for name in ("t1", "t_phi"):
             for i, v in enumerate(getattr(self, name)):
                 if not v > 0:
-                    raise ValueError(f"{name}[{i}] must be > 0 (use inf to disable)")
-        if not (self.gate_time_1q > 0 and self.gate_time_2q > 0):
-            raise ValueError("gate times must be > 0")
+                    raise ValueError(f"{name}[{i}] must be > 0 (got {v}; use inf to disable)")
+        if not (0 < self.gate_time_1q < math.inf and 0 < self.gate_time_2q < math.inf):
+            raise ValueError("gate times must be finite and > 0")
 
     @classmethod
     def default(cls, n_qubits: int = 4) -> "NoiseParams":
@@ -54,10 +56,21 @@ class NoiseParams:
 
     @classmethod
     def from_dict(cls, doc: dict, n_qubits: int = 4) -> "NoiseParams":
+        """Parse a noise block; coherence-time lists need one entry per device qubit."""
+        if not isinstance(doc, dict):
+            raise ValueError("the noise block must be a JSON object")
+        unknown = sorted(set(doc) - set(NOISE_KEYS))
+        if unknown:
+            raise ValueError(f"unknown noise key(s) {unknown}; expected some of {list(NOISE_KEYS)}")
+        if not isinstance(doc.get("invented_default", False), bool):
+            raise ValueError("invented_default must be true or false")
+
         def times(key, fallback):
             raw = doc.get(key)
             if raw is None:
                 return (fallback,) * n_qubits
+            if len(raw) != n_qubits:
+                raise ValueError(f"{key} must list one value per qubit ({n_qubits}), got {len(raw)}")
             return tuple(math.inf if v in (None, "inf") else float(v) for v in raw)
 
         return cls(

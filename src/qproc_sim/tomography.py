@@ -3,9 +3,11 @@
 Measurement model: each qubit of the register is pre-rotated by one of
 {I, X_half, Y_half} and read out in the computational basis, so the 3^n
 product settings estimate every Pauli-string expectation (I/X_half/Y_half
-map the measured axis to Z/Y/-X respectively). Reconstruction is linear
-inversion over the full Pauli basis followed by projection onto the
-physical (PSD, unit-trace) set; deterministic given the counts.
+map the measured axis to Z/Y/-X respectively). The forward model is one
+batched U ρ U† over all 3^n pre-rotation unitaries, bit-identical to the
+per-setting Kronecker form. Reconstruction is linear inversion over the
+full Pauli basis followed by projection onto the physical (PSD,
+unit-trace) set; deterministic given the counts.
 """
 
 from __future__ import annotations
@@ -31,12 +33,10 @@ from .hilbert import (
 )
 
 ROTATION_KINDS = ("I", "X_half", "Y_half")
-
-_ROTATIONS = {
-    "I": np.eye(2, dtype=complex),
-    "X_half": SINGLE_QUBIT_GATES["X_half"],
-    "Y_half": SINGLE_QUBIT_GATES["Y_half"],
-}
+# pre-rotation matrices, in ROTATION_KINDS order
+_ROTATIONS = np.array([np.eye(2), SINGLE_QUBIT_GATES["X_half"], SINGLE_QUBIT_GATES["Y_half"]])
+# settings per batched forward product, so the 4-qubit (81 × 16 × 16) temporaries stay small
+SETTING_BLOCK = 27
 
 # Pauli operator each pre-rotation maps onto the measured Z axis, and the sign
 # it picks up: measuring Z after X_half reads +Y, after Y_half reads -X
@@ -62,12 +62,6 @@ class MeasurementSetting:
         for r in self.pre_rotations:
             if r not in ROTATION_KINDS:
                 raise ValueError(f"unknown pre-rotation {r!r}")
-
-    def unitary(self) -> np.ndarray:
-        mat = np.eye(1, dtype=complex)
-        for r in self.pre_rotations:
-            mat = np.kron(mat, _ROTATIONS[r])
-        return mat
 
 
 def all_settings(n_qubits: int) -> tuple[MeasurementSetting, ...]:
@@ -160,11 +154,26 @@ def register_density_matrix(state, qubits: Sequence[int]) -> DensityMatrix:
     return partial_trace(rho, qubits)
 
 
-def setting_probabilities(rho: DensityMatrix, setting: MeasurementSetting) -> np.ndarray:
-    """Exact outcome distribution after the setting's pre-rotations."""
-    U = setting.unitary()
-    rotated = U @ rho.elements @ U.conj().T
-    return np.clip(np.real(np.diag(rotated)), 0.0, None)
+def _setting_unitaries(n: int) -> np.ndarray:
+    """The (3^n, 2^n, 2^n) pre-rotation unitaries in ``all_settings(n)`` order: ``np.kron``
+    broadcast over the stack, so each equals its setting's Kronecker chain bit for bit."""
+    mats = np.ones((1, 1, 1), dtype=complex)
+    for _ in range(n):
+        k, d = mats.shape[:2]
+        mats = (mats[:, None, :, None, :, None] * _ROTATIONS[None, :, None, :, None, :]
+                ).reshape(3 * k, 2 * d, 2 * d)
+    return mats
+
+
+def setting_probabilities(rho: DensityMatrix) -> np.ndarray:
+    """Exact (3^n, 2^n) outcome distributions of every setting, in ``all_settings`` order."""
+    unitaries = _setting_unitaries(rho.layout.n_factors)
+    probs = np.empty(unitaries.shape[:2])
+    for start in range(0, len(unitaries), SETTING_BLOCK):
+        U = unitaries[start:start + SETTING_BLOCK]
+        rotated = U @ rho.elements @ U.conj().transpose(0, 2, 1)
+        probs[start:start + SETTING_BLOCK] = np.diagonal(rotated, axis1=1, axis2=2).real
+    return np.clip(probs, 0.0, None)
 
 
 def simulate_tomography(state, qubits: Sequence[int], shots_per_setting: int,
@@ -177,13 +186,14 @@ def simulate_tomography(state, qubits: Sequence[int], shots_per_setting: int,
     n = len(qubits)
     settings = all_settings(n)
     streams = np.random.SeedSequence(seed).spawn(len(settings))
+    probs = setting_probabilities(rho)
+    probs = probs / probs.sum(axis=1, keepdims=True)
+    labels = [format(m, f"0{n}b") for m in range(2 ** n)]
 
     counts = []
-    for setting, stream in zip(settings, streams):
-        probs = setting_probabilities(rho, setting)
-        probs = probs / probs.sum()
-        draws = np.random.default_rng(stream).multinomial(shots_per_setting, probs)
-        counts.append({format(m, f"0{n}b"): int(c) for m, c in enumerate(draws)})
+    for row, stream in zip(probs, streams):
+        draws = np.random.default_rng(stream).multinomial(shots_per_setting, row)
+        counts.append(dict(zip(labels, draws.tolist())))
     return TomographyRecord(
         qubits=qubits,
         settings=settings,

@@ -83,6 +83,54 @@ def test_noise_block_roundtrip(tmp_path):
     assert math.isinf(noise.t_phi[0])
 
 
+# each bad device document, as a change to the shipped one, with a fragment of its message
+NOISE_BLOCK = {"t1_ns": [400] * 4, "t_phi_ns": [200] * 4, "gate_time_1q_ns": 10,
+               "gate_time_2q_ns": 50, "invented_default": True}
+CONFIG_ERRORS = {
+    "unknown_key": ({"g_bus_MHz": 55.0}, "unknown device config key(s) ['g_bus_MHz']"),
+    "nan_bus": ({"f_bus_ghz": math.nan}, "f_bus must be finite"),
+    "inf_memory": ({"f_memory_ghz": [6.8, math.inf, 7.1, 6.9]}, "f_memory must be finite"),
+    "nan_coupling": ({"g_mem_mhz": [20.0, 20.0, math.nan, 20.0]}, "g_mem must be finite"),
+    "fractional_n_max": ({"n_max": 2.5}, "n_max must be a whole number"),
+    "boolean_n_max": ({"n_max": True}, "n_max must be a whole number"),
+    "short_noise_lists": ({"noise": dict(NOISE_BLOCK, t1_ns=[400] * 2, t_phi_ns=[200] * 2)},
+                          "t1_ns must list one value per qubit (4), got 2"),
+    "long_dephasing_list": ({"noise": dict(NOISE_BLOCK, t_phi_ns=[200] * 5)},
+                            "t_phi_ns must list one value per qubit (4), got 5"),
+    "unknown_noise_key": ({"noise": dict(NOISE_BLOCK, t2_ns=[100] * 4)},
+                          "unknown noise key(s) ['t2_ns']"),
+    "nan_t1": ({"noise": dict(NOISE_BLOCK, t1_ns=[400, math.nan, 400, 400])}, "t1[1] must be > 0"),
+    "inf_gate_time": ({"noise": dict(NOISE_BLOCK, gate_time_2q_ns=math.inf)},
+                      "gate times must be finite"),
+    "noise_not_object": ({"noise": [400, 200]}, "noise block must be a JSON object"),
+    "string_flag": ({"noise": dict(NOISE_BLOCK, invented_default="false")},
+                    "invented_default must be true or false"),
+}
+
+
+@pytest.mark.parametrize("case", list(CONFIG_ERRORS))
+def test_bad_config_documents_exit_one(tmp_path, capsys, case):
+    change, fragment = CONFIG_ERRORS[case]
+    path = write_config(tmp_path, dict(DeviceConfig.default().to_dict(), **change))
+    out = tmp_path / "out"
+    assert main(["shor", "--shots", "100", "--qst-shots", "100",
+                 "--config", str(path), "--out", str(out)]) == 1
+    assert not (out / "manifest.json").exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert fragment in err[0]
+
+    assert main(["validate", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert fragment in captured.err
+    assert "config ok" not in captured.out
+
+
+def test_benchmark_noise_block_is_valid(tmp_path):
+    doc = dict(DeviceConfig.default().to_dict(), noise=NOISE_BLOCK)
+    assert validate_config(write_config(tmp_path, doc)).ok
+
+
 # ---------------------------------------------------------------------------
 # experiments end to end
 # ---------------------------------------------------------------------------
@@ -227,6 +275,15 @@ def test_small_spectroscopy_csv_matches_reference(tmp_path):
     assert (tmp_path / "spectroscopy.csv").read_bytes() == reference.read_bytes()
 
 
+def test_small_w4_tomography_json_matches_reference(tmp_path):
+    # reference written by the per-setting Kronecker forward model at the same options and
+    # seed; W4's 81 settings span three batched blocks of 27, so this pins the block seams
+    options = {"participants": [1, 2, 3, 4], "qst_shots": 100}
+    assert run_experiment(ExperimentSpec("entangle", options, tmp_path, 3)) == 0
+    reference = Path(__file__).parent / "data" / "tomography_w4_small.json"
+    assert (tmp_path / "tomography.json").read_bytes() == reference.read_bytes()
+
+
 # each bad option, with a fragment its one-line message must contain
 OPTION_ERRORS = {
     ("spectroscopy", "--qubit", "0"): "1-based",
@@ -256,6 +313,22 @@ def test_out_of_range_qubit_labels_exit_one(tmp_path, capsys, argv):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
     assert OPTION_ERRORS[tuple(argv)] in err[0]
+
+
+# options the CLI's argument parser cannot pass, called through the library entry point
+LIBRARY_OPTION_ERRORS = {
+    ("shor", "variant", "five_qubit"): "option 'variant' must be one of",
+}
+
+
+@pytest.mark.parametrize("case", list(LIBRARY_OPTION_ERRORS))
+def test_library_option_errors_exit_one(tmp_path, capsys, case):
+    name, key, value = case
+    assert run_experiment(ExperimentSpec(name, {key: value}, tmp_path)) == 1
+    assert not (tmp_path / "manifest.json").exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert LIBRARY_OPTION_ERRORS[case] in err[0]
 
 
 def test_sampled_norm_defect_exits_two(tmp_path, capsys, monkeypatch):

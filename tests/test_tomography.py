@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
-from qproc_sim.circuits import build_shor, run_circuit
+from qproc_sim.circuits import SINGLE_QUBIT_GATES, build_shor, factor_fifteen, run_circuit
 from qproc_sim.hilbert import (
     SIGMA_X,
     SIGMA_Y,
@@ -13,12 +16,15 @@ from qproc_sim.hilbert import (
     DensityMatrix,
     QuantumState,
     SpaceLayout,
+    permute_factors,
     qubit_ket,
     superposition_ket,
 )
+from qproc_sim.noise import NoiseParams
 from qproc_sim.tomography import (
     GaugeFidelity,
     _linear_inversion,
+    _setting_unitaries,
     MeasurementSetting,
     TomographyRecord,
     all_settings,
@@ -89,14 +95,14 @@ def test_ground_state_identity_setting_is_deterministic():
 
 
 def test_ground_state_equator_setting_is_balanced():
-    probs = setting_probabilities(qubit_ket("g").density_matrix(),
-                                  MeasurementSetting(("X_half",)))
+    probs = setting_probabilities(qubit_ket("g").density_matrix())[
+        all_settings(1).index(MeasurementSetting(("X_half",)))]
     np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-12)
 
 
 def test_singlet_joint_equator_setting_anticorrelates():
-    probs = setting_probabilities(bell_singlet().density_matrix(),
-                                  MeasurementSetting(("X_half", "X_half")))
+    probs = setting_probabilities(bell_singlet().density_matrix())[
+        all_settings(2).index(MeasurementSetting(("X_half", "X_half")))]
     np.testing.assert_allclose(probs, [0.0, 0.5, 0.5, 0.0], atol=1e-12)
 
 
@@ -120,6 +126,121 @@ def test_register_reduction_traces_spectators():
 
 
 # ---------------------------------------------------------------------------
+# batched forward model against the per-setting Kronecker form it replaced
+# ---------------------------------------------------------------------------
+
+ORACLE_ROTATIONS = {
+    "I": np.eye(2, dtype=complex),
+    "X_half": SINGLE_QUBIT_GATES["X_half"],
+    "Y_half": SINGLE_QUBIT_GATES["Y_half"],
+}
+
+
+def kron_chain_unitary(setting):
+    mat = np.eye(1, dtype=complex)
+    for r in setting.pre_rotations:
+        mat = np.kron(mat, ORACLE_ROTATIONS[r])
+    return mat
+
+
+def per_setting_probabilities(rho, setting):
+    U = kron_chain_unitary(setting)
+    rotated = U @ rho.elements @ U.conj().T
+    return np.clip(np.real(np.diag(rotated)), 0.0, None)
+
+
+def per_setting_counts(state, qubits, shots, seed):
+    """The sampling loop of simulate_tomography before the batched forward model."""
+    qubits = tuple(sorted(set(qubits)))
+    rho = register_density_matrix(state, qubits)
+    n = len(qubits)
+    settings = all_settings(n)
+    streams = np.random.SeedSequence(seed).spawn(len(settings))
+    counts = []
+    for setting, stream in zip(settings, streams):
+        probs = per_setting_probabilities(rho, setting)
+        probs = probs / probs.sum()
+        draws = np.random.default_rng(stream).multinomial(shots, probs)
+        counts.append({format(m, f"0{n}b"): int(c) for m, c in enumerate(draws)})
+    return tuple(counts)
+
+
+def assert_matches_per_setting_oracle(rho):
+    probs = setting_probabilities(rho)
+    settings = all_settings(rho.layout.n_factors)
+    assert probs.shape == (len(settings), rho.layout.total_dim)
+    for row, setting in zip(probs, settings, strict=True):
+        assert np.array_equal(row, per_setting_probabilities(rho, setting))
+
+
+def fortran_ordered(rho):
+    """The same state with column-major elements, as a transposed product leaves them."""
+    return DensityMatrix(rho.layout, np.asfortranarray(rho.elements))
+
+
+def named_register_states():
+    w4 = w_state(4).density_matrix()
+    return {
+        "singlet": bell_singlet(), "triplet": bell_triplet(), "phi_plus": bell_phi_plus(),
+        "W3": w_state(), "W4": w_state(4), "GHZ3": ghz_state(), "GHZ4": ghz_state(4),
+        "psi3": psi3_state(), "W4_permuted": permute_factors(w4, (3, 1, 0, 2)),
+        "W4_fortran": fortran_ordered(w4),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_setting_unitaries_match_kron_chain(n):
+    stack = _setting_unitaries(n)
+    settings = all_settings(n)
+    assert stack.shape == (3 ** n, 2 ** n, 2 ** n)
+    for U, setting in zip(stack, settings, strict=True):
+        assert np.array_equal(U, kron_chain_unitary(setting))
+
+
+@st.composite
+def register_density_matrices(draw):
+    """Random states of rank 1..d on 1..4 qubits, some basis amplitudes exactly 0."""
+    n = draw(st.integers(1, 4))
+    d = 2 ** n
+    rank = draw(st.integers(1, d))
+    zeros = draw(st.lists(st.booleans(), min_size=d, max_size=d).filter(lambda z: not all(z)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vecs = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    vecs[np.array(zeros)] = 0.0
+    mat = (vecs * rng.uniform(0.1, 1.0, size=rank)) @ vecs.conj().T
+    rho = DensityMatrix(SpaceLayout.qubits(n), mat / np.trace(mat).real)
+    return fortran_ordered(rho) if draw(st.booleans()) else rho
+
+
+@hypothesis_settings(derandomize=True, deadline=None, max_examples=40)
+@given(rho=register_density_matrices())
+def test_batched_probabilities_match_per_setting_oracle(rho):
+    assert_matches_per_setting_oracle(rho)
+
+
+@pytest.mark.parametrize("name", list(named_register_states()))
+def test_batched_forward_model_matches_oracle_on_named_states(name):
+    state = named_register_states()[name]
+    rho = register_density_matrix(state, range(state.layout.n_factors))
+    assert_matches_per_setting_oracle(rho)
+    for seed in (3, 11):
+        record = simulate_tomography(state, range(state.layout.n_factors), 100, seed)
+        assert record.counts == per_setting_counts(state, range(state.layout.n_factors), 100, seed)
+
+
+@pytest.mark.parametrize("variant", ["three_qubit", "four_qubit", "control"])
+def test_batched_counts_match_oracle_on_noisy_shor_registers(variant):
+    circuit = build_shor(variant)
+    _, run = factor_fifteen(variant, 100, 5, "noisy_density", NoiseParams.default(circuit.n_qubits))
+    registers = [(state, circuit.analysis_qubits) for state in run.breakpoint_states.values()]
+    registers.append((run.final, (circuit.analysis_qubits[0],)))
+    for k, (state, qubits) in enumerate(registers):
+        assert_matches_per_setting_oracle(register_density_matrix(state, qubits))
+        record = simulate_tomography(state, qubits, 1000, 7 + k)
+        assert record.counts == per_setting_counts(state, qubits, 1000, 7 + k)
+
+
+# ---------------------------------------------------------------------------
 # reconstruction
 # ---------------------------------------------------------------------------
 
@@ -128,7 +249,7 @@ def test_exact_probability_roundtrip_random_states():
         state = random_pure(n)
         rho = state.density_matrix()
         settings = all_settings(n)
-        freqs = [setting_probabilities(rho, s) for s in settings]
+        freqs = [setting_probabilities(rho)[all_settings(n).index(s)] for s in settings]
         rho_hat = reconstruct_from_frequencies(settings, freqs, n)
         assert state_fidelity(rho_hat, state) >= 0.999
 
