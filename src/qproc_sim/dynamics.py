@@ -11,8 +11,9 @@ Conventions (fixed across the package):
   ``Δ_i = f_i - f_res`` enter the Hamiltonian.
 * Qubits not listed as active in a protocol are treated as exactly decoupled
   (the far-detuned "coupling off" regime, idealized). :func:`propagate` keeps
-  full detuned dynamics of every listed qubit; :func:`swap_spectroscopy` is
-  exact in the one-excitation block, with the full space as its test oracle.
+  full detuned dynamics of every listed qubit; :func:`swap_spectroscopy`,
+  :func:`simultaneous_resonance` and :func:`prepare_shared_excitation` are
+  exact in their one-excitation block, with the full space as test oracle.
 """
 
 from __future__ import annotations
@@ -317,23 +318,48 @@ def _evolve(state, vecs: np.ndarray, phases: np.ndarray):
     return DensityMatrix(state.layout, U @ state.elements @ U.conj().T)
 
 
+def _sample_times(duration: float, sample_dt: float) -> np.ndarray:
+    """Sample offsets within a segment: whole ``sample_dt`` steps plus the exact end."""
+    if sample_dt <= 0 or duration < 0:
+        raise ValueError(f"need sample_dt > 0 and duration >= 0 (got {sample_dt}, {duration})")
+    n_steps = int(math.floor(duration / sample_dt + 1e-12))
+    dts = np.arange(1, n_steps + 1) * sample_dt
+    if duration > 0 and (n_steps == 0 or n_steps * sample_dt < duration - 1e-12):
+        dts = np.append(dts, duration)
+    return dts
+
+
+def _check_qubits(config: DeviceConfig, qubits: Sequence[int], freqs: Sequence[float]):
+    """Each qubit is one of the device's, and each frequency in its operating range."""
+    for q, f in zip(qubits, freqs):
+        if not 0 <= q < config.n_qubits:
+            raise ValueError(f"qubit index {q} outside 0..{config.n_qubits - 1}")
+        if abs(f - config.f_idle[q]) > OPERATING_HALF_RANGE_GHZ + 1e-12:
+            raise ValueError(f"frequency {f} GHz outside the 2 GHz operating range around "
+                             f"idle {config.f_idle[q]} GHz for qubit {q}")
+
+
+def _sample_amplitudes(vecs, rotated, coeffs, dts) -> np.ndarray:
+    """Amplitudes after each step in ``dts`` from eigenbasis coefficients ``coeffs`` (one
+    column per step, one matrix product); ``rotated`` is -2πi·eigenvalues. Norms are checked."""
+    amps = vecs @ (np.exp(np.multiply.outer(rotated, dts)) * coeffs[:, None])
+    defect = np.max(np.abs(np.sqrt((np.abs(amps) ** 2).sum(axis=0)) - 1.0))
+    if defect > NORM_TOL:
+        raise InvariantError(f"sampled state norm differs from 1 by {defect} beyond {NORM_TOL}")
+    return amps
+
+
 def _sample_probabilities(state, vecs: np.ndarray, rotated: np.ndarray, dts: np.ndarray):
     """Basis-state probabilities after each step in ``dts``, one column per step.
 
-    ``rotated`` is -2πi·eigenvalues. A pure state is sampled with one matrix
-    product and every sample's norm is checked; a mixed state is evolved and
-    validated sample by sample.
+    ``rotated`` is -2πi·eigenvalues. A pure state is sampled by
+    :func:`_sample_amplitudes`; a mixed state is evolved and validated sample by
+    sample.
     """
     if not isinstance(state, QuantumState):
         return np.stack([_evolve(state, vecs, np.exp(rotated * dt)).probabilities()
                          for dt in dts], axis=1)
-    amps = vecs @ (np.exp(np.multiply.outer(rotated, dts))
-                   * (vecs.conj().T @ state.amplitudes)[:, None])
-    probs = np.abs(amps) ** 2
-    defect = np.max(np.abs(np.sqrt(probs.sum(axis=0)) - 1.0))
-    if defect > NORM_TOL:
-        raise InvariantError(f"sampled state norm differs from 1 by {defect} beyond {NORM_TOL}")
-    return probs
+    return np.abs(_sample_amplitudes(vecs, rotated, vecs.conj().T @ state.amplitudes, dts)) ** 2
 
 
 def propagate(
@@ -363,13 +389,7 @@ def propagate(
     for seg in schedule.segments:
         if len(seg.qubit_freqs) != len(qubits):
             raise ValueError("segment must carry one frequency per active qubit")
-        for pos, f in zip(range(len(qubits)), seg.qubit_freqs):
-            idle = config.f_idle[qubits[pos]]
-            if abs(f - idle) > OPERATING_HALF_RANGE_GHZ + 1e-12:
-                raise ValueError(
-                    f"frequency {f} GHz outside the 2 GHz operating range around "
-                    f"idle {idle} GHz for qubit {qubits[pos]}"
-                )
+        _check_qubits(config, qubits, seg.qubit_freqs)
 
     samples = []  # (times, p_qubit, p_bus, p_vacuum), one entry per block of samples
 
@@ -386,11 +406,7 @@ def propagate(
         H = build_jc_hamiltonian(config, seg.qubit_freqs, resonator_id, qubits)
         evals, vecs = np.linalg.eigh(H.elements)
         rotated = -2j * np.pi * evals
-
-        n_steps = int(math.floor(seg.duration / sample_dt + 1e-12))
-        dts = np.arange(1, n_steps + 1) * sample_dt
-        if seg.duration > 0 and (n_steps == 0 or n_steps * sample_dt < seg.duration - 1e-12):
-            dts = np.append(dts, seg.duration)
+        dts = _sample_times(seg.duration, sample_dt)
         for start in range(0, dts.size, SAMPLE_BLOCK):
             block = dts[start:start + SAMPLE_BLOCK]
             record(t0 + block, _sample_probabilities(current, vecs, rotated, block))
@@ -432,22 +448,6 @@ def pump_fock(config: DeviceConfig, swap_duration: float | None = None) -> Quant
     return permute_factors(full, order)
 
 
-def _restrict_to_participants(state: QuantumState, config: DeviceConfig,
-                              participants: tuple[int, ...]) -> QuantumState:
-    """Drop spectator qubits that are (numerically) in their ground state."""
-    dims = state.layout.dims
-    tensor = state.amplitudes.reshape(dims)
-    index = []
-    for q in range(config.n_qubits):
-        index.append(slice(None) if q in participants else 0)
-    index.append(slice(None))
-    reduced = np.asarray(tensor[tuple(index)]).reshape(-1)
-    weight = np.linalg.norm(reduced)
-    if weight < 1 - 1e-9:
-        raise InvariantError("spectator qubits carry population; cannot restrict")
-    return QuantumState(device_layout(config, participants), reduced / weight)
-
-
 def mean_coupling(config: DeviceConfig, participants: Sequence[int]) -> float:
     """Root-mean-square bus coupling over the participants, in GHz."""
     gs = [config.g_bus_ghz(q) for q in participants]
@@ -457,6 +457,17 @@ def mean_coupling(config: DeviceConfig, participants: Sequence[int]) -> float:
 def effective_coupling(config: DeviceConfig, participants: Sequence[int]) -> float:
     """√N-enhanced collective coupling of N simultaneously resonant qubits."""
     return math.sqrt(len(participants)) * mean_coupling(config, participants)
+
+
+def _collective_amplitudes(config: DeviceConfig, participants: tuple[int, ...],
+                           times: np.ndarray) -> np.ndarray:
+    """Amplitudes over {|g…g,1>, |e_k,0>} at each time (one column per time) after tuning the
+    checked participants onto a bus holding one photon. Exact: this is the one-excitation block
+    of :func:`build_jc_hamiltonian`, H[0, k] = g_k/2, diagonal (detuning from the bus) zero."""
+    H = np.zeros((len(participants) + 1,) * 2)
+    H[0, 1:] = H[1:, 0] = [config.g_bus_ghz(q) / 2 for q in participants]
+    evals, vecs = np.linalg.eigh(H)
+    return _sample_amplitudes(vecs, -2j * np.pi * evals, vecs[0], times)
 
 
 def simultaneous_resonance(
@@ -473,12 +484,11 @@ def simultaneous_resonance(
     participants = tuple(sorted(set(participants)))
     if not participants:
         raise ValueError("participant set must be nonempty")
-    pumped = _restrict_to_participants(pump_fock(config), config, participants)
-    schedule = FrequencySchedule((
-        Segment(duration=dtau_max, qubit_freqs=(config.f_bus,) * len(participants)),
-    ))
-    trace, _ = propagate(pumped, schedule, config, sample_dt, qubits=participants)
-    return trace
+    _check_qubits(config, participants, (config.f_bus,) * len(participants))
+    times = np.concatenate(([0.0], _sample_times(dtau_max, sample_dt)))
+    probs = np.clip(np.abs(_collective_amplitudes(config, participants, times)) ** 2, 0.0, 1.0)
+    return OccupationTrace(times=times, qubit_ids=participants, p_qubit=probs[1:],
+                           p_bus=probs[0], p_vacuum=np.zeros(times.size))
 
 
 def prepare_shared_excitation(config: DeviceConfig, participants: Sequence[int]) -> QuantumState:
@@ -492,21 +502,16 @@ def prepare_shared_excitation(config: DeviceConfig, participants: Sequence[int])
     participants = tuple(sorted(set(participants)))
     if len(participants) < 2:
         raise ValueError("shared-excitation preparation needs at least 2 participants")
+    _check_qubits(config, participants, (config.f_bus,) * len(participants))
     tau = 1.0 / (2 * effective_coupling(config, participants))
-    pumped = _restrict_to_participants(pump_fock(config), config, participants)
-    schedule = FrequencySchedule((
-        Segment(duration=tau, qubit_freqs=(config.f_bus,) * len(participants)),
-    ))
-    _, final = propagate(pumped, schedule, config, sample_dt=tau, qubits=participants)
-
-    dims = final.layout.dims
-    tensor = final.amplitudes.reshape(dims)
-    residual = np.linalg.norm(tensor[..., 1:])
-    if residual > 1e-9:
-        raise InvariantError(f"resonator not in vacuum at stop time (weight {residual**2})")
-    register = tensor[..., 0].reshape(-1)
-    register = register / np.linalg.norm(register)
-    return QuantumState(SpaceLayout.qubits(len(participants)), register)
+    amps = _collective_amplitudes(config, participants, np.array([tau]))[:, 0]
+    if abs(amps[0]) > 1e-9:
+        raise InvariantError(f"resonator not in vacuum at stop time (weight {abs(amps[0]) ** 2})")
+    n = len(participants)
+    register = np.zeros(2 ** n, dtype=complex)
+    # qubit k is bit n-1-k; pump_fock's iSWAP leaves the photon as -i|g…g,1>
+    register[1 << (n - 1 - np.arange(n))] = -1j * amps[1:]
+    return QuantumState(SpaceLayout.qubits(n), register / np.linalg.norm(register))
 
 
 def swap_spectroscopy(

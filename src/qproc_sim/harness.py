@@ -247,8 +247,13 @@ def _check_options(spec: ExperimentSpec, config: DeviceConfig) -> None:
         if not labels or len(set(labels)) != len(labels):
             raise ConfigError(f"option {key!r} must name distinct qubits (got {labels})")
     for key in ("f_step", "tau_step", "sample_dt", "shots", "qst_shots"):
-        if key in _OPTION_DEFAULTS[spec.name] and not float(_option(spec, key)) > 0:
+        if key not in _OPTION_DEFAULTS[spec.name]:
+            continue
+        value = _option(spec, key)
+        if not float(value) > 0:
             raise ConfigError(f"option {key!r} must be > 0")
+        if key.endswith("shots") and value > 2**63 - 1:  # multinomial draws take int64 counts
+            raise ConfigError(f"option {key!r} must be at most 2**63 - 1 (got {value})")
 
     if spec.name == "spectroscopy":
         freqs, taus = _spectroscopy_grids(spec)

@@ -35,8 +35,8 @@ from .hilbert import (
 ROTATION_KINDS = ("I", "X_half", "Y_half")
 # pre-rotation matrices, in ROTATION_KINDS order
 _ROTATIONS = np.array([np.eye(2), SINGLE_QUBIT_GATES["X_half"], SINGLE_QUBIT_GATES["Y_half"]])
-# settings per batched forward product, so the 4-qubit (81 × 16 × 16) temporaries stay small
-SETTING_BLOCK = 27
+# trailing qubits whose rotations vary within one batched forward product (27 settings)
+SETTING_BLOCK_QUBITS = 3
 
 # Pauli operator each pre-rotation maps onto the measured Z axis, and the sign
 # it picks up: measuring Z after X_half reads +Y, after Y_half reads -X
@@ -154,10 +154,11 @@ def register_density_matrix(state, qubits: Sequence[int]) -> DensityMatrix:
     return partial_trace(rho, qubits)
 
 
-def _setting_unitaries(n: int) -> np.ndarray:
-    """The (3^n, 2^n, 2^n) pre-rotation unitaries in ``all_settings(n)`` order: ``np.kron``
-    broadcast over the stack, so each equals its setting's Kronecker chain bit for bit."""
-    mats = np.ones((1, 1, 1), dtype=complex)
+def _setting_unitaries(n: int, mats: np.ndarray | None = None) -> np.ndarray:
+    """The (3^n, 2^n, 2^n) pre-rotation unitaries in ``all_settings(n)`` order, each after one
+    of ``mats`` (leading qubits' unitaries) if given: ``np.kron`` broadcast over the stack,
+    so each equals its setting's Kronecker chain bit for bit."""
+    mats = np.ones((1, 1, 1), dtype=complex) if mats is None else mats
     for _ in range(n):
         k, d = mats.shape[:2]
         mats = (mats[:, None, :, None, :, None] * _ROTATIONS[None, :, None, :, None, :]
@@ -167,13 +168,12 @@ def _setting_unitaries(n: int) -> np.ndarray:
 
 def setting_probabilities(rho: DensityMatrix) -> np.ndarray:
     """Exact (3^n, 2^n) outcome distributions of every setting, in ``all_settings`` order."""
-    unitaries = _setting_unitaries(rho.layout.n_factors)
-    probs = np.empty(unitaries.shape[:2])
-    for start in range(0, len(unitaries), SETTING_BLOCK):
-        U = unitaries[start:start + SETTING_BLOCK]
-        rotated = U @ rho.elements @ U.conj().transpose(0, 2, 1)
-        probs[start:start + SETTING_BLOCK] = np.diagonal(rotated, axis1=1, axis2=2).real
-    return np.clip(probs, 0.0, None)
+    n = rho.layout.n_factors
+    tail, blocks = min(n, SETTING_BLOCK_QUBITS), []
+    for lead in _setting_unitaries(n - tail):  # one block per leading-rotation combination
+        U = _setting_unitaries(tail, lead[None])
+        blocks.append(np.diagonal(U @ rho.elements @ U.conj().transpose(0, 2, 1), axis1=1, axis2=2))
+    return np.clip(np.concatenate(blocks).real, 0.0, None)
 
 
 def simulate_tomography(state, qubits: Sequence[int], shots_per_setting: int,

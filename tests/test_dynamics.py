@@ -30,8 +30,10 @@ from qproc_sim.hilbert import (
     SIGMA_MINUS,
     SIGMA_X,
     DensityMatrix,
+    InvariantError,
     QuantumOperator,
     QuantumState,
+    SpaceLayout,
     apply_local,
     basis_ket,
     destroy,
@@ -202,6 +204,16 @@ def test_propagate_rejects_out_of_range_frequency():
         propagate(start, schedule, cfg, sample_dt=1.0, qubits=(0,))
     with pytest.raises(ValueError):
         propagate(start, FrequencySchedule(()), cfg, sample_dt=0.0, qubits=(0,))
+
+
+@pytest.mark.parametrize("qubit", [-1, 4])
+def test_propagate_rejects_qubits_outside_the_device(qubit):
+    # a negative index must not wrap around to the last qubit's coupling and idle point
+    cfg = DeviceConfig.default()
+    start = tensor_product([qubit_ket("e"), basis_ket_res(cfg, 0)])
+    schedule = FrequencySchedule((Segment(5.0, (cfg.f_bus,)),))
+    with pytest.raises(ValueError, match="outside"):
+        propagate(start, schedule, cfg, sample_dt=1.0, qubits=(qubit,))
 
 
 def test_segment_rejects_negative_duration():
@@ -640,3 +652,124 @@ def test_vectorised_propagate_matches_per_sample_loop_across_sample_blocks():
     ))
     start = random_start(cfg, qubits, seed=7, mixed=False)
     assert_matches_per_sample_loop(start, schedule, cfg, sample_dt, qubits)
+
+
+# ---------------------------------------------------------------------------
+# full-space oracles for the collective protocols: pump the bus through Q1, drop
+# the spectators and propagate the participants' Jaynes-Cummings space
+# ---------------------------------------------------------------------------
+
+def restrict_to_participants(state, config, participants):
+    """Drop spectator qubits that are (numerically) in their ground state."""
+    tensor = state.amplitudes.reshape(state.layout.dims)
+    index = tuple(slice(None) if q in participants else 0 for q in range(config.n_qubits))
+    reduced = np.asarray(tensor[index + (slice(None),)]).reshape(-1)
+    weight = np.linalg.norm(reduced)
+    assert weight >= 1 - 1e-9, "spectator qubits carry population; cannot restrict"
+    return QuantumState(device_layout(config, participants), reduced / weight)
+
+
+def full_space_resonance(config, participants, duration, sample_dt):
+    """(trace, final state) of the participants tuned onto the pumped bus for ``duration``."""
+    participants = tuple(sorted(set(participants)))
+    pumped = restrict_to_participants(pump_fock(config), config, participants)
+    schedule = FrequencySchedule((Segment(duration, (config.f_bus,) * len(participants)),))
+    return propagate(pumped, schedule, config, sample_dt, qubits=participants)
+
+
+def full_space_shared_excitation(config, participants):
+    tau = 1.0 / (2 * effective_coupling(config, participants))
+    _, final = full_space_resonance(config, participants, tau, sample_dt=tau)
+    tensor = final.amplitudes.reshape(final.layout.dims)
+    assert np.linalg.norm(tensor[..., 1:]) <= 1e-9, "resonator not in vacuum at stop time"
+    register = tensor[..., 0].reshape(-1)
+    return QuantumState(SpaceLayout.qubits(len(set(participants))), register / np.linalg.norm(register))
+
+
+participant_sets = st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True)
+
+
+@PROPERTY
+@given(data=st.data(), config=device_configs(), participants=participant_sets,
+       sample_dt=st.floats(0.1, 2.0))
+def test_block_resonance_matches_full_space_oracle(data, config, participants, sample_dt):
+    dtau_max = data.draw(st.one_of(
+        st.floats(0.0, 60.0),
+        st.integers(0, 300).map(lambda k: k * sample_dt),  # ends on the sample grid
+    ))
+    trace = simultaneous_resonance(config, participants, dtau_max, sample_dt)
+    expected, _ = full_space_resonance(config, participants, dtau_max, sample_dt)
+    assert trace.qubit_ids == expected.qubit_ids
+    np.testing.assert_array_equal(trace.times, expected.times)
+    for name in ("p_qubit", "p_bus", "p_vacuum"):
+        np.testing.assert_allclose(getattr(trace, name), getattr(expected, name), rtol=0, atol=1e-13)
+
+
+@PROPERTY
+@given(config=device_configs(), participants=participant_sets.filter(lambda p: len(p) >= 2))
+def test_block_shared_excitation_matches_full_space_oracle(config, participants):
+    state = prepare_shared_excitation(config, participants)
+    expected = full_space_shared_excitation(config, participants)
+    assert state.layout.dims == expected.layout.dims
+    np.testing.assert_allclose(state.amplitudes, expected.amplitudes, rtol=0, atol=1e-13)
+
+
+def test_block_resonance_matches_oracle_at_default_rabi_options():
+    cfg = DeviceConfig.default()
+    for n in range(1, 5):
+        trace = simultaneous_resonance(cfg, tuple(range(n)), dtau_max=200.0, sample_dt=0.25)
+        expected, _ = full_space_resonance(cfg, tuple(range(n)), 200.0, 0.25)
+        np.testing.assert_array_equal(trace.times, expected.times)
+        np.testing.assert_allclose(trace.p_bus, expected.p_bus, rtol=0, atol=1e-15)
+        assert not trace.p_vacuum.any()
+
+
+COLLECTIVE_PROTOCOLS = {
+    "resonance": lambda cfg, participants: simultaneous_resonance(cfg, participants, 20.0, 0.5),
+    "shared_excitation": prepare_shared_excitation,
+}
+
+
+@pytest.mark.parametrize("participants", [(-1, 0), (0, 4), (-1, 1, 2, 3), (0, 1, 2, 4)])
+@pytest.mark.parametrize("protocol", list(COLLECTIVE_PROTOCOLS))
+def test_collective_protocols_reject_qubits_outside_the_device(protocol, participants):
+    # a negative index must not wrap around to the last qubit
+    with pytest.raises(ValueError, match="outside"):
+        COLLECTIVE_PROTOCOLS[protocol](DeviceConfig.default(), participants)
+
+
+@pytest.mark.parametrize("protocol", list(COLLECTIVE_PROTOCOLS))
+def test_collective_protocols_reject_bus_outside_operating_range(protocol):
+    far_idle = DeviceConfig(f_idle=(6.6, 7.2, 6.6, 6.6))  # Q2 idles 1.1 GHz above the bus
+    with pytest.raises(ValueError, match="operating range"):
+        COLLECTIVE_PROTOCOLS[protocol](far_idle, (0, 1))
+    COLLECTIVE_PROTOCOLS[protocol](far_idle, (0, 2))
+
+
+@pytest.mark.parametrize("protocol", list(COLLECTIVE_PROTOCOLS))
+def test_collective_protocols_check_sampled_norms(protocol, monkeypatch):
+    eigh = np.linalg.eigh
+
+    def scaled_eigh(a, *args, **kwargs):
+        evals, vecs = eigh(a, *args, **kwargs)
+        return evals, vecs * (1 + 1e-6)
+
+    monkeypatch.setattr(np.linalg, "eigh", scaled_eigh)
+    with pytest.raises(InvariantError, match="sampled state norm"):
+        COLLECTIVE_PROTOCOLS[protocol](DeviceConfig.default(), (0, 1, 2))
+
+
+def test_shared_excitation_checks_resonator_vacuum_at_stop_time(monkeypatch):
+    # stopping 10% early leaves the photon partly in the bus
+    coupling = effective_coupling
+    monkeypatch.setattr("qproc_sim.dynamics.effective_coupling",
+                        lambda cfg, participants: coupling(cfg, participants) / 0.9)
+    with pytest.raises(InvariantError, match="resonator not in vacuum"):
+        prepare_shared_excitation(DeviceConfig.default(), (0, 1))
+
+
+def test_simultaneous_resonance_rejects_bad_sampling():
+    cfg = DeviceConfig.default()
+    for dtau_max, sample_dt in ((10.0, 0.0), (10.0, -0.5), (-1.0, 0.5)):
+        with pytest.raises(ValueError):
+            simultaneous_resonance(cfg, (0,), dtau_max, sample_dt)

@@ -276,8 +276,10 @@ def test_small_spectroscopy_csv_matches_reference(tmp_path):
 
 
 def test_small_w4_tomography_json_matches_reference(tmp_path):
-    # reference written by the per-setting Kronecker forward model at the same options and
-    # seed; W4's 81 settings span three batched blocks of 27, so this pins the block seams
+    # reference written at the same options and seed from the W4 state solved in the
+    # one-excitation block (its two-excitation outcomes have probability exactly 0), with a
+    # forward model equal bit for bit to the per-setting Kronecker one; W4's 81 settings
+    # span three batched blocks of 27, so this pins the block seams
     options = {"participants": [1, 2, 3, 4], "qst_shots": 100}
     assert run_experiment(ExperimentSpec("entangle", options, tmp_path, 3)) == 0
     reference = Path(__file__).parent / "data" / "tomography_w4_small.json"
@@ -302,6 +304,8 @@ OPTION_ERRORS = {
     ("entangle", "--participants", "1,1,2"): "distinct",
     ("spectroscopy", "--f-min", "7", "--f-max", "6"): "grid is empty",
     ("spectroscopy", "--tau-max", "nan"): "finite",
+    ("shor", "--shots", "100000000000000000000000"): "'shots' must be at most 2**63 - 1",
+    ("entangle", "--qst-shots", "100000000000000000000000"): "'qst_shots' must be at most 2**63 - 1",
 }
 
 
