@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import QuantumOperator, QuantumState, SpaceLayout, apply_local, qubit_ket
+from .hilbert import DensityMatrix, QuantumOperator, QuantumState, SpaceLayout, apply_local, qubit_ket
 from .noise import NoiseParams, apply_noise_step
 
 _SQ = 1 / math.sqrt(2)
@@ -32,17 +32,14 @@ SINGLE_QUBIT_GATES = {
 }
 
 CZ_MATRIX = np.diag([1, 1, 1, -1]).astype(complex)
-ISWAP_MATRIX = np.array(
-    [[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
 # CNOT from its controlled-Z equivalent: H on the target, CZ, H on the target
 _H_TARGET = np.kron(np.eye(2, dtype=complex), SINGLE_QUBIT_GATES["H"])
 CNOT_MATRIX = _H_TARGET @ CZ_MATRIX @ _H_TARGET
 
 # two-qubit matrices index their targets control-first (first target most significant)
-GATE_MATRICES = {**SINGLE_QUBIT_GATES, "CZ": CZ_MATRIX, "CNOT": CNOT_MATRIX, "ISWAP": ISWAP_MATRIX}
+GATE_MATRICES = {**SINGLE_QUBIT_GATES, "CZ": CZ_MATRIX, "CNOT": CNOT_MATRIX}
 
-TWO_QUBIT_GATES = ("CZ", "CNOT", "ISWAP")
+TWO_QUBIT_GATES = ("CZ", "CNOT")
 GATE_KINDS = tuple(SINGLE_QUBIT_GATES) + TWO_QUBIT_GATES
 
 
@@ -86,20 +83,16 @@ class Circuit:
     n_qubits: int
     ops: tuple
     breakpoints: dict = field(default_factory=dict)
-    measured_register: tuple[int, ...] = ()
     output_bits: tuple = ()
-    qubit_names: tuple[str, ...] = ()
     analysis_qubits: tuple[int, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
         object.__setattr__(self, "breakpoints", dict(self.breakpoints))
-        object.__setattr__(self, "measured_register", tuple(self.measured_register))
         object.__setattr__(self, "output_bits", tuple(self.output_bits))
-        object.__setattr__(self, "qubit_names", tuple(self.qubit_names))
         object.__setattr__(self, "analysis_qubits", tuple(self.analysis_qubits))
         for op in self.ops:
-            if isinstance(op, Gate) and max(op.targets) >= self.n_qubits:
+            if isinstance(op, Gate) and not all(0 <= t < self.n_qubits for t in op.targets):
                 raise ValueError(f"gate {op} targets a qubit outside 0..{self.n_qubits - 1}")
         for name, pos in self.breakpoints.items():
             if not 0 <= pos <= len(self.ops):
@@ -116,14 +109,6 @@ def gate_unitary(gate: Gate, n_qubits: int) -> QuantumOperator:
     mat = apply_local(GATE_MATRICES[gate.kind], np.eye(layout.total_dim, dtype=complex),
                       layout.dims, gate.targets)
     return QuantumOperator(layout, mat, unitary=True)
-
-
-def circuit_unitary(circuit: Circuit) -> QuantumOperator:
-    """Ordered product of the circuit's gate unitaries (idles are identity)."""
-    mat = np.eye(2 ** circuit.n_qubits, dtype=complex)
-    for gate in circuit.gates:
-        mat = gate_unitary(gate, circuit.n_qubits).elements @ mat
-    return QuantumOperator(SpaceLayout.qubits(circuit.n_qubits), mat, unitary=True)
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +130,7 @@ def build_shor(variant: str) -> Circuit:
             n_qubits=3,
             ops=(Gate("H", (0,)), Gate("CNOT", (0, 1)), Gate("CNOT", (0, 2)), Gate("H", (0,))),
             breakpoints={"step1": 2, "step2": 3, "step3": 4},
-            measured_register=(0,),
             output_bits=(0, None),
-            qubit_names=("Q2", "Q3", "Q4"),
             analysis_qubits=(0, 1, 2),
         )
     if variant == "four_qubit":
@@ -156,9 +139,7 @@ def build_shor(variant: str) -> Circuit:
             ops=(Gate("H", (0,)), Gate("H", (1,)), Gate("CNOT", (1, 2)),
                  Gate("CNOT", (1, 3)), Gate("H", (1,)), Gate("H", (0,))),
             breakpoints={"step1": 3, "step2": 4, "step3": 6},
-            measured_register=(0, 1),
             output_bits=(1, 0),
-            qubit_names=("Q1", "Q2", "Q3", "Q4"),
             analysis_qubits=(1, 2, 3),
         )
     if variant == "control":
@@ -166,9 +147,7 @@ def build_shor(variant: str) -> Circuit:
             n_qubits=3,
             ops=(Gate("H", (0,)), Idle("2q"), Idle("2q"), Gate("H", (0,))),
             breakpoints={"step1": 2, "step2": 3, "step3": 4},
-            measured_register=(0,),
             output_bits=(0, None),
-            qubit_names=("Q2", "Q3", "Q4"),
             analysis_qubits=(0, 1, 2),
         )
     raise ValueError(f"unknown factoring-circuit variant {variant!r}")
@@ -192,9 +171,11 @@ def run_circuit(
 ) -> CircuitRun:
     """Execute a circuit from |g...g> and capture every breakpoint state.
 
-    ``ideal_pure`` evolves a state vector through the gate unitaries;
-    ``noisy_density`` evolves a density matrix, following every op (gates and
-    idles) with per-qubit damping and dephasing for the op's duration.
+    ``ideal_pure`` evolves a state vector; ``noisy_density`` evolves a
+    density matrix, following every op (gates and idles) with per-qubit
+    damping and dephasing for the op's duration. Each gate's 2x2 or 4x4
+    matrix acts on its target factors only (``apply_local``): G ρ, then
+    G (G ρ)†, conjugate-transposed back.
     """
     if mode not in ("ideal_pure", "noisy_density"):
         raise ValueError(f"unknown run mode {mode!r}")
@@ -212,11 +193,17 @@ def run_circuit(
             if pos == position:
                 captures[name] = state
 
+    dims = state.layout.dims
     capture(0)
     for k, op in enumerate(circuit.ops, start=1):
         if isinstance(op, Gate):
-            U = gate_unitary(op, circuit.n_qubits)
-            state = U.apply(state) if isinstance(state, QuantumState) else U.conjugate(state)
+            G = GATE_MATRICES[op.kind]
+            if isinstance(state, QuantumState):
+                state = QuantumState(state.layout, apply_local(G, state.amplitudes, dims, op.targets))
+            else:
+                half = apply_local(G, state.elements, dims, op.targets)
+                state = DensityMatrix(state.layout,
+                                      apply_local(G, half.conj().T, dims, op.targets).conj().T)
             duration_class = "2q" if op.kind in TWO_QUBIT_GATES else "1q"
         else:
             duration_class = op.duration_class

@@ -11,9 +11,12 @@ Conventions (fixed across the package):
   ``Δ_i = f_i - f_res`` enter the Hamiltonian.
 * Qubits not listed as active in a protocol are treated as exactly decoupled
   (the far-detuned "coupling off" regime, idealized). :func:`propagate` keeps
-  full detuned dynamics of every listed qubit; :func:`swap_spectroscopy`,
-  :func:`simultaneous_resonance` and :func:`prepare_shared_excitation` are
-  exact in their one-excitation block, with the full space as test oracle.
+  full detuned dynamics of every listed qubit coupled to the bus, for pure
+  states; :func:`swap_spectroscopy`, :func:`simultaneous_resonance` and
+  :func:`prepare_shared_excitation` are exact in their one-excitation block,
+  with the full space as test oracle.
+* Qubit indices are 0-based and never wrap: -1 or ``n_qubits`` is a
+  ``ValueError``, not the last qubit.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from typing import Sequence
 import numpy as np
 
 from .hilbert import (
-    DensityMatrix,
     InvariantError,
     NORM_TOL,
     QuantumOperator,
@@ -150,11 +152,17 @@ class DeviceConfig:
             "n_max": self.n_max,
         }
 
+    def check_qubit(self, i: int) -> int:
+        """``i`` itself if it names one of the device's qubits."""
+        if not 0 <= i < self.n_qubits:
+            raise ValueError(f"qubit index {i} outside 0..{self.n_qubits - 1}")
+        return i
+
     def g_bus_ghz(self, i: int) -> float:
-        return self.g_bus[i] * MHZ
+        return self.g_bus[self.check_qubit(i)] * MHZ
 
     def g_mem_ghz(self, i: int) -> float:
-        return self.g_mem[i] * MHZ
+        return self.g_mem[self.check_qubit(i)] * MHZ
 
 
 def device_layout(config: DeviceConfig, qubits: Sequence[int], n_resonators: int = 1) -> SpaceLayout:
@@ -224,42 +232,23 @@ class OccupationTrace:
 # Hamiltonians
 # ---------------------------------------------------------------------------
 
-def _resolve_resonator(config: DeviceConfig, resonator_id: str):
-    """Return (frequency GHz, per-qubit coupling GHz) for a resonator id."""
-    if resonator_id == "bus":
-        return config.f_bus, [config.g_bus_ghz(i) for i in range(config.n_qubits)]
-    if resonator_id.startswith("memory-"):
-        try:
-            k = int(resonator_id.split("-", 1)[1])
-        except ValueError:
-            k = -1
-        if 1 <= k <= config.n_qubits:
-            couplings = [0.0] * config.n_qubits
-            couplings[k - 1] = config.g_mem_ghz(k - 1)
-            return config.f_memory[k - 1], couplings
-    raise ValueError(f"unknown resonator id {resonator_id!r}")
-
-
 def build_jc_hamiltonian(
     config: DeviceConfig,
     qubit_freqs: Sequence[float],
-    resonator_id: str = "bus",
     qubits: Sequence[int] | None = None,
 ) -> QuantumOperator:
-    """Rotating-frame Hamiltonian for ``qubits`` coupled to one resonator.
+    """Rotating-frame Hamiltonian for ``qubits`` coupled to the bus.
 
-    H = Σ_i Δ_i σ⁺_i σ⁻_i + Σ_i (g_i/2)(a† σ⁻_i + a σ⁺_i),  Δ_i = f_i - f_res,
+    H = Σ_i Δ_i σ⁺_i σ⁻_i + Σ_i (g_i/2)(a† σ⁻_i + a σ⁺_i),  Δ_i = f_i - f_bus,
 
-    in GHz, over the layout [qubits..., resonator]. Commutes with the total
-    excitation number.
+    in GHz, over the layout [qubits..., bus], with g_i the bus coupling.
+    Commutes with the total excitation number.
     """
     if qubits is None:
         qubits = tuple(range(config.n_qubits))
     qubits = tuple(qubits)
     if len(qubit_freqs) != len(qubits):
         raise ValueError(f"need one frequency per active qubit ({len(qubits)})")
-    f_res, couplings = _resolve_resonator(config, resonator_id)
-
     layout = device_layout(config, qubits)
     dims = layout.dims
     eye = np.eye(layout.total_dim, dtype=complex)
@@ -269,24 +258,13 @@ def build_jc_hamiltonian(
 
     H = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
     for pos, q in enumerate(qubits):
-        delta = float(qubit_freqs[pos]) - f_res
+        delta = float(qubit_freqs[pos]) - config.f_bus
         if delta != 0.0:
             H += delta * apply_local(n_e, eye, dims, (pos,))
-        half_g = couplings[q] / 2
+        half_g = config.g_bus_ghz(q) / 2
         exchange = apply_local(exchange_op, eye, dims, (pos, res_pos))
         H += half_g * (exchange + exchange.conj().T)
     return QuantumOperator(layout, H, hermitian=True)
-
-
-def excitation_number(layout: SpaceLayout) -> QuantumOperator:
-    """N_exc = Σ σ⁺σ⁻ over qubit factors + Σ a†a over resonator factors."""
-    eye = np.eye(layout.total_dim, dtype=complex)
-    total = np.zeros_like(eye)
-    for k, factor in enumerate(layout.factors):
-        # σ⁺σ⁻ on a qubit and a†a on a resonator are both diag(0, 1, ..., dim - 1)
-        op = np.diag(np.arange(factor.dim, dtype=float)).astype(complex)
-        total += apply_local(op, eye, layout.dims, (k,))
-    return QuantumOperator(layout, total, hermitian=True)
 
 
 # ---------------------------------------------------------------------------
@@ -300,22 +278,6 @@ def _occupations(probs: np.ndarray, n_qubits: int, res_dim: int):
     p_q = np.array([table.sum(axis=tuple(a for a in range(n_qubits + 1) if a != j))[1]
                     for j in qubit_axes]).reshape(n_qubits, -1)
     return p_q, table[..., 1, :].sum(axis=qubit_axes), table[(0,) * (n_qubits + 1)]
-
-
-def _apply_x(state, position: int):
-    dims, axes = state.layout.dims, (position,)
-    if isinstance(state, QuantumState):
-        return QuantumState(state.layout, apply_local(SIGMA_X, state.amplitudes, dims, axes))
-    half = apply_local(SIGMA_X, state.elements, dims, axes)
-    return DensityMatrix(state.layout, apply_local(SIGMA_X, half.conj().T, dims, axes).conj().T)
-
-
-def _evolve(state, vecs: np.ndarray, phases: np.ndarray):
-    """Apply the propagator vecs · diag(phases) · vecs† to a pure or mixed state."""
-    if isinstance(state, QuantumState):
-        return QuantumState(state.layout, vecs @ (phases * (vecs.conj().T @ state.amplitudes)))
-    U = (vecs * phases) @ vecs.conj().T
-    return DensityMatrix(state.layout, U @ state.elements @ U.conj().T)
 
 
 def _sample_times(duration: float, sample_dt: float) -> np.ndarray:
@@ -332,9 +294,7 @@ def _sample_times(duration: float, sample_dt: float) -> np.ndarray:
 def _check_qubits(config: DeviceConfig, qubits: Sequence[int], freqs: Sequence[float]):
     """Each qubit is one of the device's, and each frequency in its operating range."""
     for q, f in zip(qubits, freqs):
-        if not 0 <= q < config.n_qubits:
-            raise ValueError(f"qubit index {q} outside 0..{config.n_qubits - 1}")
-        if abs(f - config.f_idle[q]) > OPERATING_HALF_RANGE_GHZ + 1e-12:
+        if abs(f - config.f_idle[config.check_qubit(q)]) > OPERATING_HALF_RANGE_GHZ + 1e-12:
             raise ValueError(f"frequency {f} GHz outside the 2 GHz operating range around "
                              f"idle {config.f_idle[q]} GHz for qubit {q}")
 
@@ -349,34 +309,23 @@ def _sample_amplitudes(vecs, rotated, coeffs, dts) -> np.ndarray:
     return amps
 
 
-def _sample_probabilities(state, vecs: np.ndarray, rotated: np.ndarray, dts: np.ndarray):
-    """Basis-state probabilities after each step in ``dts``, one column per step.
-
-    ``rotated`` is -2πi·eigenvalues. A pure state is sampled by
-    :func:`_sample_amplitudes`; a mixed state is evolved and validated sample by
-    sample.
-    """
-    if not isinstance(state, QuantumState):
-        return np.stack([_evolve(state, vecs, np.exp(rotated * dt)).probabilities()
-                         for dt in dts], axis=1)
-    return np.abs(_sample_amplitudes(vecs, rotated, vecs.conj().T @ state.amplitudes, dts)) ** 2
-
-
 def propagate(
     state,
     schedule: FrequencySchedule,
     config: DeviceConfig,
     sample_dt: float,
     qubits: Sequence[int] | None = None,
-    resonator_id: str = "bus",
-):
-    """Evolve a state through a piecewise-constant frequency schedule.
+) -> tuple[OccupationTrace, QuantumState]:
+    """Evolve a pure state of ``qubits`` and the bus through a piecewise-constant
+    frequency schedule.
 
     Each segment is applied exactly (one spectral decomposition per segment),
     with occupation samples every ``sample_dt`` plus the exact segment end; a
     segment shorter than ``sample_dt`` contributes a single sample. π-pulse
     events fire at the segment start. Returns ``(trace, final_state)``.
     """
+    if not isinstance(state, QuantumState):
+        raise ValueError(f"propagate evolves pure states only, got {type(state).__name__}")
     if sample_dt <= 0:
         raise ValueError("sample_dt must be > 0")
     if qubits is None:
@@ -396,21 +345,23 @@ def propagate(
     def record(times, probs):
         samples.append((times, *_occupations(probs, len(qubits), config.n_max + 1)))
 
+    layout, dims = state.layout, state.layout.dims
     current = state
     t0 = 0.0
     for k, seg in enumerate(schedule.segments):
         for pos in seg.pulses:
-            current = _apply_x(current, pos)
+            current = QuantumState(layout, apply_local(SIGMA_X, current.amplitudes, dims, (pos,)))
         if k == 0:
             record(np.zeros(1), current.probabilities()[:, None])
-        H = build_jc_hamiltonian(config, seg.qubit_freqs, resonator_id, qubits)
+        H = build_jc_hamiltonian(config, seg.qubit_freqs, qubits)
         evals, vecs = np.linalg.eigh(H.elements)
         rotated = -2j * np.pi * evals
+        coeffs = vecs.conj().T @ current.amplitudes
         dts = _sample_times(seg.duration, sample_dt)
         for start in range(0, dts.size, SAMPLE_BLOCK):
             block = dts[start:start + SAMPLE_BLOCK]
-            record(t0 + block, _sample_probabilities(current, vecs, rotated, block))
-        current = _evolve(current, vecs, np.exp(rotated * seg.duration))
+            record(t0 + block, np.abs(_sample_amplitudes(vecs, rotated, coeffs, block)) ** 2)
+        current = QuantumState(layout, vecs @ (np.exp(rotated * seg.duration) * coeffs))
         t0 += seg.duration
     if not schedule.segments:
         record(np.zeros(1), current.probabilities()[:, None])
@@ -531,7 +482,7 @@ def swap_spectroscopy(
     tau_grid = np.asarray(tau_grid, dtype=float)
     if freq_grid.size == 0 or tau_grid.size == 0:
         raise ValueError("frequency and time grids must be nonempty")
-    idle = config.f_idle[qubit_index]
+    idle = config.f_idle[config.check_qubit(qubit_index)]
     if np.max(np.abs(freq_grid - idle)) > OPERATING_HALF_RANGE_GHZ + 1e-12:
         raise ValueError("frequency grid leaves the 2 GHz operating range")
 

@@ -177,10 +177,6 @@ class QuantumOperator:
     def apply(self, state: QuantumState) -> QuantumState:
         return QuantumState(state.layout, self.elements @ state.amplitudes)
 
-    def conjugate(self, rho: DensityMatrix) -> DensityMatrix:
-        """U rho U† (for unitary self)."""
-        return DensityMatrix(rho.layout, self.elements @ rho.elements @ self.elements.conj().T)
-
 
 # ---------------------------------------------------------------------------
 # elementary constructors
@@ -189,7 +185,6 @@ class QuantumOperator:
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)   # |e><g|
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |g><e|
 
 
@@ -214,12 +209,6 @@ def qubit_ket(label: str) -> QuantumState:
     return basis_ket(SpaceLayout.qubits(len(label)), index)
 
 
-def fock_ket(n: int, n_max: int) -> QuantumState:
-    if not 0 <= n <= n_max:
-        raise ValueError(f"Fock level {n} outside [0, {n_max}]")
-    return basis_ket(SpaceLayout((resonator(n_max),)), n)
-
-
 def superposition_ket(terms: Sequence[tuple[str, complex]]) -> QuantumState:
     """Normalized superposition of qubit basis kets given as (label, amplitude)."""
     n = len(terms[0][0])
@@ -229,50 +218,25 @@ def superposition_ket(terms: Sequence[tuple[str, complex]]) -> QuantumState:
     return QuantumState(SpaceLayout.qubits(n), amps / np.linalg.norm(amps))
 
 
-def identity_operator(layout: SpaceLayout) -> QuantumOperator:
-    return QuantumOperator(layout, np.eye(layout.total_dim, dtype=complex),
-                           hermitian=True, unitary=True)
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
-def tensor_product(items: Sequence):
-    """Kronecker product of states, operators or density matrices.
+def tensor_product(states: Sequence[QuantumState]) -> QuantumState:
+    """Kronecker product of pure states.
 
-    All items must be of the same kind; the result layout is the concatenation
-    of the input layouts in the given (most-significant-left) order.
+    The result layout is the concatenation of the input layouts in the given
+    (most-significant-left) order.
     """
-    items = list(items)
-    if not items:
+    states = list(states)
+    if not states:
         raise ValueError("tensor_product of an empty list")
-    kind = type(items[0])
-    if any(type(it) is not kind for it in items):
-        raise ValueError("tensor_product inputs must all be the same kind")
-
-    layout = items[0].layout
-    for it in items[1:]:
-        layout = layout.extended(it.layout)
-
-    if kind is QuantumState:
-        amps = items[0].amplitudes
-        for it in items[1:]:
-            amps = np.kron(amps, it.amplitudes)
-        return QuantumState(layout, amps)
-    if kind is DensityMatrix:
-        mat = items[0].elements
-        for it in items[1:]:
-            mat = np.kron(mat, it.elements)
-        return DensityMatrix(layout, mat)
-    if kind is QuantumOperator:
-        mat = items[0].elements
-        hermitian = all(it.hermitian for it in items)
-        unitary = all(it.unitary for it in items)
-        for it in items[1:]:
-            mat = np.kron(mat, it.elements)
-        return QuantumOperator(layout, mat, hermitian=hermitian, unitary=unitary)
-    raise ValueError(f"unsupported tensor_product input kind {kind.__name__}")
+    if any(not isinstance(it, QuantumState) for it in states):
+        raise ValueError("tensor_product takes pure states only")
+    layout, amps = states[0].layout, states[0].amplitudes
+    for it in states[1:]:
+        layout, amps = layout.extended(it.layout), np.kron(amps, it.amplitudes)
+    return QuantumState(layout, amps)
 
 
 def apply_local(op, array, dims: Sequence[int], axes: Sequence[int]) -> np.ndarray:

@@ -394,11 +394,6 @@ def bell_singlet() -> QuantumState:
     return superposition_ket([("ge", 1), ("eg", -1)])
 
 
-def bell_triplet() -> QuantumState:
-    """Symmetric single-excitation Bell state (the resonant-exchange product)."""
-    return superposition_ket([("ge", 1), ("eg", 1)])
-
-
 def bell_phi_plus() -> QuantumState:
     """(|gg> + |ee>)/√2, the H-then-CNOT circuit output."""
     return superposition_ket([("gg", 1), ("ee", 1)])

@@ -1,16 +1,22 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qproc_sim.circuits import (
+    GATE_MATRICES,
+    SHOR_VARIANTS,
+    SINGLE_QUBIT_GATES,
+    TWO_QUBIT_GATES,
     Circuit,
     FactoringResult,
     Gate,
     Idle,
     analyze_output_counts,
     build_shor,
-    circuit_unitary,
     classical_factors,
     extract_period,
     factor_fifteen,
@@ -19,13 +25,51 @@ from qproc_sim.circuits import (
     run_circuit,
     sample_output,
 )
-from qproc_sim.hilbert import qubit_ket
+from qproc_sim.hilbert import DensityMatrix, QuantumOperator, QuantumState, SpaceLayout, qubit_ket
+from qproc_sim.noise import NoiseParams, apply_noise_step
 
 RNG = np.random.default_rng(7)
 
 
 def ket(label):
     return qubit_ket(label).amplitudes
+
+
+def circuit_unitary(circuit: Circuit) -> QuantumOperator:
+    """Ordered product of the circuit's gate unitaries (idles are identity)."""
+    mat = np.eye(2 ** circuit.n_qubits, dtype=complex)
+    for gate in circuit.gates:
+        mat = gate_unitary(gate, circuit.n_qubits).elements @ mat
+    return QuantumOperator(SpaceLayout.qubits(circuit.n_qubits), mat, unitary=True)
+
+
+def full_register_run(circuit, mode="ideal_pure", noise=None, initial_state=None):
+    """run_circuit's oracle: every gate as its full-register unitary, U ψ or U ρ U†.
+
+    Returns (final state, {breakpoint name: state})."""
+    state = initial_state if initial_state is not None else qubit_ket("g" * circuit.n_qubits)
+    if mode == "noisy_density" and isinstance(state, QuantumState):
+        state = state.density_matrix()
+    captures = {name: state for name, pos in circuit.breakpoints.items() if pos == 0}
+    for k, op in enumerate(circuit.ops, start=1):
+        if isinstance(op, Gate):
+            U = gate_unitary(op, circuit.n_qubits).elements
+            if isinstance(state, QuantumState):
+                state = QuantumState(state.layout, U @ state.amplitudes)
+            else:
+                state = DensityMatrix(state.layout, U @ state.elements @ U.conj().T)
+            duration_class = "2q" if op.kind in TWO_QUBIT_GATES else "1q"
+        else:
+            duration_class = op.duration_class
+        if mode == "noisy_density":
+            dt = noise.gate_time_2q if duration_class == "2q" else noise.gate_time_1q
+            state = apply_noise_step(state, noise, dt)
+        captures.update({name: state for name, pos in circuit.breakpoints.items() if pos == k})
+    return state, captures
+
+
+def values(state):
+    return state.amplitudes if isinstance(state, QuantumState) else state.elements
 
 
 # ---------------------------------------------------------------------------
@@ -67,11 +111,18 @@ def test_x_flips_ground_state():
     np.testing.assert_allclose(X.apply(qubit_ket("g")).amplitudes, ket("e"))
 
 
-def test_cz_and_iswap_matrices():
+def test_cz_matrix():
     cz = gate_unitary(Gate("CZ", (0, 1)), 2).elements
     np.testing.assert_allclose(cz, np.diag([1, 1, 1, -1]))
-    iswap = gate_unitary(Gate("ISWAP", (0, 1)), 2).elements
-    assert iswap[0b01, 0b10] == 1j and iswap[0b10, 0b01] == 1j
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", list(GATE_MATRICES))
+def test_every_gate_is_unitary_on_every_target_tuple(kind, n):
+    arity = 2 if kind in TWO_QUBIT_GATES else 1
+    for targets in itertools.permutations(range(n), arity):
+        U = gate_unitary(Gate(kind, targets), n).elements
+        assert np.max(np.abs(U.conj().T @ U - np.eye(2 ** n))) <= 1e-12, targets
 
 
 def test_gate_validation():
@@ -83,6 +134,14 @@ def test_gate_validation():
         Gate("SWAPX", (0,))
 
 
+@pytest.mark.parametrize("gate", [Gate("X", (-1,)), Gate("X", (3,)), Gate("CNOT", (0, -1)),
+                                  Gate("CZ", (3, 0))])
+def test_circuit_rejects_targets_outside_the_register(gate):
+    # a negative target must not wrap around to the last qubit
+    with pytest.raises(ValueError, match="outside 0..2"):
+        Circuit(n_qubits=3, ops=(gate,))
+
+
 # ---------------------------------------------------------------------------
 # compiled circuits
 # ---------------------------------------------------------------------------
@@ -91,7 +150,8 @@ def test_three_qubit_structure():
     circuit = build_shor("three_qubit")
     assert len(circuit.gates) == 4
     assert circuit.breakpoints == {"step1": 2, "step2": 3, "step3": 4}
-    assert circuit.measured_register == (0,)
+    assert circuit.output_bits == (0, None)
+    assert circuit.analysis_qubits == (0, 1, 2)
 
 
 def test_control_variant_has_no_entangling_gates():
@@ -159,13 +219,63 @@ def test_circuit_equals_ordered_gate_product():
                 kind = str(RNG.choice(["X", "Y", "Z", "H", "X_half", "Y_half"]))
                 ops.append(Gate(kind, (int(RNG.integers(n)),)))
             else:
-                kind = str(RNG.choice(["CZ", "CNOT", "ISWAP"]))
+                kind = str(RNG.choice(["CZ", "CNOT"]))
                 pair = RNG.choice(n, size=2, replace=False)
                 ops.append(Gate(kind, (int(pair[0]), int(pair[1]))))
         circuit = Circuit(n_qubits=n, ops=tuple(ops))
         run = run_circuit(circuit)
         via_product = circuit_unitary(circuit).apply(qubit_ket("g" * n))
         np.testing.assert_allclose(run.final.amplitudes, via_product.amplitudes, atol=1e-12)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("variant", SHOR_VARIANTS)
+def test_shipped_circuits_match_full_register_unitaries(variant, noisy):
+    # bit for bit, at every breakpoint and at the end
+    circuit = build_shor(variant)
+    mode, noise = ("noisy_density", NoiseParams.default(4)) if noisy else ("ideal_pure", None)
+    run = run_circuit(circuit, mode=mode, noise=noise)
+    final, captures = full_register_run(circuit, mode, noise)
+    assert run.breakpoint_states.keys() == captures.keys() == circuit.breakpoints.keys()
+    for name, state in captures.items():
+        np.testing.assert_array_equal(values(run.breakpoint_states[name]), values(state), name)
+    np.testing.assert_array_equal(values(run.final), values(final))
+
+
+@st.composite
+def random_circuits(draw):
+    """2-4 qubit circuits of 1-qubit gates, idles and CZ/CNOT on any ordered target pair
+    (adjacent or not, control above or below the target), a breakpoint after every op."""
+    n = draw(st.integers(2, 4))
+    one_qubit = st.builds(Gate, st.sampled_from(list(SINGLE_QUBIT_GATES)),
+                          st.tuples(st.integers(0, n - 1)))
+    pairs = st.sampled_from(list(itertools.permutations(range(n), 2)))
+    two_qubit = st.builds(Gate, st.sampled_from(TWO_QUBIT_GATES), pairs)
+    idle = st.builds(Idle, st.sampled_from(["1q", "2q"]))
+    ops = draw(st.lists(st.one_of(one_qubit, two_qubit, idle), min_size=1, max_size=10))
+    return Circuit(n_qubits=n, ops=ops, breakpoints={f"op{k}": k for k in range(len(ops) + 1)})
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(circuit=random_circuits(), noisy=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_random_circuits_match_full_register_unitaries(circuit, noisy, seed):
+    rng = np.random.default_rng(seed)
+    d = 2 ** circuit.n_qubits
+    layout = SpaceLayout.qubits(circuit.n_qubits)
+    if noisy:
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        start = DensityMatrix(layout, a @ a.conj().T / np.trace(a @ a.conj().T))
+        noise = NoiseParams(t1=rng.uniform(50, 1000, 4), t_phi=rng.uniform(50, 1000, 4))
+        mode = "noisy_density"
+    else:
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        start, noise, mode = QuantumState(layout, v / np.linalg.norm(v)), None, "ideal_pure"
+    run = run_circuit(circuit, mode=mode, noise=noise, initial_state=start)
+    final, captures = full_register_run(circuit, mode, noise, initial_state=start)
+    for name, state in captures.items():
+        np.testing.assert_allclose(values(run.breakpoint_states[name]), values(state),
+                                   rtol=0, atol=1e-14, err_msg=name)
+    np.testing.assert_allclose(values(run.final), values(final), rtol=0, atol=1e-14)
 
 
 def test_noisy_mode_requires_params():

@@ -16,7 +16,6 @@ from qproc_sim.dynamics import (
     build_jc_hamiltonian,
     device_layout,
     effective_coupling,
-    excitation_number,
     fit_oscillation_frequency,
     mean_coupling,
     prepare_shared_excitation,
@@ -29,7 +28,6 @@ from qproc_sim.harness import read_spectroscopy_csv
 from qproc_sim.hilbert import (
     SIGMA_MINUS,
     SIGMA_X,
-    DensityMatrix,
     InvariantError,
     QuantumOperator,
     QuantumState,
@@ -38,6 +36,7 @@ from qproc_sim.hilbert import (
     basis_ket,
     destroy,
     qubit_ket,
+    resonator,
     tensor_product,
 )
 
@@ -98,17 +97,15 @@ def test_single_qubit_resonant_block():
     assert H.elements[idx_e0, idx_e0] == pytest.approx(0.0)
 
 
-def test_decoupled_hamiltonian_is_diagonal_detunings():
-    # qubits 1 and 2 have zero coupling to memory resonator 1
-    cfg = DeviceConfig.default()
-    freqs = (6.9, 7.0)
-    H = build_jc_hamiltonian(cfg, qubit_freqs=freqs, resonator_id="memory-1", qubits=(1, 2))
-    off_diag = H.elements - np.diag(np.diag(H.elements))
-    assert np.max(np.abs(off_diag)) == 0.0
-    d = cfg.n_max + 1
-    f_res = cfg.f_memory[0]
-    # qubit 1 excited, qubit 2 ground, vacuum
-    assert H.elements[2 * d, 2 * d] == pytest.approx(freqs[0] - f_res)
+def excitation_number(layout: SpaceLayout) -> QuantumOperator:
+    """N_exc = Σ σ⁺σ⁻ over qubit factors + Σ a†a over resonator factors."""
+    eye = np.eye(layout.total_dim, dtype=complex)
+    total = np.zeros_like(eye)
+    for k, factor in enumerate(layout.factors):
+        # σ⁺σ⁻ on a qubit and a†a on a resonator are both diag(0, 1, ..., dim - 1)
+        op = np.diag(np.arange(factor.dim, dtype=float)).astype(complex)
+        total += apply_local(op, eye, layout.dims, (k,))
+    return QuantumOperator(layout, total, hermitian=True)
 
 
 def test_hamiltonian_conserves_excitation_number():
@@ -119,12 +116,6 @@ def test_hamiltonian_conserves_excitation_number():
         N = excitation_number(H.layout)
         comm = H.elements @ N.elements - N.elements @ H.elements
         assert np.max(np.abs(comm)) < 1e-14
-
-
-def test_unknown_resonator_id():
-    cfg = DeviceConfig.default()
-    with pytest.raises(ValueError):
-        build_jc_hamiltonian(cfg, qubit_freqs=(6.1,), resonator_id="memory-9", qubits=(0,))
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +145,7 @@ def test_resonant_bus_population_is_sinusoidal():
 
 
 def basis_ket_res(cfg, n):
-    from qproc_sim.hilbert import fock_ket
-
-    return fock_ket(n, cfg.n_max)
+    return basis_ket(SpaceLayout((resonator(cfg.n_max),)), n)
 
 
 def test_detuned_rabi_matches_analytic_formula():
@@ -175,18 +164,12 @@ def test_detuned_rabi_matches_analytic_formula():
     assert rabi * 1e3 == pytest.approx(114.2, abs=0.1)
 
 
-def test_density_matrix_propagation_matches_pure():
+def test_propagate_rejects_density_matrix():
     cfg = DeviceConfig.default()
-    # excited start, and ground start with a π-pulse at the segment start
-    for label, pulses in (("e", ()), ("g", (0,))):
-        start = tensor_product([qubit_ket(label), basis_ket_res(cfg, 0)])
-        schedule = FrequencySchedule((Segment(12.0, (cfg.f_bus,), pulses=pulses),))
-        pure_trace, pure_final = propagate(start, schedule, cfg, sample_dt=1.0, qubits=(0,))
-        mixed_trace, mixed_final = propagate(start.density_matrix(), schedule, cfg,
-                                             sample_dt=1.0, qubits=(0,))
-        np.testing.assert_allclose(mixed_trace.p_bus, pure_trace.p_bus, atol=1e-12)
-        np.testing.assert_allclose(mixed_final.elements,
-                                   pure_final.density_matrix().elements, atol=1e-12)
+    start = tensor_product([qubit_ket("e"), basis_ket_res(cfg, 0)])
+    schedule = FrequencySchedule((Segment(12.0, (cfg.f_bus,)),))
+    with pytest.raises(ValueError, match="pure states only"):
+        propagate(start.density_matrix(), schedule, cfg, sample_dt=1.0, qubits=(0,))
 
 
 def test_excitation_conserved_along_schedule():
@@ -457,6 +440,28 @@ def test_mean_coupling_values():
     assert mean_coupling(cfg, (0, 1)) * 1e3 == pytest.approx(55.23, abs=0.01)
 
 
+# every library entry point that takes a qubit index, called with index q
+INDEXED_ENTRY_POINTS = {
+    "swap_spectroscopy": lambda cfg, q: swap_spectroscopy(cfg, q, [6.1], [0.0, 1.0]),
+    "mean_coupling": lambda cfg, q: mean_coupling(cfg, (0, q)),
+    "effective_coupling": lambda cfg, q: effective_coupling(cfg, (q, 0)),
+    "g_bus_ghz": lambda cfg, q: cfg.g_bus_ghz(q),
+    "g_mem_ghz": lambda cfg, q: cfg.g_mem_ghz(q),
+    "build_jc_hamiltonian": lambda cfg, q: build_jc_hamiltonian(cfg, (6.1,), qubits=(q,)),
+}
+
+
+@pytest.mark.parametrize("qubit", [-1, 4])
+@pytest.mark.parametrize("entry", list(INDEXED_ENTRY_POINTS))
+def test_qubit_indices_outside_the_device_do_not_wrap(entry, qubit):
+    # unequal couplings and memories: a wrapped -1 would silently read Q4's values
+    cfg = DeviceConfig(g_bus=(50.0, 52.0, 54.0, 56.0), g_mem=(20.0, 21.0, 22.0, 23.0),
+                       f_memory=(6.8, 7.2, 7.1, 6.9))
+    with pytest.raises(ValueError, match=f"qubit index {qubit} outside 0..3"):
+        INDEXED_ENTRY_POINTS[entry](cfg, qubit)
+    INDEXED_ENTRY_POINTS[entry](cfg, 3)
+
+
 # ---------------------------------------------------------------------------
 # full-space oracles for the fast paths
 # ---------------------------------------------------------------------------
@@ -507,7 +512,6 @@ def full_space_spectroscopy(config, qubit_index, freq_grid, tau_grid):
 def per_sample_propagate(state, schedule, config, sample_dt, qubits):
     """propagate() with one validated state and one occupation loop per sample."""
     n_q, res_dim = len(qubits), config.n_max + 1
-    pure = isinstance(state, QuantumState)
     times, samples = [], []
 
     def record(t, current):
@@ -519,9 +523,7 @@ def per_sample_propagate(state, schedule, config, sample_dt, qubits):
 
     def pulse(value, pos):
         X = apply_local(SIGMA_X, np.eye(value.layout.total_dim), value.layout.dims, (pos,))
-        if pure:
-            return QuantumState(value.layout, X @ value.amplitudes)
-        return DensityMatrix(value.layout, X @ value.elements @ X)
+        return QuantumState(value.layout, X @ value.amplitudes)
 
     current, t0, first = state, 0.0, True
     for seg in schedule.segments:
@@ -530,15 +532,12 @@ def per_sample_propagate(state, schedule, config, sample_dt, qubits):
         if first:
             record(0.0, current)
             first = False
-        H = build_jc_hamiltonian(config, seg.qubit_freqs, "bus", qubits)
+        H = build_jc_hamiltonian(config, seg.qubit_freqs, qubits)
         evals, vecs = np.linalg.eigh(H.elements)
 
         def advance(value, dt):
             phases = np.exp(-2j * np.pi * evals * dt)
-            if pure:
-                return QuantumState(value.layout, vecs @ (phases * (vecs.conj().T @ value.amplitudes)))
-            U = (vecs * phases) @ vecs.conj().T
-            return DensityMatrix(value.layout, U @ value.elements @ U.conj().T)
+            return QuantumState(value.layout, vecs @ (phases * (vecs.conj().T @ value.amplitudes)))
 
         n_steps = int(math.floor(seg.duration / sample_dt + 1e-12))
         for k in range(1, n_steps + 1):
@@ -591,18 +590,11 @@ def test_small_spectroscopy_fixture_matches_full_space_oracle():
     np.testing.assert_allclose(grid, oracle, rtol=0, atol=1e-12)
 
 
-def random_start(config, qubits, seed, mixed):
+def random_start(config, qubits, seed):
     layout = device_layout(config, qubits)
     rng = np.random.default_rng(seed)
-
-    def ket():
-        v = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
-        return v / np.linalg.norm(v)
-
-    if not mixed:
-        return QuantumState(layout, ket())
-    a, b, w = ket(), ket(), rng.uniform()
-    return DensityMatrix(layout, w * np.outer(a, a.conj()) + (1 - w) * np.outer(b, b.conj()))
+    v = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
+    return QuantumState(layout, v / np.linalg.norm(v))
 
 
 @st.composite
@@ -627,17 +619,15 @@ def assert_matches_per_sample_loop(start, schedule, config, sample_dt, qubits):
     np.testing.assert_array_equal(trace.times, expected.times)
     for name in ("p_qubit", "p_bus", "p_vacuum"):
         np.testing.assert_allclose(getattr(trace, name), getattr(expected, name), rtol=0, atol=1e-13)
-    values = (final.amplitudes, expected_final.amplitudes) if isinstance(final, QuantumState) else (
-        final.elements, expected_final.elements)
-    np.testing.assert_allclose(*values, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(final.amplitudes, expected_final.amplitudes, rtol=0, atol=1e-13)
 
 
 @PROPERTY
-@given(data=st.data(), config=device_configs(), mixed=st.booleans(),
+@given(data=st.data(), config=device_configs(),
        qubits=st.sampled_from([(0,), (1, 3), (0, 1, 2)]),
        sample_dt=st.floats(0.5, 3.0), seed=st.integers(0, 2**32 - 1))
-def test_vectorised_propagate_matches_per_sample_loop(data, config, mixed, qubits, sample_dt, seed):
-    start = random_start(config, qubits, seed, mixed)
+def test_vectorised_propagate_matches_per_sample_loop(data, config, qubits, sample_dt, seed):
+    start = random_start(config, qubits, seed)
     schedule = data.draw(schedules(config, qubits, sample_dt))
     assert_matches_per_sample_loop(start, schedule, config, sample_dt, qubits)
 
@@ -650,7 +640,7 @@ def test_vectorised_propagate_matches_per_sample_loop_across_sample_blocks():
         Segment(2 * SAMPLE_BLOCK * sample_dt, (cfg.f_bus, cfg.f_bus + 0.05), pulses=(1,)),
         Segment((SAMPLE_BLOCK + 3.5) * sample_dt, (cfg.f_bus + 0.02, cfg.f_bus)),
     ))
-    start = random_start(cfg, qubits, seed=7, mixed=False)
+    start = random_start(cfg, qubits, seed=7)
     assert_matches_per_sample_loop(start, schedule, cfg, sample_dt, qubits)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qproc_sim.hilbert import (
     DensityMatrix,
@@ -10,9 +12,7 @@ from qproc_sim.hilbert import (
     apply_local,
     basis_ket,
     destroy,
-    fock_ket,
     hermitian_exponential,
-    identity_operator,
     nearest_psd,
     partial_trace,
     permute_factors,
@@ -25,11 +25,21 @@ from qproc_sim.hilbert import (
 RNG = np.random.default_rng(1234)
 
 
-def random_density_matrix(layout):
+def random_density_matrix(layout, rng=RNG):
     d = layout.total_dim
-    a = RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d))
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = a @ a.conj().T
     return DensityMatrix(layout, rho / np.trace(rho))
+
+
+def random_state(layout):
+    amps = RNG.normal(size=layout.total_dim) + 1j * RNG.normal(size=layout.total_dim)
+    return QuantumState(layout, amps / np.linalg.norm(amps))
+
+
+def kron_density_matrix(a, b):
+    """The product state a ⊗ b of two density matrices."""
+    return DensityMatrix(a.layout.extended(b.layout), np.kron(a.elements, b.elements))
 
 
 def random_hermitian(dim, scale=1.0):
@@ -53,10 +63,11 @@ def taylor_expm(H, t, terms=40):
 # ---------------------------------------------------------------------------
 
 def test_tensor_identity_case():
-    i2 = identity_operator(SpaceLayout.qubits(1))
-    i4 = tensor_product([i2, i2])
-    assert i4.layout.total_dim == 4
-    np.testing.assert_allclose(i4.elements, np.eye(4))
+    # a one-item product is the item itself
+    psi = random_state(SpaceLayout((resonator(2),)))
+    alone = tensor_product([psi])
+    assert alone.layout == psi.layout
+    np.testing.assert_array_equal(alone.amplitudes, psi.amplitudes)
 
 
 def test_tensor_basis_bookkeeping():
@@ -68,36 +79,27 @@ def test_tensor_basis_bookkeeping():
 
 
 def test_tensor_kronecker_definition():
-    la = SpaceLayout.qubits(1)
-    lb = SpaceLayout((resonator(2),))
-    a = QuantumOperator(la, RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2)))
-    b = QuantumOperator(lb, RNG.normal(size=(3, 3)) + 1j * RNG.normal(size=(3, 3)))
+    a = random_state(SpaceLayout.qubits(1))
+    b = random_state(SpaceLayout((resonator(2),)))
     ab = tensor_product([a, b])
-    assert ab.layout.total_dim == 6
+    assert ab.layout.dims == (2, 3)
     for i in range(2):
         for j in range(3):
-            for k in range(2):
-                for ell in range(3):
-                    assert ab.elements[i * 3 + j, k * 3 + ell] == pytest.approx(
-                        a.elements[i, k] * b.elements[j, ell]
-                    )
+            assert ab.amplitudes[i * 3 + j] == pytest.approx(a.amplitudes[i] * b.amplitudes[j])
 
 
 def test_tensor_associativity_up_to_flattening():
-    ops = [
-        QuantumOperator(SpaceLayout.qubits(1), random_hermitian(2))
-        for _ in range(3)
-    ]
-    left = tensor_product([tensor_product(ops[:2]), ops[2]])
-    right = tensor_product([ops[0], tensor_product(ops[1:])])
-    np.testing.assert_allclose(left.elements, right.elements, atol=1e-14)
+    states = [random_state(SpaceLayout.qubits(1)) for _ in range(3)]
+    left = tensor_product([tensor_product(states[:2]), states[2]])
+    right = tensor_product([states[0], tensor_product(states[1:])])
+    np.testing.assert_allclose(left.amplitudes, right.amplitudes, atol=1e-14)
 
 
 def test_tensor_errors():
     with pytest.raises(ValueError):
         tensor_product([])
     with pytest.raises(ValueError):
-        tensor_product([qubit_ket("g"), identity_operator(SpaceLayout.qubits(1))])
+        tensor_product([qubit_ket("g"), qubit_ket("g").density_matrix()])
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +109,7 @@ def test_tensor_errors():
 def test_partial_trace_product_state():
     rho_a = random_density_matrix(SpaceLayout.qubits(1))
     rho_b = random_density_matrix(SpaceLayout((resonator(2),)))
-    joint = tensor_product([rho_a, rho_b])
+    joint = kron_density_matrix(rho_a, rho_b)
     np.testing.assert_allclose(partial_trace(joint, {0}).elements, rho_a.elements, atol=1e-12)
     np.testing.assert_allclose(partial_trace(joint, {1}).elements, rho_b.elements, atol=1e-12)
 
@@ -133,6 +135,25 @@ def test_partial_trace_full_keep_is_identity_and_composes():
     one_step = partial_trace(rho, {0})
     two_step = partial_trace(partial_trace(rho, {0, 1}), {0})
     np.testing.assert_allclose(one_step.elements, two_step.elements, atol=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(dims=st.lists(st.integers(2, 3), min_size=2, max_size=4), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_partial_trace_composes(dims, data, seed):
+    # tracing out A and then B equals tracing out A ∪ B in one call
+    n = len(dims)
+    layout = SpaceLayout(tuple(qubit() if d == 2 else resonator(d - 1) for d in dims))
+    rho = random_density_matrix(layout, np.random.default_rng(seed))
+    traced = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True))
+    first = data.draw(st.lists(st.sampled_from(traced), min_size=1, unique=True))
+    kept_first = [k for k in range(n) if k not in first]
+    step = partial_trace(rho, kept_first)
+    # B's factors, renumbered into the reduced layout
+    step = partial_trace(step, [kept_first.index(k) for k in kept_first if k not in traced])
+    once = partial_trace(rho, [k for k in range(n) if k not in traced])
+    assert step.layout == once.layout
+    np.testing.assert_allclose(step.elements, once.elements, rtol=0, atol=1e-14)
 
 
 def test_partial_trace_errors():
@@ -249,9 +270,9 @@ def test_operator_flags_checked():
 
 def test_destroy_and_fock():
     a = destroy(3)
-    n2 = fock_ket(2, 2)
-    lowered = a @ n2.amplitudes
-    np.testing.assert_allclose(lowered, np.sqrt(2) * fock_ket(1, 2).amplitudes)
+    fock = SpaceLayout((resonator(2),))
+    lowered = a @ basis_ket(fock, 2).amplitudes
+    np.testing.assert_allclose(lowered, np.sqrt(2) * basis_ket(fock, 1).amplitudes)
 
 
 def test_qubit_ket_label_ordering():
@@ -273,8 +294,8 @@ def test_permute_factors_roundtrip():
 def test_permute_factors_matches_tensor_reorder():
     a = random_density_matrix(SpaceLayout.qubits(1))
     b = random_density_matrix(SpaceLayout((resonator(1),)))
-    ab = tensor_product([a, b])
-    ba = tensor_product([b, a])
+    ab = kron_density_matrix(a, b)
+    ba = kron_density_matrix(b, a)
     np.testing.assert_allclose(permute_factors(ab, [1, 0]).elements, ba.elements, atol=1e-14)
 
 

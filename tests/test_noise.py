@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qproc_sim.circuits import build_shor, output_distribution, run_circuit
 from qproc_sim.hilbert import (
@@ -118,6 +120,27 @@ def test_noise_preserves_trace():
     params = NoiseParams.default(2)
     after = apply_noise_step(rho, params, dt=37.0)
     assert np.trace(after.elements).real == pytest.approx(1.0, abs=1e-12)
+
+
+coherence_times = st.one_of(st.floats(1.0, 1e4), st.just(math.inf))
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(dt=st.floats(0.0, 1000.0), t1=coherence_times, t_phi=coherence_times)
+def test_noise_step_is_trace_preserving_and_completely_positive(dt, t1, t_phi):
+    # Choi matrix J = Σ_K (I ⊗ K)|Φ⟩⟨Φ|(I ⊗ K)†, |Φ⟩ = |gg⟩ + |ee⟩, K = dephasing ∘ damping
+    phi = np.array([1, 0, 0, 1], dtype=complex)
+    kraus = [D @ A for A in damping_kraus(dt, t1) for D in dephasing_kraus(dt, t_phi)]
+    choi = sum(np.outer(v, v.conj()) for v in (np.kron(np.eye(2), K) @ phi for K in kraus))
+    assert np.linalg.eigvalsh(choi).min() >= -1e-12
+    # tracing out the output factor leaves the identity on the input: trace preserved
+    np.testing.assert_allclose(np.einsum("iaja->ij", choi.reshape(2, 2, 2, 2)), np.eye(2),
+                               rtol=0, atol=1e-12)
+    # J is the step apply_noise_step takes, run on the system half of |Φ⟩⟨Φ|/2
+    params = NoiseParams(t1=(math.inf, t1), t_phi=(math.inf, t_phi))
+    rho = DensityMatrix(SpaceLayout.qubits(2), np.outer(phi, phi.conj()) / 2)
+    step = apply_noise_step(rho, params, dt, qubits=(1,))
+    np.testing.assert_allclose(2 * step.elements, choi, rtol=0, atol=1e-12)
 
 
 def dense_noise_step(rho, params, dt, qubits):

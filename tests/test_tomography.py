@@ -30,7 +30,6 @@ from qproc_sim.tomography import (
     all_settings,
     bell_phi_plus,
     bell_singlet,
-    bell_triplet,
     concurrence_eof,
     ghz_state,
     linear_entropy,
@@ -48,6 +47,11 @@ from qproc_sim.tomography import (
 )
 
 RNG = np.random.default_rng(2718)
+
+
+def bell_triplet():
+    """Symmetric single-excitation Bell state (the resonant-exchange product)."""
+    return superposition_ket([("ge", 1), ("eg", 1)])
 
 
 def random_pure(n):
