@@ -8,16 +8,19 @@ Four experiments reproduce the device's headline measurements end to end:
 * ``entangle``      - Bell/W preparation, full QST and the metric suite
 * ``shor``          - compiled factoring run with breakpoint QST records
 
-Every run writes a ``manifest.json`` (config echo, options, seed, versions -
-no timestamps or paths, so identical invocations are byte-identical).
+Each experiment returns its files; ``run_experiment`` writes them once the run has
+succeeded, ``manifest.json`` last (config echo, options, seed, versions - no timestamps
+or paths, so identical invocations are byte-identical). A failed run writes no file.
 Exit codes: 0 success, 1 config error, 2 numerical-invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
+import os
 import platform
 import sys
 from dataclasses import dataclass, field
@@ -57,9 +60,7 @@ from .tomography import (
     witness_check,
 )
 
-EXPERIMENTS = ("spectroscopy", "rabi_scaling", "entangle", "shor")
-
-# each experiment's options and their defaults, as the CLI passes them
+# each experiment's options and their defaults, as the CLI passes them and builds its flags
 _OPTION_DEFAULTS = {
     "spectroscopy": {"qubit": 1, "f_min": 6.0, "f_max": 7.3, "f_step": 0.005,
                      "tau_max": 100.0, "tau_step": 0.5},
@@ -67,6 +68,24 @@ _OPTION_DEFAULTS = {
     "entangle": {"participants": [1, 2], "qst_shots": 10_000},
     "shor": {"variant": "three_qubit", "shots": 150_000, "qst_shots": 10_000},
 }
+EXPERIMENTS = tuple(_OPTION_DEFAULTS)
+
+# --help text of each experiment and of the options that have one
+_HELP = {
+    "spectroscopy": "swap-spectroscopy chevron map",
+    "rabi_scaling": "sqrt(N) collective-coupling scaling",
+    "entangle": "Bell/W preparation with full QST",
+    "shor": "compiled factoring of 15 with runtime QST",
+    "qubit": "scanned qubit, 1-based",
+    "qubits": "participant pool, cumulative, 1-based (e.g. 1,2,3,4)",
+    "participants": "participating qubits, 1-based (2 for Bell, 3 for W)",
+}
+
+# size budget, checked before any grid is built: rows of one output CSV (38x the
+# default chevron), and qubits in one QST register (3^n settings of 2^n x 2^n
+# matrices, so memory grows about 12x per qubit; 7 need about 0.6 GB)
+MAX_CSV_ROWS = 2_000_000
+MAX_QST_QUBITS = 7
 
 # the option naming each experiment's 1-based qubit labels
 _LABEL_OPTIONS = {"spectroscopy": "qubit", "rabi_scaling": "qubits", "entangle": "participants"}
@@ -129,23 +148,16 @@ def validate_config(config_path) -> ValidationReport:
     return ValidationReport([])
 
 
-def device_document(config: DeviceConfig, noise: NoiseParams | None) -> dict:
-    doc = config.to_dict()
-    if noise is not None:
-        doc["noise"] = noise.to_dict()
-    return doc
-
-
 # ---------------------------------------------------------------------------
-# output helpers
+# output encoders: each experiment returns its files as text
 # ---------------------------------------------------------------------------
 
-def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write_csv(path: Path, header, columns) -> None:
-    """Write equal-length columns as CSV rows of Python int/float ``repr`` cells."""
+def _csv_text(header, columns) -> str:
+    """Equal-length columns as CSV rows of Python int/float ``repr`` cells."""
     # each distinct bit pattern is formatted once; 0.0 and -0.0 stay distinct
     cells = []
     for column in map(np.ascontiguousarray, columns):
@@ -155,21 +167,24 @@ def _write_csv(path: Path, header, columns) -> None:
         cells.append(text[inverse])
     lines = [",".join(header)]
     lines.extend(map(",".join, zip(*cells)))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_manifest(spec: ExperimentSpec, config, noise) -> None:
-    _write_json(spec.output_dir / "manifest.json", {
+def _manifest(spec: ExperimentSpec, config: DeviceConfig, noise: NoiseParams | None) -> dict:
+    device = config.to_dict()
+    if noise is not None:
+        device["noise"] = noise.to_dict()
+    return {
         "experiment": spec.name,
         "options": spec.options,
         "seed": spec.seed,
-        "config": device_document(config, noise),
+        "config": device,
         "versions": {
             "qproc-sim": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
-    })
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +243,15 @@ def _qubit_labels(spec: ExperimentSpec) -> list[int]:
 def _spectroscopy_grids(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
     f_min, f_max, f_step, tau_max, tau_step = (
         float(_option(spec, key)) for key in ("f_min", "f_max", "f_step", "tau_max", "tau_step"))
+    # the lengths np.arange will give, checked before either grid is built; floats,
+    # since a ratio may overflow to inf
+    n_f = np.ceil((f_max + f_step / 2 - f_min) / f_step)
+    n_tau = np.ceil((tau_max + tau_step / 2) / tau_step)
+    if n_f < 1 or n_tau < 1:
+        raise ConfigError("spectroscopy grid is empty (need f_min <= f_max and tau_max >= 0)")
+    if n_f * n_tau > MAX_CSV_ROWS:
+        raise ConfigError(f"spectroscopy grid has {n_f:.0f} x {n_tau:.0f} cells, more than "
+                          f"the {MAX_CSV_ROWS} rows one output CSV may hold")
     freqs = np.round(np.arange(f_min, f_max + f_step / 2, f_step), 9)
     taus = np.round(np.arange(0.0, tau_max + tau_step / 2, tau_step), 9)
     return freqs, taus
@@ -256,37 +280,41 @@ def _check_options(spec: ExperimentSpec, config: DeviceConfig) -> None:
             raise ConfigError(f"option {key!r} must be at most 2**63 - 1 (got {value})")
 
     if spec.name == "spectroscopy":
-        freqs, taus = _spectroscopy_grids(spec)
+        freqs = _spectroscopy_grids(spec)[0]
         idle = config.f_idle[labels[0] - 1]
-        if freqs.size == 0 or taus.size == 0:
-            raise ConfigError("spectroscopy grid is empty (need f_min <= f_max and tau_max >= 0)")
         if np.max(np.abs(freqs - idle)) > OPERATING_HALF_RANGE_GHZ + 1e-12:
             raise ConfigError(
                 f"frequency grid {freqs[0]}..{freqs[-1]} GHz leaves the operating range "
                 f"{idle} ± {OPERATING_HALF_RANGE_GHZ} GHz of Q{labels[0]}")
     elif spec.name == "rabi_scaling":
         dtau_max, sample_dt = float(_option(spec, "dtau_max")), float(_option(spec, "sample_dt"))
-        n_steps = math.floor(dtau_max / sample_dt + 1e-12)
+        n_steps = np.floor(dtau_max / sample_dt + 1e-12)  # a float: the ratio may be inf
         if n_steps < 7 or n_steps * sample_dt < dtau_max - 1e-12:
             raise ConfigError(
                 f"dtau_max ({dtau_max} ns) must be a whole number of at least 7 sample_dt "
                 f"steps ({sample_dt} ns): the frequency fit needs 8 evenly spaced samples")
+        if len(labels) * (n_steps + 1) > MAX_CSV_ROWS:
+            raise ConfigError(f"rabi_scaling traces have {len(labels)} x {n_steps + 1:.0f} "
+                              f"samples, more than the {MAX_CSV_ROWS} rows one output CSV may hold")
     elif spec.name == "entangle" and len(labels) < 2:
         raise ConfigError("option 'participants' must name at least 2 qubits")
+    elif spec.name == "entangle" and len(labels) > MAX_QST_QUBITS:
+        raise ConfigError(f"option 'participants' names {len(labels)} qubits; QST takes at most "
+                          f"{MAX_QST_QUBITS}")
     elif spec.name == "shor" and _option(spec, "variant") not in SHOR_VARIANTS:
         raise ConfigError(f"option 'variant' must be one of {SHOR_VARIANTS} "
                           f"(got {_option(spec, 'variant')!r})")
 
 
-def _run_spectroscopy(spec: ExperimentSpec, config: DeviceConfig) -> None:
+def _run_spectroscopy(spec: ExperimentSpec, config: DeviceConfig, noise) -> dict[str, str]:
     freqs, taus = _spectroscopy_grids(spec)
     grid = swap_spectroscopy(config, _qubit_labels(spec)[0] - 1, freqs, taus)
     f_col, tau_col = np.meshgrid(freqs, taus, indexing="ij")
-    _write_csv(spec.output_dir / "spectroscopy.csv", ["freq_ghz", "tau_ns", "p_e"],
-               [f_col.ravel(), tau_col.ravel(), grid.ravel()])
+    return {"spectroscopy.csv": _csv_text(["freq_ghz", "tau_ns", "p_e"],
+                                          [f_col.ravel(), tau_col.ravel(), grid.ravel()])}
 
 
-def _run_rabi_scaling(spec: ExperimentSpec, config: DeviceConfig) -> None:
+def _run_rabi_scaling(spec: ExperimentSpec, config: DeviceConfig, noise) -> dict[str, str]:
     pool = [q - 1 for q in _qubit_labels(spec)]
     dtau_max = float(_option(spec, "dtau_max"))
     sample_dt = float(_option(spec, "sample_dt"))
@@ -305,46 +333,41 @@ def _run_rabi_scaling(spec: ExperimentSpec, config: DeviceConfig) -> None:
             "err_3db_ghz": err,
             "effective_coupling_ghz": effective_coupling(config, participants),
         })
-    _write_csv(spec.output_dir / "rabi_traces.csv", ["n_participants", "time_ns", "p_bus"],
-               [np.concatenate(column) for column in zip(*traces)])
-    _write_json(spec.output_dir / "rabi_fits.json", fits)
-
-
-def _entangle_target(n: int):
-    return bell_singlet() if n == 2 else w_state(n)
-
-
-def _run_entangle(spec: ExperimentSpec, config: DeviceConfig) -> None:
-    participants = tuple(sorted(q - 1 for q in _qubit_labels(spec)))
-    shots = int(_option(spec, "qst_shots"))
-
-    state = prepare_shared_excitation(config, participants)
-    target = _entangle_target(len(participants))
-    record = simulate_tomography(state, tuple(range(len(participants))), shots, spec.seed)
-    rho_hat = reconstruct(record)
-    record.rho_hat = rho_hat
-
-    ideal = phase_gauged_fidelity(state, target)
-    qst = phase_gauged_fidelity(rho_hat, target)
-    metrics = {
-        "tau_ns": 1.0 / (2 * effective_coupling(config, participants)),
-        "fidelity_ideal_raw": ideal.raw,
-        "fidelity_ideal_gauged": ideal.gauged,
-        "fidelity_qst_raw": qst.raw,
-        "fidelity_qst_gauged": qst.gauged,
-        "max_abs_imag": max_abs_imag(rho_hat),
+    return {
+        "rabi_traces.csv": _csv_text(["n_participants", "time_ns", "p_bus"],
+                                     [np.concatenate(column) for column in zip(*traces)]),
+        "rabi_fits.json": _json_text(fits),
     }
-    if len(participants) == 2:
-        c, eof = concurrence_eof(rho_hat)
-        metrics["concurrence"] = c
-        metrics["eof"] = eof
-    if len(participants) == 3:
-        witness = witness_check(rho_hat, "W", w_state())
-        metrics["witness_fidelity"] = witness.fidelity
-        metrics["witness_margin"] = witness.margin
-        metrics["witness_passed"] = float(witness.passed)
-    record.metrics = metrics
-    _write_json(spec.output_dir / "tomography.json", record.to_dict())
+
+
+def _run_entangle(spec: ExperimentSpec, config: DeviceConfig, noise) -> dict[str, str]:
+    participants = tuple(sorted(q - 1 for q in _qubit_labels(spec)))
+    n = len(participants)
+    state = prepare_shared_excitation(config, participants)
+    target = bell_singlet() if n == 2 else w_state(n)
+    ideal = phase_gauged_fidelity(state, target)
+
+    def metrics(rho_hat):
+        qst = phase_gauged_fidelity(rho_hat, target)
+        out = {
+            "tau_ns": 1.0 / (2 * effective_coupling(config, participants)),
+            "fidelity_ideal_raw": ideal.raw,
+            "fidelity_ideal_gauged": ideal.gauged,
+            "fidelity_qst_raw": qst.raw,
+            "fidelity_qst_gauged": qst.gauged,
+        }
+        if n == 2:
+            out["concurrence"], out["eof"] = concurrence_eof(rho_hat)
+        if n == 3:
+            witness = witness_check(rho_hat, "W", w_state())
+            out["witness_fidelity"] = witness.fidelity
+            out["witness_margin"] = witness.margin
+            out["witness_passed"] = float(witness.passed)
+        return out
+
+    record = _qst_with_metrics(state, tuple(range(n)), int(_option(spec, "qst_shots")),
+                               spec.seed, metrics)
+    return {"tomography.json": _json_text(record)}
 
 
 def _qst_with_metrics(state, qubits, shots, seed, metric_fn) -> dict:
@@ -355,7 +378,7 @@ def _qst_with_metrics(state, qubits, shots, seed, metric_fn) -> dict:
     return record.to_dict()
 
 
-def _run_shor(spec: ExperimentSpec, config: DeviceConfig, noise: NoiseParams | None) -> None:
+def _run_shor(spec: ExperimentSpec, config: DeviceConfig, noise: NoiseParams | None) -> dict[str, str]:
     variant = str(_option(spec, "variant"))
     shots = int(_option(spec, "shots"))
     qst_shots = int(_option(spec, "qst_shots"))
@@ -416,13 +439,17 @@ def _run_shor(spec: ExperimentSpec, config: DeviceConfig, noise: NoiseParams | N
         register_metrics,
     )
 
-    _write_json(spec.output_dir / "factoring.json", {
+    return {"factoring.json": _json_text({
         "variant": variant,
         "mode": mode,
         "result": result.to_dict(),
         "breakpoints": breakpoints,
         "register_qst": register_qst,
-    })
+    })}
+
+
+_RUNNERS = {"spectroscopy": _run_spectroscopy, "rabi_scaling": _run_rabi_scaling,
+            "entangle": _run_entangle, "shor": _run_shor}
 
 
 # ---------------------------------------------------------------------------
@@ -432,21 +459,23 @@ def _run_shor(spec: ExperimentSpec, config: DeviceConfig, noise: NoiseParams | N
 def run_experiment(spec: ExperimentSpec, config_path=None) -> int:
     """Run one named experiment; returns the process exit code."""
     try:
-        if spec.name not in EXPERIMENTS:
+        if spec.name not in _RUNNERS:
             raise ConfigError(f"unknown experiment {spec.name!r}; choose from {EXPERIMENTS}")
         config, noise = load_device_document(config_path)
         _check_options(spec, config)
-        spec.output_dir = Path(spec.output_dir)
-        spec.output_dir.mkdir(parents=True, exist_ok=True)
-        _write_manifest(spec, config, noise)
-        if spec.name == "spectroscopy":
-            _run_spectroscopy(spec, config)
-        elif spec.name == "rabi_scaling":
-            _run_rabi_scaling(spec, config)
-        elif spec.name == "entangle":
-            _run_entangle(spec, config)
-        else:
-            _run_shor(spec, config, noise)
+        files = _RUNNERS[spec.name](spec, config, noise)
+        # written last: a manifest marks a finished run
+        files["manifest.json"] = _json_text(_manifest(spec, config, noise))
+        out = Path(spec.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "manifest.json").unlink(missing_ok=True)  # an earlier run's, now stale
+        for name, text in files.items():
+            tmp = out / f".{name}.tmp"
+            try:
+                tmp.write_text(text)
+                os.replace(tmp, out / name)
+            finally:
+                tmp.unlink(missing_ok=True)
     except ConfigError as exc:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)
@@ -471,38 +500,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    for name, defaults in _OPTION_DEFAULTS.items():
+        p = sub.add_parser(name, help=_HELP[name])
+        for key, default in defaults.items():
+            kind = _int_list if isinstance(default, list) else type(default)
+            choices = SHOR_VARIANTS if key == "variant" else None
+            p.add_argument("--" + key.replace("_", "-"), type=kind, default=copy.copy(default),
+                           choices=choices, help=_HELP.get(key))
         p.add_argument("--config", default=None, help="device JSON (default: shipped device file)")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("spectroscopy", help="swap-spectroscopy chevron map")
-    p.add_argument("--qubit", type=int, default=1, help="scanned qubit, 1-based")
-    p.add_argument("--f-min", type=float, default=6.0)
-    p.add_argument("--f-max", type=float, default=7.3)
-    p.add_argument("--f-step", type=float, default=0.005)
-    p.add_argument("--tau-max", type=float, default=100.0)
-    p.add_argument("--tau-step", type=float, default=0.5)
-    common(p)
-
-    p = sub.add_parser("rabi_scaling", help="sqrt(N) collective-coupling scaling")
-    p.add_argument("--qubits", type=_int_list, default=[1, 2, 3, 4],
-                   help="participant pool, cumulative, 1-based (e.g. 1,2,3,4)")
-    p.add_argument("--dtau-max", type=float, default=200.0)
-    p.add_argument("--sample-dt", type=float, default=0.25)
-    common(p)
-
-    p = sub.add_parser("entangle", help="Bell/W preparation with full QST")
-    p.add_argument("--participants", type=_int_list, default=[1, 2],
-                   help="participating qubits, 1-based (2 for Bell, 3 for W)")
-    p.add_argument("--qst-shots", type=int, default=10_000)
-    common(p)
-
-    p = sub.add_parser("shor", help="compiled factoring of 15 with runtime QST")
-    p.add_argument("--variant", choices=SHOR_VARIANTS, default="three_qubit")
-    p.add_argument("--shots", type=int, default=150_000)
-    p.add_argument("--qst-shots", type=int, default=10_000)
-    common(p)
 
     p = sub.add_parser("validate", help="check a device/noise config file")
     p.add_argument("--config", required=True)

@@ -131,6 +131,8 @@ def apply_noise_step(
         qubits = tuple(k for k, f in enumerate(rho.layout.factors) if f.kind == "qubit")
     mat = rho.elements
     for q in qubits:
+        if not 0 <= q < len(dims):
+            raise ValueError(f"qubit index {q} outside 0..{len(dims) - 1}")
         if rho.layout.factors[q].kind != "qubit":
             raise ValueError(f"factor {q} is not a qubit")
         for kraus in (damping_kraus(dt, params.t1[q]), dephasing_kraus(dt, params.t_phi[q])):

@@ -7,10 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qproc_sim.dynamics import DeviceConfig
+from qproc_sim.dynamics import ConfigError, DeviceConfig
 from qproc_sim.harness import (
+    _OPTION_DEFAULTS,
+    EXPERIMENTS,
+    MAX_CSV_ROWS,
+    MAX_QST_QUBITS,
     ExperimentSpec,
-    _write_csv,
+    _check_options,
+    _csv_text,
+    build_parser,
     default_config_path,
     load_device_document,
     main,
@@ -263,6 +269,7 @@ def test_invariant_violation_exits_two(tmp_path, monkeypatch):
     spec = ExperimentSpec(name="entangle", options={"participants": [1, 2]},
                           output_dir=tmp_path)
     assert run_experiment(spec) == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_small_spectroscopy_csv_matches_reference(tmp_path):
@@ -306,6 +313,10 @@ OPTION_ERRORS = {
     ("spectroscopy", "--tau-max", "nan"): "finite",
     ("shor", "--shots", "100000000000000000000000"): "'shots' must be at most 2**63 - 1",
     ("entangle", "--qst-shots", "100000000000000000000000"): "'qst_shots' must be at most 2**63 - 1",
+    ("spectroscopy", "--f-step", "1e-12"): "rows one output CSV may hold",
+    ("spectroscopy", "--tau-step", "1e-9"): "rows one output CSV may hold",
+    ("rabi_scaling", "--sample-dt", "1e-9"): "rows one output CSV may hold",
+    ("rabi_scaling", "--dtau-max", "1e300", "--sample-dt", "1e-300"): "rows one output CSV may hold",
 }
 
 
@@ -313,7 +324,7 @@ OPTION_ERRORS = {
 def test_out_of_range_qubit_labels_exit_one(tmp_path, capsys, argv):
     # every option the experiment cannot run with is rejected before any file is written
     assert main(argv + ["--out", str(tmp_path)]) == 1
-    assert not (tmp_path / "manifest.json").exists()
+    assert not any(tmp_path.iterdir())
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
     assert OPTION_ERRORS[tuple(argv)] in err[0]
@@ -345,6 +356,62 @@ def test_sampled_norm_defect_exits_two(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", scaled_eigh)
     assert main(["rabi_scaling", "--dtau-max", "10", "--out", str(tmp_path)]) == 2
     assert "sampled state norm" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+# option sets whose CSV has exactly MAX_CSV_ROWS rows, and one row step more
+@pytest.mark.parametrize("name, options, fits", [
+    ("spectroscopy", {"f_min": 6.5, "f_max": 6.5, "tau_max": MAX_CSV_ROWS - 1.0, "tau_step": 1.0},
+     True),
+    ("spectroscopy", {"f_min": 6.5, "f_max": 6.5, "tau_max": float(MAX_CSV_ROWS), "tau_step": 1.0},
+     False),
+    ("rabi_scaling", {"dtau_max": MAX_CSV_ROWS / 4 - 1, "sample_dt": 1.0}, True),
+    ("rabi_scaling", {"dtau_max": MAX_CSV_ROWS / 4, "sample_dt": 1.0}, False),
+])
+def test_csv_row_budget_boundary(name, options, fits):
+    spec = ExperimentSpec(name, options)
+    if fits:
+        _check_options(spec, DeviceConfig.default())
+    else:
+        with pytest.raises(ConfigError, match="rows one output CSV may hold"):
+            _check_options(spec, DeviceConfig.default())
+
+
+def test_qst_register_budget_exits_one(tmp_path, capsys):
+    n = MAX_QST_QUBITS + 1
+    doc = {"n_qubits": n, "f_bus_ghz": 6.1, "f_memory_ghz": [6.8] * n, "f_idle_ghz": [6.6] * n,
+           "g_bus_mhz": [55.0] * n, "g_mem_mhz": [20.0] * n, "n_max": 1}
+    config_path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    participants = ",".join(str(q) for q in range(1, n + 1))
+    assert main(["entangle", "--participants", participants,
+                 "--config", str(config_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert f"QST takes at most {MAX_QST_QUBITS}" in err[0]
+    assert not out.exists()
+
+
+def test_failed_write_leaves_no_manifest_or_temp_file(tmp_path, capsys):
+    argv = ["shor", "--shots", "100", "--qst-shots", "100", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    (tmp_path / "factoring.json").unlink()
+    (tmp_path / "factoring.json").mkdir()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert [p.name for p in tmp_path.iterdir()] == ["factoring.json"]
+
+
+def test_rerun_over_earlier_outputs_matches_fresh_run(tmp_path):
+    options = {"variant": "control", "shots": 500, "qst_shots": 100}
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert run_experiment(ExperimentSpec("shor", dict(options, variant="four_qubit"), reused, 1)) == 0
+    assert run_experiment(ExperimentSpec("shor", options, reused, 2)) == 0
+    assert run_experiment(ExperimentSpec("shor", options, fresh, 2)) == 0
+    outputs = [{p.name: p.read_bytes() for p in sorted(d.iterdir())} for d in (reused, fresh)]
+    assert outputs[0] == outputs[1]
+    assert set(outputs[0]) == {"factoring.json", "manifest.json"}
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +473,7 @@ def test_column_writer_matches_row_writer(tmp_path_factory, data):
     floats = [np.array(float_pool)[data.draw(pick)] for _ in range(2)]
     columns = [ints, *floats]
     out = tmp_path_factory.mktemp("csv")
-    _write_csv(out / "columns.csv", ["n", "x", "y"], columns)
+    (out / "columns.csv").write_text(_csv_text(["n", "x", "y"], columns))
     row_write_csv(out / "rows.csv", ["n", "x", "y"], list(zip(*columns)))
     assert (out / "columns.csv").read_bytes() == (out / "rows.csv").read_bytes()
 
@@ -479,6 +546,18 @@ def test_cli_usage_errors_exit_one():
     assert main(["bogus-experiment"]) == 1
     assert main([]) == 1
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_parser_defaults_are_the_option_table(name):
+    args = vars(build_parser().parse_args([name]))
+    options = {k: v for k, v in args.items() if k not in ("command", "config", "out", "seed")}
+    assert options == _OPTION_DEFAULTS[name]
+
+
+def test_parser_rejects_unknown_variant(tmp_path):
+    assert main(["shor", "--variant", "five_qubit", "--out", str(tmp_path)]) == 1
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_seed_and_qubit_parsing(tmp_path):

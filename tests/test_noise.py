@@ -223,6 +223,16 @@ def test_apply_noise_step_rejects_bad_input():
         apply_noise_step(rho, params, dt=-1.0)
 
 
+@pytest.mark.parametrize("n, q", [(1, -1), (1, 1), (2, -1), (2, 2)])
+def test_apply_noise_step_rejects_qubits_outside_the_register(n, q):
+    # -1 used to act on the last factor of one qubit, and ended in numpy's errors on more
+    excited = np.zeros((2**n, 2**n), dtype=complex)
+    excited[-1, -1] = 1.0
+    rho = DensityMatrix(SpaceLayout.qubits(n), excited)
+    with pytest.raises(ValueError, match=rf"qubit index {q} outside 0\.\.{n - 1}"):
+        apply_noise_step(rho, NoiseParams.default(n), dt=10.0, qubits=(q,))
+
+
 def test_noise_params_validation_and_roundtrip():
     with pytest.raises(ValueError):
         NoiseParams(t1=(0.0,), t_phi=(100.0,))
