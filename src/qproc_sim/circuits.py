@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import DensityMatrix, QuantumOperator, QuantumState, SpaceLayout, apply_local, qubit_ket
+from .hilbert import DensityMatrix, QuantumState, apply_local, qubit_ket
 from .noise import NoiseParams, apply_noise_step
 
 _SQ = 1 / math.sqrt(2)
@@ -103,14 +103,6 @@ class Circuit:
         return tuple(op for op in self.ops if isinstance(op, Gate))
 
 
-def gate_unitary(gate: Gate, n_qubits: int) -> QuantumOperator:
-    """Full-register unitary for one gate, identity-padded onto n qubits."""
-    layout = SpaceLayout.qubits(n_qubits)
-    mat = apply_local(GATE_MATRICES[gate.kind], np.eye(layout.total_dim, dtype=complex),
-                      layout.dims, gate.targets)
-    return QuantumOperator(layout, mat, unitary=True)
-
-
 # ---------------------------------------------------------------------------
 # compiled factoring circuits (N=15, a=4)
 # ---------------------------------------------------------------------------
@@ -163,27 +155,18 @@ class CircuitRun:
     breakpoint_states: dict
 
 
-def run_circuit(
-    circuit: Circuit,
-    mode: str = "ideal_pure",
-    noise: NoiseParams | None = None,
-    initial_state=None,
-) -> CircuitRun:
+def run_circuit(circuit: Circuit, noise: NoiseParams | None = None,
+                initial_state=None) -> CircuitRun:
     """Execute a circuit from |g...g> and capture every breakpoint state.
 
-    ``ideal_pure`` evolves a state vector; ``noisy_density`` evolves a
-    density matrix, following every op (gates and idles) with per-qubit
-    damping and dephasing for the op's duration. Each gate's 2x2 or 4x4
-    matrix acts on its target factors only (``apply_local``): G ρ, then
-    G (G ρ)†, conjugate-transposed back.
+    Without ``noise`` a state vector evolves; with it a density matrix does,
+    every op (gates and idles) followed by per-qubit damping and dephasing
+    for the op's duration. Each gate's 2x2 or 4x4 matrix acts on its target
+    factors only (``apply_local``): G ρ, then G (G ρ)†, conjugate-transposed
+    back.
     """
-    if mode not in ("ideal_pure", "noisy_density"):
-        raise ValueError(f"unknown run mode {mode!r}")
-    if mode == "noisy_density" and noise is None:
-        raise ValueError("noisy_density mode needs noise parameters")
-
     state = initial_state if initial_state is not None else qubit_ket("g" * circuit.n_qubits)
-    if mode == "noisy_density" and isinstance(state, QuantumState):
+    if noise is not None and isinstance(state, QuantumState):
         state = state.density_matrix()
 
     captures = {}
@@ -207,7 +190,7 @@ def run_circuit(
             duration_class = "2q" if op.kind in TWO_QUBIT_GATES else "1q"
         else:
             duration_class = op.duration_class
-        if mode == "noisy_density":
+        if noise is not None:
             dt = noise.gate_time_2q if duration_class == "2q" else noise.gate_time_1q
             state = apply_noise_step(state, noise, dt)
         capture(k)
@@ -353,16 +336,11 @@ def analyze_output_counts(counts: dict[str, int], a: int, N: int) -> tuple[int, 
     return 0, None, 0.0
 
 
-def factor_fifteen(
-    variant: str = "three_qubit",
-    shots: int = 150_000,
-    seed: int = 0,
-    mode: str = "ideal_pure",
-    noise: NoiseParams | None = None,
-) -> tuple[FactoringResult, CircuitRun]:
-    """Run a compiled factoring circuit end to end: execute, sample, postprocess."""
-    circuit = build_shor(variant)
-    run = run_circuit(circuit, mode=mode, noise=noise)
+def factor_fifteen(circuit: Circuit, shots: int, seed: int,
+                   noise: NoiseParams | None = None) -> tuple[FactoringResult, CircuitRun]:
+    """Run a compiled factoring circuit (``build_shor``) end to end: execute, sample,
+    postprocess."""
+    run = run_circuit(circuit, noise=noise)
     counts = sample_output(run.final, circuit.output_bits, shots, seed)
     period, factors, success = analyze_output_counts(counts, a=4, N=15)
     result = FactoringResult(

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuits import SHOR_VARIANTS, Gate, build_shor, factor_fifteen, gate_unitary
+from .circuits import SHOR_VARIANTS, SINGLE_QUBIT_GATES, build_shor, factor_fifteen
 from .dynamics import (
     OPERATING_HALF_RANGE_GHZ,
     ConfigError,
@@ -41,7 +41,7 @@ from .dynamics import (
     simultaneous_resonance,
     swap_spectroscopy,
 )
-from .hilbert import InvariantError, partial_trace, qubit_ket
+from .hilbert import InvariantError, QuantumState, apply_local, partial_trace, qubit_ket
 from .noise import NoiseParams
 from .tomography import (
     bell_phi_plus,
@@ -259,6 +259,8 @@ def _spectroscopy_grids(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_options(spec: ExperimentSpec, config: DeviceConfig) -> None:
     """Reject options the experiment cannot run with, before any file is written."""
+    if spec.seed < 0:  # numpy seed sequences take non-negative integers only
+        raise ConfigError(f"seed must be >= 0 (got {spec.seed})")
     for key, value in spec.options.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"option {key!r} must be a finite number (got {value})")
@@ -382,11 +384,12 @@ def _run_shor(spec: ExperimentSpec, config: DeviceConfig, noise: NoiseParams | N
     variant = str(_option(spec, "variant"))
     shots = int(_option(spec, "shots"))
     qst_shots = int(_option(spec, "qst_shots"))
-    mode = "noisy_density" if noise is not None else "ideal_pure"
 
     circuit = build_shor(variant)
-    result, run = factor_fifteen(variant, shots, spec.seed, mode, noise)
-    psi3 = gate_unitary(Gate("H", (0,)), 3).apply(ghz_state())
+    result, run = factor_fifteen(circuit, shots, spec.seed, noise)
+    ghz = ghz_state()
+    psi3 = QuantumState(ghz.layout, apply_local(SINGLE_QUBIT_GATES["H"], ghz.amplitudes,
+                                                ghz.layout.dims, (0,)))
     sigma_m = maximally_mixed_qubit()
 
     def step1_metrics(rho_hat):
@@ -441,7 +444,7 @@ def _run_shor(spec: ExperimentSpec, config: DeviceConfig, noise: NoiseParams | N
 
     return {"factoring.json": _json_text({
         "variant": variant,
-        "mode": mode,
+        "mode": "noisy_density" if noise is not None else "ideal_pure",
         "result": result.to_dict(),
         "breakpoints": breakpoints,
         "register_qst": register_qst,

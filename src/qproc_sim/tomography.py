@@ -51,89 +51,84 @@ _INVERSION_KERNEL = np.array([
 ])
 
 
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """One product setting: a pre-rotation per measured qubit."""
-
-    pre_rotations: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pre_rotations", tuple(self.pre_rotations))
-        for r in self.pre_rotations:
-            if r not in ROTATION_KINDS:
-                raise ValueError(f"unknown pre-rotation {r!r}")
+def all_settings(n_qubits: int) -> tuple[tuple[str, ...], ...]:
+    """The full 3^n product set of per-qubit pre-rotations, in fixed lexicographic order."""
+    return tuple(itertools.product(ROTATION_KINDS, repeat=n_qubits))
 
 
-def all_settings(n_qubits: int) -> tuple[MeasurementSetting, ...]:
-    """The full 3^n product set, in fixed lexicographic order."""
-    return tuple(
-        MeasurementSetting(combo)
-        for combo in itertools.product(ROTATION_KINDS, repeat=n_qubits)
-    )
+def _outcome_labels(n_qubits: int) -> list[str]:
+    return [format(m, f"0{n_qubits}b") for m in range(2 ** n_qubits)]
 
 
 @dataclass
 class TomographyRecord:
-    """Measurement settings, per-setting histograms and the reconstruction."""
+    """Per-setting histograms and the reconstruction.
+
+    ``counts`` is a (3^n, 2^n) int64 array: one row per setting in ``all_settings(n)``
+    order, one column per outcome with the first qubit as the most significant bit.
+    """
 
     qubits: tuple[int, ...]
-    settings: tuple[MeasurementSetting, ...]
     shots_per_setting: int
     seed: int
-    counts: tuple[dict, ...]
+    counts: np.ndarray
     rho_hat: DensityMatrix | None = None
     metrics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.qubits = tuple(self.qubits)
-        self.settings = tuple(self.settings)
-        self.counts = tuple(dict(c) for c in self.counts)
-        if len(self.counts) != len(self.settings):
-            raise ValueError("need one histogram per setting")
-        for c in self.counts:
-            if sum(c.values()) != self.shots_per_setting:
-                raise ValueError("histogram total differs from shots_per_setting")
+        counts = np.asarray(self.counts)
+        n = self.n_qubits
+        if counts.shape != (3 ** n, 2 ** n):
+            raise ValueError(f"counts must have shape {(3 ** n, 2 ** n)}, got {counts.shape}")
+        if counts.dtype.kind not in "iu" or (counts < 0).any():
+            raise ValueError("counts must be non-negative integers")
+        if (counts.sum(axis=1) != self.shots_per_setting).any():
+            raise ValueError("histogram total differs from shots_per_setting")
+        self.counts = counts.astype(np.int64)
 
     @property
     def n_qubits(self) -> int:
         return len(self.qubits)
 
-    def frequencies(self) -> list[np.ndarray]:
-        n = self.n_qubits
-        out = []
-        for c in self.counts:
-            vec = np.zeros(2 ** n)
-            for bits, count in c.items():
-                vec[int(bits, 2)] = count
-            out.append(vec / self.shots_per_setting)
-        return out
+    @property
+    def settings(self) -> tuple[tuple[str, ...], ...]:
+        return all_settings(self.n_qubits)
 
     def to_dict(self) -> dict:
         def complex_pairs(mat):
             return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
 
+        labels = _outcome_labels(self.n_qubits)
         return {
             "qubits": list(self.qubits),
-            "settings": [list(s.pre_rotations) for s in self.settings],
+            "settings": [list(s) for s in self.settings],
             "shots_per_setting": self.shots_per_setting,
             "seed": self.seed,
-            "counts": [dict(sorted(c.items())) for c in self.counts],
+            "counts": [dict(zip(labels, row)) for row in self.counts.tolist()],
             "rho_hat": None if self.rho_hat is None else complex_pairs(self.rho_hat.elements),
             "metrics": dict(sorted(self.metrics.items())),
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TomographyRecord":
+        """Parse a ``to_dict`` document; any other settings order or outcome label set
+        raises ValueError."""
+        n = len(doc["qubits"])
+        if [tuple(s) for s in doc["settings"]] != list(all_settings(n)):
+            raise ValueError(f"settings must be the 3^{n} product settings in all_settings order")
+        labels = _outcome_labels(n)
+        if any(sorted(c) != labels for c in doc["counts"]):
+            raise ValueError(f"each histogram must hold exactly the outcomes {labels}")
         rho = None
         if doc.get("rho_hat") is not None:
             mat = np.array([[complex(re, im) for re, im in row] for row in doc["rho_hat"]])
-            rho = DensityMatrix(SpaceLayout.qubits(len(doc["qubits"])), mat)
+            rho = DensityMatrix(SpaceLayout.qubits(n), mat)
         return cls(
             qubits=tuple(doc["qubits"]),
-            settings=tuple(MeasurementSetting(tuple(s)) for s in doc["settings"]),
             shots_per_setting=int(doc["shots_per_setting"]),
             seed=int(doc["seed"]),
-            counts=tuple({k: int(v) for k, v in c.items()} for c in doc["counts"]),
+            counts=[[c[label] for label in labels] for c in doc["counts"]],
             rho_hat=rho,
             metrics=dict(doc.get("metrics", {})),
         )
@@ -183,24 +178,13 @@ def simulate_tomography(state, qubits: Sequence[int], shots_per_setting: int,
         raise ValueError("shots_per_setting must be >= 1")
     qubits = tuple(sorted(set(qubits)))
     rho = register_density_matrix(state, qubits)
-    n = len(qubits)
-    settings = all_settings(n)
-    streams = np.random.SeedSequence(seed).spawn(len(settings))
+    streams = np.random.SeedSequence(seed).spawn(3 ** len(qubits))
     probs = setting_probabilities(rho)
     probs = probs / probs.sum(axis=1, keepdims=True)
-    labels = [format(m, f"0{n}b") for m in range(2 ** n)]
-
-    counts = []
-    for row, stream in zip(probs, streams):
-        draws = np.random.default_rng(stream).multinomial(shots_per_setting, row)
-        counts.append(dict(zip(labels, draws.tolist())))
-    return TomographyRecord(
-        qubits=qubits,
-        settings=settings,
-        shots_per_setting=shots_per_setting,
-        seed=seed,
-        counts=tuple(counts),
-    )
+    counts = np.array([np.random.default_rng(stream).multinomial(shots_per_setting, row)
+                       for row, stream in zip(probs, streams)])
+    return TomographyRecord(qubits=qubits, shots_per_setting=shots_per_setting, seed=seed,
+                            counts=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -209,31 +193,28 @@ def simulate_tomography(state, qubits: Sequence[int], shots_per_setting: int,
 
 def reconstruct(record: TomographyRecord) -> DensityMatrix:
     """Linear inversion over the Pauli basis, then PSD projection."""
-    return reconstruct_from_frequencies(record.settings, record.frequencies(), record.n_qubits)
+    return reconstruct_from_frequencies(record.counts / record.shots_per_setting)
 
 
-def reconstruct_from_frequencies(settings: Sequence[MeasurementSetting],
-                                 frequencies: Sequence[np.ndarray],
-                                 n_qubits: int) -> DensityMatrix:
-    """Reconstruction core; feeding exact probabilities gives the exact state."""
-    raw = _linear_inversion(settings, frequencies, n_qubits)
-    return nearest_psd(raw, SpaceLayout.qubits(n_qubits))
+def reconstruct_from_frequencies(frequencies: np.ndarray) -> DensityMatrix:
+    """Reconstruction core for a (3^n, 2^n) table in ``all_settings`` order; feeding
+    exact probabilities gives the exact state."""
+    n = np.shape(frequencies)[-1].bit_length() - 1
+    if np.shape(frequencies) != (3 ** n, 2 ** n):
+        raise ValueError(f"need a (3^n, 2^n) frequency table, got shape {np.shape(frequencies)}")
+    return nearest_psd(_linear_inversion(frequencies, n), SpaceLayout.qubits(n))
 
 
-def _linear_inversion(settings, frequencies, n: int) -> np.ndarray:
+def _linear_inversion(frequencies: np.ndarray, n: int) -> np.ndarray:
     """rho = Σ_{r,b} f[r, b] ⊗_q K[r_q, b_q] with K the per-qubit kernel.
 
     Summing the kernel product over one qubit's Pauli letters reproduces the
     Pauli-basis estimator: every Pauli string averaged over all settings that
     read it, scaled by 1/2^n.
     """
-    if len(settings) != 3 ** n or set(settings) != set(all_settings(n)):
-        raise ValueError(f"need each of the 3^{n} measurement settings exactly once")
-    # frequencies indexed [r_1..r_n, b_1..b_n] by each setting's rotations
-    table = np.empty((3,) * n + (2,) * n)
-    for setting, freq in zip(settings, frequencies, strict=True):
-        index = tuple(ROTATION_KINDS.index(r) for r in setting.pre_rotations)
-        table[index] = np.reshape(freq, (2,) * n)
+    # indexed [r_1..r_n, b_1..b_n]: all_settings order varies the first qubit's rotation
+    # slowest, and the first qubit is the most significant outcome bit
+    table = np.reshape(frequencies, (3,) * n + (2,) * n)
     # contract qubit q's (r_q, b_q) axes, leaving its (row, col) pair at the end
     for q in range(n):
         table = np.tensordot(table, _INVERSION_KERNEL, axes=([0, n - q], [0, 1]))

@@ -159,7 +159,7 @@ def test_criterion_05_shor_ideal():
     circuit = build_shor("three_qubit")
     run = run_circuit(circuit)
     dist = output_distribution(run.final, circuit.output_bits)
-    result, _ = factor_fifteen(shots=150_000, seed=7)
+    result, _ = factor_fifteen(circuit, shots=150_000, seed=7)
     freq = result.output_counts["10"] / result.shots
     ghz_fid = state_fidelity(run.breakpoint_states["step2"].density_matrix(), ghz_state())
     psi3_fid = state_fidelity(run.breakpoint_states["step3"].density_matrix(), psi3())
@@ -178,14 +178,14 @@ def test_criterion_05_shor_ideal():
 
 def test_criterion_06_control_experiment():
     t0 = time.perf_counter()
-    result, _ = factor_fifteen(variant="control", shots=10_000, seed=7)
+    circuit = build_shor("control")
+    result, _ = factor_fifteen(circuit, shots=10_000, seed=7)
     all_zero = result.output_counts["00"] == result.shots
 
-    circuit = build_shor("control")
     fidelities = []
     for t1 in (200.0, 400.0, 800.0, 1600.0):
         noise = NoiseParams(t1=(t1,) * 3, t_phi=(math.inf,) * 3)
-        run = run_circuit(circuit, mode="noisy_density", noise=noise)
+        run = run_circuit(circuit, noise)
         register = partial_trace(run.final, {0})
         fidelities.append(float(register.elements[0, 0].real))
     monotone = all(a < b for a, b in zip(fidelities, fidelities[1:]))

@@ -20,12 +20,18 @@ from qproc_sim.circuits import (
     classical_factors,
     extract_period,
     factor_fifteen,
-    gate_unitary,
     output_distribution,
     run_circuit,
     sample_output,
 )
-from qproc_sim.hilbert import DensityMatrix, QuantumOperator, QuantumState, SpaceLayout, qubit_ket
+from qproc_sim.hilbert import (
+    DensityMatrix,
+    QuantumOperator,
+    QuantumState,
+    SpaceLayout,
+    apply_local,
+    qubit_ket,
+)
 from qproc_sim.noise import NoiseParams, apply_noise_step
 
 RNG = np.random.default_rng(7)
@@ -33,6 +39,14 @@ RNG = np.random.default_rng(7)
 
 def ket(label):
     return qubit_ket(label).amplitudes
+
+
+def gate_unitary(gate: Gate, n_qubits: int) -> QuantumOperator:
+    """Full-register unitary for one gate, identity-padded onto n qubits."""
+    layout = SpaceLayout.qubits(n_qubits)
+    mat = apply_local(GATE_MATRICES[gate.kind], np.eye(layout.total_dim, dtype=complex),
+                      layout.dims, gate.targets)
+    return QuantumOperator(layout, mat, unitary=True)
 
 
 def circuit_unitary(circuit: Circuit) -> QuantumOperator:
@@ -43,12 +57,12 @@ def circuit_unitary(circuit: Circuit) -> QuantumOperator:
     return QuantumOperator(SpaceLayout.qubits(circuit.n_qubits), mat, unitary=True)
 
 
-def full_register_run(circuit, mode="ideal_pure", noise=None, initial_state=None):
+def full_register_run(circuit, noise=None, initial_state=None):
     """run_circuit's oracle: every gate as its full-register unitary, U ψ or U ρ U†.
 
     Returns (final state, {breakpoint name: state})."""
     state = initial_state if initial_state is not None else qubit_ket("g" * circuit.n_qubits)
-    if mode == "noisy_density" and isinstance(state, QuantumState):
+    if noise is not None and isinstance(state, QuantumState):
         state = state.density_matrix()
     captures = {name: state for name, pos in circuit.breakpoints.items() if pos == 0}
     for k, op in enumerate(circuit.ops, start=1):
@@ -61,7 +75,7 @@ def full_register_run(circuit, mode="ideal_pure", noise=None, initial_state=None
             duration_class = "2q" if op.kind in TWO_QUBIT_GATES else "1q"
         else:
             duration_class = op.duration_class
-        if mode == "noisy_density":
+        if noise is not None:
             dt = noise.gate_time_2q if duration_class == "2q" else noise.gate_time_1q
             state = apply_noise_step(state, noise, dt)
         captures.update({name: state for name, pos in circuit.breakpoints.items() if pos == k})
@@ -233,9 +247,9 @@ def test_circuit_equals_ordered_gate_product():
 def test_shipped_circuits_match_full_register_unitaries(variant, noisy):
     # bit for bit, at every breakpoint and at the end
     circuit = build_shor(variant)
-    mode, noise = ("noisy_density", NoiseParams.default(4)) if noisy else ("ideal_pure", None)
-    run = run_circuit(circuit, mode=mode, noise=noise)
-    final, captures = full_register_run(circuit, mode, noise)
+    noise = NoiseParams.default(4) if noisy else None
+    run = run_circuit(circuit, noise)
+    final, captures = full_register_run(circuit, noise)
     assert run.breakpoint_states.keys() == captures.keys() == circuit.breakpoints.keys()
     for name, state in captures.items():
         np.testing.assert_array_equal(values(run.breakpoint_states[name]), values(state), name)
@@ -266,21 +280,15 @@ def test_random_circuits_match_full_register_unitaries(circuit, noisy, seed):
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         start = DensityMatrix(layout, a @ a.conj().T / np.trace(a @ a.conj().T))
         noise = NoiseParams(t1=rng.uniform(50, 1000, 4), t_phi=rng.uniform(50, 1000, 4))
-        mode = "noisy_density"
     else:
         v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        start, noise, mode = QuantumState(layout, v / np.linalg.norm(v)), None, "ideal_pure"
-    run = run_circuit(circuit, mode=mode, noise=noise, initial_state=start)
-    final, captures = full_register_run(circuit, mode, noise, initial_state=start)
+        start, noise = QuantumState(layout, v / np.linalg.norm(v)), None
+    run = run_circuit(circuit, noise, initial_state=start)
+    final, captures = full_register_run(circuit, noise, initial_state=start)
     for name, state in captures.items():
         np.testing.assert_allclose(values(run.breakpoint_states[name]), values(state),
                                    rtol=0, atol=1e-14, err_msg=name)
     np.testing.assert_allclose(values(run.final), values(final), rtol=0, atol=1e-14)
-
-
-def test_noisy_mode_requires_params():
-    with pytest.raises(ValueError):
-        run_circuit(build_shor("three_qubit"), mode="noisy_density")
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +302,7 @@ def test_ideal_output_distribution():
 
 
 def test_sampled_success_frequency_within_binomial_band():
-    result, _ = factor_fifteen(shots=150_000, seed=7)
+    result, _ = factor_fifteen(build_shor("three_qubit"), shots=150_000, seed=7)
     freq = result.output_counts["10"] / result.shots
     # binomial 3σ band around 0.5: σ = sqrt(0.25/150000) ≈ 0.0013
     assert abs(freq - 0.5) <= 3 * math.sqrt(0.25 / 150_000)
@@ -304,7 +312,7 @@ def test_sampled_success_frequency_within_binomial_band():
 
 
 def test_control_circuit_always_fails():
-    result, _ = factor_fifteen(variant="control", shots=2000, seed=3)
+    result, _ = factor_fifteen(build_shor("control"), shots=2000, seed=3)
     assert result.output_counts["00"] == 2000
     assert result.period_r == 0
     assert result.factors is None

@@ -317,6 +317,8 @@ OPTION_ERRORS = {
     ("spectroscopy", "--tau-step", "1e-9"): "rows one output CSV may hold",
     ("rabi_scaling", "--sample-dt", "1e-9"): "rows one output CSV may hold",
     ("rabi_scaling", "--dtau-max", "1e300", "--sample-dt", "1e-300"): "rows one output CSV may hold",
+    ("entangle", "--seed", "-1"): "seed must be >= 0",
+    ("shor", "--seed", "-1"): "seed must be >= 0",
 }
 
 
@@ -344,6 +346,15 @@ def test_library_option_errors_exit_one(tmp_path, capsys, case):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
     assert LIBRARY_OPTION_ERRORS[case] in err[0]
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_negative_seed_exits_one(tmp_path, capsys, name):
+    # numpy's seed sequences would raise on it mid-run; every experiment rejects it first
+    assert run_experiment(ExperimentSpec(name, {}, tmp_path, seed=-1)) == 1
+    assert not any(tmp_path.iterdir())
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: seed must be >= 0 (got -1)"]
 
 
 def test_sampled_norm_defect_exits_two(tmp_path, capsys, monkeypatch):

@@ -188,7 +188,7 @@ def test_control_circuit_fidelity_window_and_monotonicity():
     circuit = build_shor("control")
     fidelities = []
     for t1 in (200.0, 400.0, 800.0, 1600.0):
-        run = run_circuit(circuit, mode="noisy_density", noise=damping_only(t1))
+        run = run_circuit(circuit, noise=damping_only(t1))
         register = partial_trace(run.final, {0})
         fidelities.append(register.elements[0, 0].real)
     assert all(0.8 < f < 1.0 for f in fidelities)
@@ -198,8 +198,7 @@ def test_control_circuit_fidelity_window_and_monotonicity():
 def test_noisy_run_converges_to_ideal():
     circuit = build_shor("three_qubit")
     big = 1e9
-    noisy = run_circuit(circuit, mode="noisy_density",
-                        noise=NoiseParams(t1=(big,) * 3, t_phi=(big,) * 3))
+    noisy = run_circuit(circuit, noise=NoiseParams(t1=(big,) * 3, t_phi=(big,) * 3))
     ideal = run_circuit(circuit).final.density_matrix()
     assert trace_distance(noisy.final, ideal) <= 1e-6
 
@@ -208,8 +207,7 @@ def test_noisy_shor_success_probability_bounded_and_monotone():
     circuit = build_shor("three_qubit")
     successes = []
     for t1 in (200.0, 400.0, 800.0, 1600.0):
-        run = run_circuit(circuit, mode="noisy_density",
-                          noise=NoiseParams(t1=(t1,) * 3, t_phi=(200.0,) * 3))
+        run = run_circuit(circuit, noise=NoiseParams(t1=(t1,) * 3, t_phi=(200.0,) * 3))
         dist = output_distribution(run.final, circuit.output_bits)
         successes.append(dist[0b10])
     assert all(s <= 0.5 + 1e-12 for s in successes)

@@ -25,7 +25,6 @@ from qproc_sim.tomography import (
     GaugeFidelity,
     _linear_inversion,
     _setting_unitaries,
-    MeasurementSetting,
     TomographyRecord,
     all_settings,
     bell_phi_plus,
@@ -87,26 +86,26 @@ def psi3_state():
 def test_settings_enumeration():
     settings = all_settings(2)
     assert len(settings) == 9
-    assert settings[0] == MeasurementSetting(("I", "I"))
+    assert settings[0] == ("I", "I")
+    assert settings[1] == ("I", "X_half")  # the last qubit's rotation varies fastest
     assert len(set(settings)) == 9
-    with pytest.raises(ValueError):
-        MeasurementSetting(("Z_half",))
+    assert all_settings(1) == (("I",), ("X_half",), ("Y_half",))
 
 
 def test_ground_state_identity_setting_is_deterministic():
     record = simulate_tomography(qubit_ket("g"), (0,), shots_per_setting=500, seed=1)
-    assert record.counts[0] == {"0": 500, "1": 0}
+    assert record.counts[0].tolist() == [500, 0]
 
 
 def test_ground_state_equator_setting_is_balanced():
     probs = setting_probabilities(qubit_ket("g").density_matrix())[
-        all_settings(1).index(MeasurementSetting(("X_half",)))]
+        all_settings(1).index(("X_half",))]
     np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-12)
 
 
 def test_singlet_joint_equator_setting_anticorrelates():
     probs = setting_probabilities(bell_singlet().density_matrix())[
-        all_settings(2).index(MeasurementSetting(("X_half", "X_half")))]
+        all_settings(2).index(("X_half", "X_half"))]
     np.testing.assert_allclose(probs, [0.0, 0.5, 0.5, 0.0], atol=1e-12)
 
 
@@ -119,7 +118,7 @@ def test_tomography_determinism():
     state = w_state()
     a = simulate_tomography(state, (0, 1, 2), 200, seed=42)
     b = simulate_tomography(state, (0, 1, 2), 200, seed=42)
-    assert a.counts == b.counts
+    assert np.array_equal(a.counts, b.counts)
     assert a.to_dict() == b.to_dict()
 
 
@@ -142,7 +141,7 @@ ORACLE_ROTATIONS = {
 
 def kron_chain_unitary(setting):
     mat = np.eye(1, dtype=complex)
-    for r in setting.pre_rotations:
+    for r in setting:
         mat = np.kron(mat, ORACLE_ROTATIONS[r])
     return mat
 
@@ -164,9 +163,8 @@ def per_setting_counts(state, qubits, shots, seed):
     for setting, stream in zip(settings, streams):
         probs = per_setting_probabilities(rho, setting)
         probs = probs / probs.sum()
-        draws = np.random.default_rng(stream).multinomial(shots, probs)
-        counts.append({format(m, f"0{n}b"): int(c) for m, c in enumerate(draws)})
-    return tuple(counts)
+        counts.append(np.random.default_rng(stream).multinomial(shots, probs))
+    return np.array(counts)
 
 
 def assert_matches_per_setting_oracle(rho):
@@ -229,19 +227,20 @@ def test_batched_forward_model_matches_oracle_on_named_states(name):
     assert_matches_per_setting_oracle(rho)
     for seed in (3, 11):
         record = simulate_tomography(state, range(state.layout.n_factors), 100, seed)
-        assert record.counts == per_setting_counts(state, range(state.layout.n_factors), 100, seed)
+        assert np.array_equal(record.counts,
+                              per_setting_counts(state, range(state.layout.n_factors), 100, seed))
 
 
 @pytest.mark.parametrize("variant", ["three_qubit", "four_qubit", "control"])
 def test_batched_counts_match_oracle_on_noisy_shor_registers(variant):
     circuit = build_shor(variant)
-    _, run = factor_fifteen(variant, 100, 5, "noisy_density", NoiseParams.default(circuit.n_qubits))
+    _, run = factor_fifteen(circuit, 100, 5, NoiseParams.default(circuit.n_qubits))
     registers = [(state, circuit.analysis_qubits) for state in run.breakpoint_states.values()]
     registers.append((run.final, (circuit.analysis_qubits[0],)))
     for k, (state, qubits) in enumerate(registers):
         assert_matches_per_setting_oracle(register_density_matrix(state, qubits))
         record = simulate_tomography(state, qubits, 1000, 7 + k)
-        assert record.counts == per_setting_counts(state, qubits, 1000, 7 + k)
+        assert np.array_equal(record.counts, per_setting_counts(state, qubits, 1000, 7 + k))
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +250,7 @@ def test_batched_counts_match_oracle_on_noisy_shor_registers(variant):
 def test_exact_probability_roundtrip_random_states():
     for n in (1, 2, 3):
         state = random_pure(n)
-        rho = state.density_matrix()
-        settings = all_settings(n)
-        freqs = [setting_probabilities(rho)[all_settings(n).index(s)] for s in settings]
-        rho_hat = reconstruct_from_frequencies(settings, freqs, n)
+        rho_hat = reconstruct_from_frequencies(setting_probabilities(state.density_matrix()))
         assert state_fidelity(rho_hat, state) >= 0.999
 
 
@@ -275,34 +271,81 @@ def test_maximally_mixed_reconstruction_converges():
     assert trace_distance(rho_hat.elements, np.eye(2) / 2) <= 0.02
 
 
-def test_reconstruct_rejects_missing_settings():
-    state = qubit_ket("g")
-    record = simulate_tomography(state, (0,), 100, seed=0)
-    crippled = TomographyRecord(
-        qubits=record.qubits,
-        settings=record.settings[:2],
-        shots_per_setting=record.shots_per_setting,
-        seed=record.seed,
-        counts=record.counts[:2],
-    )
+def test_reconstruct_from_frequencies_rejects_wrong_shape():
+    freqs = setting_probabilities(bell_singlet().density_matrix())
+    for bad in (freqs[:8], freqs.reshape(6, 6), freqs.ravel()):
+        with pytest.raises(ValueError):
+            reconstruct_from_frequencies(bad)
+
+
+def ground_record(counts):
+    return TomographyRecord(qubits=(0,), shots_per_setting=100, seed=0, counts=counts)
+
+
+@pytest.mark.parametrize("counts", [
+    [[100, 0], [50, 50]],
+    [[100, 0], [50, 50], [50, 50], [100, 0]],
+    [[100, 0, 0], [50, 50, 0], [50, 50, 0]],
+    [100, 0, 50, 50, 50, 50],
+], ids=["missing_setting", "extra_setting", "extra_outcome", "flat"])
+def test_record_rejects_counts_of_wrong_shape(counts):
+    with pytest.raises(ValueError, match="shape"):
+        ground_record(counts)
+
+
+@pytest.mark.parametrize("counts", [
+    [[100, 0], [50, 49], [50, 50]],
+    [[100, 1], [50, 50], [50, 50]],
+    [[101, -1], [50, 50], [50, 50]],
+    [[100.0, 0.0], [50.0, 50.0], [50.0, 50.0]],
+], ids=["short_row", "long_row", "negative", "float"])
+def test_record_rejects_rows_that_are_not_shot_histograms(counts):
+    assert ground_record([[100, 0], [50, 50], [50, 50]]).counts.dtype == np.int64
     with pytest.raises(ValueError):
-        reconstruct(crippled)
+        ground_record(counts)
 
 
-def test_reconstruct_rejects_duplicate_settings():
-    record = simulate_tomography(qubit_ket("g"), (0,), 100, seed=0)
-    doubled = TomographyRecord(
-        qubits=record.qubits,
-        settings=record.settings + record.settings[:1],
-        shots_per_setting=record.shots_per_setting,
-        seed=record.seed,
-        counts=record.counts + record.counts[:1],
-    )
+def ground_doc():
+    return simulate_tomography(qubit_ket("g"), (0,), 100, seed=0).to_dict()
+
+
+def _permuted(doc):
+    doc["settings"].reverse()
+
+
+def _duplicated(doc):
+    doc["settings"][2] = doc["settings"][0]
+
+
+def _missing_setting(doc):
+    del doc["settings"][-1], doc["counts"][-1]
+
+
+def _extra_label(doc):
+    doc["counts"][0]["11"] = 0
+
+
+def _missing_label(doc):
+    del doc["counts"][0]["1"]
+
+
+def _fractional_count(doc):
+    doc["counts"][1]["0"] += 0.5
+    doc["counts"][1]["1"] -= 0.5
+
+
+@pytest.mark.parametrize("corrupt", [_permuted, _duplicated, _missing_setting, _extra_label,
+                                     _missing_label, _fractional_count],
+                         ids=lambda fn: fn.__name__.strip("_"))
+def test_from_dict_rejects_non_canonical_documents(corrupt):
+    doc = ground_doc()
+    TomographyRecord.from_dict(doc)  # the canonical document parses
+    corrupt(doc)
     with pytest.raises(ValueError):
-        reconstruct(doubled)
+        TomographyRecord.from_dict(doc)
 
 
-def pauli_string_inversion(settings, frequencies, n):
+def pauli_string_inversion(frequencies, n):
     """Reference estimator: one Kronecker product per Pauli string, each
     expectation averaged over every setting whose rotations read it."""
     letter_to_rotation = {"Z": ("I", 1.0), "Y": ("X_half", 1.0), "X": ("Y_half", -1.0)}
@@ -316,8 +359,8 @@ def pauli_string_inversion(settings, frequencies, n):
         parity = (-1.0) ** bits[:, support].sum(axis=1)
         estimates = [
             float(parity @ freq)
-            for setting, freq in zip(settings, frequencies)
-            if all(setting.pre_rotations[q] == letter_to_rotation[letters[q]][0] for q in support)
+            for setting, freq in zip(all_settings(n), frequencies, strict=True)
+            if all(setting[q] == letter_to_rotation[letters[q]][0] for q in support)
         ]
         pauli = np.eye(1)
         for letter in letters:
@@ -328,12 +371,11 @@ def pauli_string_inversion(settings, frequencies, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_linear_inversion_matches_pauli_string_oracle(n):
-    # random, unphysical frequency tables, settings in shuffled list order
-    settings = list(all_settings(n))
-    RNG.shuffle(settings)
-    freqs = [f / f.sum() for f in RNG.uniform(size=(len(settings), 2 ** n))]
-    expected = pauli_string_inversion(settings, freqs, n)
-    assert np.max(np.abs(_linear_inversion(settings, freqs, n) - expected)) <= 1e-12
+    # random, unphysical frequency tables
+    freqs = RNG.uniform(size=(3 ** n, 2 ** n))
+    freqs /= freqs.sum(axis=1, keepdims=True)
+    expected = pauli_string_inversion(freqs, n)
+    assert np.max(np.abs(_linear_inversion(freqs, n) - expected)) <= 1e-12
 
 
 def test_record_json_roundtrip():
@@ -342,9 +384,36 @@ def test_record_json_roundtrip():
     record.metrics = {"fidelity": state_fidelity(record.rho_hat, bell_singlet())}
     doc = json.loads(json.dumps(record.to_dict()))
     again = TomographyRecord.from_dict(doc)
-    assert again.counts == record.counts
+    assert np.array_equal(again.counts, record.counts)
     assert again.metrics == pytest.approx(record.metrics)
     np.testing.assert_allclose(again.rho_hat.elements, record.rho_hat.elements, atol=1e-12)
+
+
+@st.composite
+def tomography_records(draw):
+    """Records on 1..4 qubits with random histograms, some with a reconstruction."""
+    n = draw(st.integers(1, 4))
+    shots = draw(st.integers(1, 1000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    record = TomographyRecord(
+        qubits=sorted(draw(st.sets(st.integers(0, 5), min_size=n, max_size=n))),
+        shots_per_setting=shots,
+        seed=draw(st.integers(0, 2 ** 63 - 1)),
+        counts=rng.multinomial(shots, rng.dirichlet(np.ones(2 ** n)), size=3 ** n),
+    )
+    if draw(st.booleans()):
+        record.rho_hat = reconstruct(record)
+        record.metrics = {"max_abs_imag": max_abs_imag(record.rho_hat)}
+    return record
+
+
+@hypothesis_settings(derandomize=True, deadline=None, max_examples=40)
+@given(record=tomography_records())
+def test_record_json_roundtrip_is_exact(record):
+    again = TomographyRecord.from_dict(json.loads(json.dumps(record.to_dict())))
+    assert again.counts.dtype == np.int64
+    assert np.array_equal(again.counts, record.counts)
+    assert again.to_dict() == record.to_dict()
 
 
 # ---------------------------------------------------------------------------
