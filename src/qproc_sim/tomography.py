@@ -112,8 +112,18 @@ class TomographyRecord:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TomographyRecord":
-        """Parse a ``to_dict`` document; any other settings order or outcome label set
-        raises ValueError."""
+        """Parse a ``to_dict`` document; a missing key, a string or bool number, a repeated
+        qubit, or any other settings order or outcome label set raises ValueError."""
+        missing = [key for key in ("qubits", "settings", "shots_per_setting", "seed", "counts")
+                   if key not in doc]
+        if missing:
+            raise ValueError(f"tomography record lacks key(s) {missing}")
+        for key, values in [("shots_per_setting", [doc["shots_per_setting"]]),
+                            ("seed", [doc["seed"]]), ("qubits", doc["qubits"])]:
+            if any(type(v) is not int for v in values):  # not isinstance: JSON true is an int
+                raise ValueError(f"{key} must hold integers, got {doc[key]!r}")
+        if len(set(doc["qubits"])) != len(doc["qubits"]):
+            raise ValueError(f"qubits must be distinct, got {doc['qubits']}")
         n = len(doc["qubits"])
         if [tuple(s) for s in doc["settings"]] != list(all_settings(n)):
             raise ValueError(f"settings must be the 3^{n} product settings in all_settings order")
@@ -126,8 +136,8 @@ class TomographyRecord:
             rho = DensityMatrix(SpaceLayout.qubits(n), mat)
         return cls(
             qubits=tuple(doc["qubits"]),
-            shots_per_setting=int(doc["shots_per_setting"]),
-            seed=int(doc["seed"]),
+            shots_per_setting=doc["shots_per_setting"],
+            seed=doc["seed"],
             counts=[[c[label] for label in labels] for c in doc["counts"]],
             rho_hat=rho,
             metrics=dict(doc.get("metrics", {})),

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,15 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qproc_sim.dynamics import ConfigError, DeviceConfig
+from qproc_sim.dynamics import ConfigError, DeviceConfig, swap_spectroscopy
 from qproc_sim.harness import (
     _OPTION_DEFAULTS,
+    CSV_BLOCK_ROWS,
     EXPERIMENTS,
     MAX_CSV_ROWS,
     MAX_QST_QUBITS,
     ExperimentSpec,
     _check_options,
     _csv_text,
+    _spectroscopy_grids,
     build_parser,
     default_config_path,
     load_device_document,
@@ -487,6 +490,43 @@ def test_column_writer_matches_row_writer(tmp_path_factory, data):
     (out / "columns.csv").write_text(_csv_text(["n", "x", "y"], columns))
     row_write_csv(out / "rows.csv", ["n", "x", "y"], list(zip(*columns)))
     assert (out / "columns.csv").read_bytes() == (out / "rows.csv").read_bytes()
+
+
+B = CSV_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+def test_block_writer_matches_row_writer_across_blocks(tmp_path, n_rows):
+    rows = np.arange(n_rows)
+    # the pool's 7-row cycle does not divide a block, so each block starts at another pool
+    # value, and both sides of a boundary between full blocks hold every pool value,
+    # 0.0/-0.0, nan and inf included
+    pool = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 0.1, 6.25])
+    ints = rows % 5 - 2
+    x = pool[rows % 7]
+    # distinct per row except every third, so each block has its own set of values
+    y = np.where(rows % 3 == 0, pool[(rows // 3) % 7], rows * 0.1)
+    columns = [ints, x, y]
+    (tmp_path / "columns.csv").write_text(_csv_text(["n", "x", "y"], columns))
+    row_write_csv(tmp_path / "rows.csv", ["n", "x", "y"], list(zip(*columns)))
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_chevron_csv_peak_memory_is_a_small_multiple_of_its_text():
+    spec = ExperimentSpec("spectroscopy", {"qubit": 1})
+    freqs, taus = _spectroscopy_grids(spec)
+    grid = swap_spectroscopy(DeviceConfig.default(), 0, freqs, taus)
+    f_col, tau_col = np.meshgrid(freqs, taus, indexing="ij")
+    columns = [f_col.ravel(), tau_col.ravel(), grid.ravel()]
+    tracemalloc.start()
+    try:
+        text = _csv_text(["freq_ghz", "tau_ns", "p_e"], columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(columns[0]) > 10 * CSV_BLOCK_ROWS
+    # one block of cell strings at a time reads 2.3x; every cell string of the map at once, 9.1x
+    assert peak < 3 * len(text)
 
 
 def test_readers_match_row_readers(tmp_path):

@@ -334,8 +334,31 @@ def _fractional_count(doc):
     doc["counts"][1]["1"] -= 0.5
 
 
+def _missing_seed(doc):
+    del doc["seed"]
+
+
+def _string_shots(doc):
+    doc["shots_per_setting"] = str(doc["shots_per_setting"])
+
+
+def _boolean_seed(doc):
+    doc["seed"] = True
+
+
+def _string_qubit(doc):
+    doc["qubits"] = ["0"]
+
+
+def _duplicate_qubits(doc):
+    # a 2-qubit document, its settings and histograms intact, naming one qubit twice
+    doc.update(simulate_tomography(bell_singlet(), (0, 1), 100, seed=0).to_dict(), qubits=[0, 0])
+
+
 @pytest.mark.parametrize("corrupt", [_permuted, _duplicated, _missing_setting, _extra_label,
-                                     _missing_label, _fractional_count],
+                                     _missing_label, _fractional_count, _missing_seed,
+                                     _string_shots, _boolean_seed, _string_qubit,
+                                     _duplicate_qubits],
                          ids=lambda fn: fn.__name__.strip("_"))
 def test_from_dict_rejects_non_canonical_documents(corrupt):
     doc = ground_doc()
