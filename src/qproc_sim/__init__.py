@@ -15,14 +15,9 @@ from .circuits import (
 )
 from .dynamics import (
     DeviceConfig,
-    FrequencySchedule,
     OccupationTrace,
-    Segment,
-    build_jc_hamiltonian,
     fit_oscillation_frequency,
     prepare_shared_excitation,
-    propagate,
-    pump_fock,
     simultaneous_resonance,
     swap_spectroscopy,
 )
@@ -54,17 +49,14 @@ __all__ = [
     "DensityMatrix",
     "DeviceConfig",
     "FactoringResult",
-    "FrequencySchedule",
     "Gate",
     "NoiseParams",
     "OccupationTrace",
     "QuantumOperator",
     "QuantumState",
-    "Segment",
     "SpaceLayout",
     "TomographyRecord",
     "apply_noise_step",
-    "build_jc_hamiltonian",
     "build_shor",
     "classical_factors",
     "concurrence_eof",
@@ -79,8 +71,6 @@ __all__ = [
     "partial_trace",
     "phase_gauged_fidelity",
     "prepare_shared_excitation",
-    "propagate",
-    "pump_fock",
     "reconstruct",
     "run_circuit",
     "sample_output",

@@ -304,16 +304,35 @@ class FactoringResult:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FactoringResult":
-        factors = doc["factors"]
-        return cls(
-            composite_n=int(doc["composite_N"]),
-            coprime_a=int(doc["coprime_a"]),
-            shots=int(doc["shots"]),
-            output_counts={k: int(v) for k, v in doc["output_counts"].items()},
-            period_r=int(doc["period_r"]),
-            factors=None if factors is None else (int(factors[0]), int(factors[1])),
-            success_probability=float(doc["success_probability"]),
-        )
+        """Parse a ``to_dict`` document. A missing or unknown key, a number that is not a
+        non-negative JSON integer, outcome labels other than the 2^w strings of one width,
+        or a period, factors or success probability that the counts do not give raises
+        ValueError naming the key."""
+        keys = {"composite_N", "coprime_a", "shots", "output_counts", "period_r", "factors",
+                "success_probability"}
+        if set(doc) != keys:
+            raise ValueError(f"factoring result lacks key(s) {sorted(keys - set(doc))} "
+                             f"or has unknown key(s) {sorted(set(doc) - keys)}")
+        counts = doc["output_counts"]
+        width = len(next(iter(counts), "")) if isinstance(counts, dict) else 0
+        if (width == 0 or len(counts) != 2 ** width
+                or sorted(counts) != [format(m, f"0{width}b") for m in range(2 ** width)]):
+            raise ValueError(f"output_counts must hold exactly the 2^w outcome strings of one "
+                             f"width w, got {counts!r}")
+        numbers = {key: [doc[key]] for key in ("composite_N", "coprime_a", "shots", "period_r")}
+        numbers["output_counts"] = counts.values()
+        for key, values in numbers.items():
+            if any(type(v) is not int or v < 0 for v in values):  # JSON true is an int too
+                raise ValueError(f"{key} must hold non-negative integers, got {doc[key]!r}")
+        period, factors, success = analyze_output_counts(counts, doc["coprime_a"],
+                                                         doc["composite_N"])
+        derived = {"period_r": period, "factors": list(factors) if factors else None,
+                   "success_probability": success}
+        for key, value in derived.items():
+            if repr(doc[key]) != repr(value):  # repr tells 2 from 2.0 and from true
+                raise ValueError(f"{key} is {doc[key]!r}, but the output counts give {value!r}")
+        return cls(doc["composite_N"], doc["coprime_a"], doc["shots"], dict(counts), period,
+                   factors, success)
 
 
 def analyze_output_counts(counts: dict[str, int], a: int, N: int) -> tuple[int, tuple | None, float]:

@@ -10,11 +10,11 @@ Conventions (fixed across the package):
 * The frame rotates at the resonator frequency, so only detunings
   ``Δ_i = f_i - f_res`` enter the Hamiltonian.
 * Qubits not listed as active in a protocol are treated as exactly decoupled
-  (the far-detuned "coupling off" regime, idealized). :func:`propagate` keeps
-  full detuned dynamics of every listed qubit coupled to the bus, for pure
-  states; :func:`swap_spectroscopy`, :func:`simultaneous_resonance` and
-  :func:`prepare_shared_excitation` are exact in their one-excitation block,
-  with the full space as test oracle.
+  (the far-detuned "coupling off" regime, idealized). The exchange Hamiltonian
+  H = Σ_i Δ_i σ⁺_i σ⁻_i + Σ_i (g_i/2)(a† σ⁻_i + a σ⁺_i) conserves excitation
+  number, so :func:`swap_spectroscopy`, :func:`simultaneous_resonance` and
+  :func:`prepare_shared_excitation` are exact in their one-excitation block;
+  the tests check them against the full Fock-truncated space.
 * Qubit indices are 0-based and never wrap: -1 or ``n_qubits`` is a
   ``ValueError``, not the last qubit.
 """
@@ -27,23 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import (
-    InvariantError,
-    NORM_TOL,
-    QuantumOperator,
-    QuantumState,
-    SIGMA_MINUS,
-    SIGMA_X,
-    SpaceLayout,
-    apply_local,
-    basis_ket,
-    destroy,
-    permute_factors,
-    qubit,
-    qubit_ket,
-    resonator,
-    tensor_product,
-)
+from .hilbert import InvariantError, NORM_TOL, QuantumState, SpaceLayout
 
 MHZ = 1e-3  # MHz -> GHz
 
@@ -52,10 +36,6 @@ OPERATING_HALF_RANGE_GHZ = 1.0
 
 # idle points must sit at least this many max-couplings away from the bus
 COUPLING_OFF_FACTOR = 5.0
-
-# trace samples evaluated per matrix product; bounds every per-sample array
-# to dim x SAMPLE_BLOCK, so a long trace does not raise peak memory
-SAMPLE_BLOCK = 128
 
 
 class ConfigError(ValueError):
@@ -165,123 +145,39 @@ class DeviceConfig:
         return self.g_mem[self.check_qubit(i)] * MHZ
 
 
-def device_layout(config: DeviceConfig, qubits: Sequence[int], n_resonators: int = 1) -> SpaceLayout:
-    """Layout for the given qubits (ascending significance order) plus resonators."""
-    factors = tuple(qubit() for _ in qubits) + tuple(
-        resonator(config.n_max) for _ in range(n_resonators))
-    return SpaceLayout(factors)
-
-
 # ---------------------------------------------------------------------------
-# schedules and traces
+# occupation traces
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Segment:
-    """Piecewise-constant control segment.
-
-    ``pulses`` lists active-qubit positions that receive an ideal X gate at
-    the segment start (instantaneous π-pulse).
-    """
-
-    duration: float
-    qubit_freqs: tuple[float, ...]
-    pulses: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "qubit_freqs", tuple(float(f) for f in self.qubit_freqs))
-        object.__setattr__(self, "pulses", tuple(self.pulses))
-        if self.duration < 0:
-            raise ValueError(f"segment duration must be >= 0, got {self.duration}")
-
-
-@dataclass(frozen=True)
-class FrequencySchedule:
-    segments: tuple[Segment, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
-
 
 @dataclass(frozen=True)
 class OccupationTrace:
-    """Sampled occupation probabilities along a schedule.
+    """Sampled occupation probabilities along a time sweep.
 
     ``p_qubit[k]`` is the excited-state probability of ``qubit_ids[k]``;
-    ``p_bus`` is the probability of exactly one photon in the resonator;
-    ``p_vacuum`` the probability of the global ground state.
+    ``p_bus`` is the probability of exactly one photon in the resonator.
     """
 
     times: np.ndarray
     qubit_ids: tuple[int, ...]
     p_qubit: np.ndarray
     p_bus: np.ndarray
-    p_vacuum: np.ndarray
 
     def __post_init__(self):
-        for name in ("times", "p_qubit", "p_bus", "p_vacuum"):
+        for name in ("times", "p_qubit", "p_bus"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        probs = np.concatenate([self.p_qubit.ravel(), self.p_bus, self.p_vacuum])
+        probs = np.concatenate([self.p_qubit.ravel(), self.p_bus])
         if probs.size and (probs.min() < -1e-9 or probs.max() > 1 + 1e-9):
             raise InvariantError("occupation probabilities leave [0, 1] beyond 1e-9")
-
-
-# ---------------------------------------------------------------------------
-# Hamiltonians
-# ---------------------------------------------------------------------------
-
-def build_jc_hamiltonian(
-    config: DeviceConfig,
-    qubit_freqs: Sequence[float],
-    qubits: Sequence[int] | None = None,
-) -> QuantumOperator:
-    """Rotating-frame Hamiltonian for ``qubits`` coupled to the bus.
-
-    H = Σ_i Δ_i σ⁺_i σ⁻_i + Σ_i (g_i/2)(a† σ⁻_i + a σ⁺_i),  Δ_i = f_i - f_bus,
-
-    in GHz, over the layout [qubits..., bus], with g_i the bus coupling.
-    Commutes with the total excitation number.
-    """
-    if qubits is None:
-        qubits = tuple(range(config.n_qubits))
-    qubits = tuple(qubits)
-    if len(qubit_freqs) != len(qubits):
-        raise ValueError(f"need one frequency per active qubit ({len(qubits)})")
-    layout = device_layout(config, qubits)
-    dims = layout.dims
-    eye = np.eye(layout.total_dim, dtype=complex)
-    res_pos = len(qubits)
-    exchange_op = np.kron(SIGMA_MINUS, destroy(config.n_max + 1).conj().T)  # σ⁻ a†
-    n_e = np.diag([0.0, 1.0]).astype(complex)
-
-    H = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-    for pos, q in enumerate(qubits):
-        delta = float(qubit_freqs[pos]) - config.f_bus
-        if delta != 0.0:
-            H += delta * apply_local(n_e, eye, dims, (pos,))
-        half_g = config.g_bus_ghz(q) / 2
-        exchange = apply_local(exchange_op, eye, dims, (pos, res_pos))
-        H += half_g * (exchange + exchange.conj().T)
-    return QuantumOperator(layout, H, hermitian=True)
 
 
 # ---------------------------------------------------------------------------
 # propagation
 # ---------------------------------------------------------------------------
 
-def _occupations(probs: np.ndarray, n_qubits: int, res_dim: int):
-    """(p_qubit, p_bus, p_vacuum) from basis-state probabilities, one column per sample."""
-    table = np.clip(probs, 0.0, None).reshape((2,) * n_qubits + (res_dim, -1))
-    qubit_axes = tuple(range(n_qubits))
-    p_q = np.array([table.sum(axis=tuple(a for a in range(n_qubits + 1) if a != j))[1]
-                    for j in qubit_axes]).reshape(n_qubits, -1)
-    return p_q, table[..., 1, :].sum(axis=qubit_axes), table[(0,) * (n_qubits + 1)]
-
-
 def _sample_times(duration: float, sample_dt: float) -> np.ndarray:
-    """Sample offsets within a segment: whole ``sample_dt`` steps plus the exact end."""
+    """Sample offsets within a sweep of ``duration``: whole ``sample_dt`` steps plus the exact end."""
     if sample_dt <= 0 or duration < 0:
         raise ValueError(f"need sample_dt > 0 and duration >= 0 (got {sample_dt}, {duration})")
     n_steps = int(math.floor(duration / sample_dt + 1e-12))
@@ -309,95 +205,9 @@ def _sample_amplitudes(vecs, rotated, coeffs, dts) -> np.ndarray:
     return amps
 
 
-def propagate(
-    state,
-    schedule: FrequencySchedule,
-    config: DeviceConfig,
-    sample_dt: float,
-    qubits: Sequence[int] | None = None,
-) -> tuple[OccupationTrace, QuantumState]:
-    """Evolve a pure state of ``qubits`` and the bus through a piecewise-constant
-    frequency schedule.
-
-    Each segment is applied exactly (one spectral decomposition per segment),
-    with occupation samples every ``sample_dt`` plus the exact segment end; a
-    segment shorter than ``sample_dt`` contributes a single sample. π-pulse
-    events fire at the segment start. Returns ``(trace, final_state)``.
-    """
-    if not isinstance(state, QuantumState):
-        raise ValueError(f"propagate evolves pure states only, got {type(state).__name__}")
-    if sample_dt <= 0:
-        raise ValueError("sample_dt must be > 0")
-    if qubits is None:
-        qubits = tuple(range(config.n_qubits))
-    qubits = tuple(qubits)
-    expected = device_layout(config, qubits)
-    if state.layout.dims != expected.dims:
-        raise ValueError(f"state layout {state.layout.dims} does not match {expected.dims}")
-
-    for seg in schedule.segments:
-        if len(seg.qubit_freqs) != len(qubits):
-            raise ValueError("segment must carry one frequency per active qubit")
-        _check_qubits(config, qubits, seg.qubit_freqs)
-
-    samples = []  # (times, p_qubit, p_bus, p_vacuum), one entry per block of samples
-
-    def record(times, probs):
-        samples.append((times, *_occupations(probs, len(qubits), config.n_max + 1)))
-
-    layout, dims = state.layout, state.layout.dims
-    current = state
-    t0 = 0.0
-    for k, seg in enumerate(schedule.segments):
-        for pos in seg.pulses:
-            current = QuantumState(layout, apply_local(SIGMA_X, current.amplitudes, dims, (pos,)))
-        if k == 0:
-            record(np.zeros(1), current.probabilities()[:, None])
-        H = build_jc_hamiltonian(config, seg.qubit_freqs, qubits)
-        evals, vecs = np.linalg.eigh(H.elements)
-        rotated = -2j * np.pi * evals
-        coeffs = vecs.conj().T @ current.amplitudes
-        dts = _sample_times(seg.duration, sample_dt)
-        for start in range(0, dts.size, SAMPLE_BLOCK):
-            block = dts[start:start + SAMPLE_BLOCK]
-            record(t0 + block, np.abs(_sample_amplitudes(vecs, rotated, coeffs, block)) ** 2)
-        current = QuantumState(layout, vecs @ (np.exp(rotated * seg.duration) * coeffs))
-        t0 += seg.duration
-    if not schedule.segments:
-        record(np.zeros(1), current.probabilities()[:, None])
-
-    times, p_q, p_bus, p_vac = (np.concatenate(parts, axis=-1) for parts in zip(*samples))
-    trace = OccupationTrace(times=times, qubit_ids=qubits, p_qubit=np.clip(p_q, 0.0, 1.0),
-                            p_bus=np.clip(p_bus, 0.0, 1.0), p_vacuum=np.clip(p_vac, 0.0, 1.0))
-    return trace, current
-
-
 # ---------------------------------------------------------------------------
 # protocols
 # ---------------------------------------------------------------------------
-
-def pump_fock(config: DeviceConfig, swap_duration: float | None = None) -> QuantumState:
-    """Pump the bus into the n=1 Fock state through qubit 0.
-
-    π-pulse on Q1 at idle, then a resonant segment of duration 1/(2 g_1)
-    (overridable for partial-swap studies). All other qubits stay decoupled at
-    idle. Returns the full-device state on [Q1..Qn, bus].
-    """
-    g1 = config.g_bus_ghz(0)
-    duration = 1.0 / (2 * g1) if swap_duration is None else swap_duration
-    layout = device_layout(config, (0,))
-    start = basis_ket(layout, 0)
-    schedule = FrequencySchedule((
-        Segment(duration=duration, qubit_freqs=(config.f_bus,), pulses=(0,)),
-    ))
-    _, pumped = propagate(start, schedule, config, sample_dt=max(duration, 1.0), qubits=(0,))
-
-    spectators = [qubit_ket("g") for _ in range(config.n_qubits - 1)]
-    full = tensor_product([pumped] + spectators) if spectators else pumped
-    # [Q1, bus, Q2..Qn] -> [Q1..Qn, bus]
-    order = [0] + list(range(2, config.n_qubits + 1)) + [1]
-    return permute_factors(full, order)
-
 
 def mean_coupling(config: DeviceConfig, participants: Sequence[int]) -> float:
     """Root-mean-square bus coupling over the participants, in GHz."""
@@ -414,7 +224,7 @@ def _collective_amplitudes(config: DeviceConfig, participants: tuple[int, ...],
                            times: np.ndarray) -> np.ndarray:
     """Amplitudes over {|g…g,1>, |e_k,0>} at each time (one column per time) after tuning the
     checked participants onto a bus holding one photon. Exact: this is the one-excitation block
-    of :func:`build_jc_hamiltonian`, H[0, k] = g_k/2, diagonal (detuning from the bus) zero."""
+    of the exchange Hamiltonian, H[0, k] = g_k/2, diagonal (detuning from the bus) zero."""
     H = np.zeros((len(participants) + 1,) * 2)
     H[0, 1:] = H[1:, 0] = [config.g_bus_ghz(q) / 2 for q in participants]
     evals, vecs = np.linalg.eigh(H)
@@ -439,7 +249,7 @@ def simultaneous_resonance(
     times = np.concatenate(([0.0], _sample_times(dtau_max, sample_dt)))
     probs = np.clip(np.abs(_collective_amplitudes(config, participants, times)) ** 2, 0.0, 1.0)
     return OccupationTrace(times=times, qubit_ids=participants, p_qubit=probs[1:],
-                           p_bus=probs[0], p_vacuum=np.zeros(times.size))
+                           p_bus=probs[0])
 
 
 def prepare_shared_excitation(config: DeviceConfig, participants: Sequence[int]) -> QuantumState:
@@ -460,7 +270,8 @@ def prepare_shared_excitation(config: DeviceConfig, participants: Sequence[int])
         raise InvariantError(f"resonator not in vacuum at stop time (weight {abs(amps[0]) ** 2})")
     n = len(participants)
     register = np.zeros(2 ** n, dtype=complex)
-    # qubit k is bit n-1-k; pump_fock's iSWAP leaves the photon as -i|g…g,1>
+    # qubit k is bit n-1-k; the photon is taken as pumped from Q1 by a resonant iSWAP,
+    # which leaves it as -i|g…g,1>
     register[1 << (n - 1 - np.arange(n))] = -1j * amps[1:]
     return QuantumState(SpaceLayout.qubits(n), register / np.linalg.norm(register))
 

@@ -112,16 +112,19 @@ class TomographyRecord:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TomographyRecord":
-        """Parse a ``to_dict`` document; a missing key, a string or bool number, a repeated
-        qubit, or any other settings order or outcome label set raises ValueError."""
-        missing = [key for key in ("qubits", "settings", "shots_per_setting", "seed", "counts")
-                   if key not in doc]
-        if missing:
-            raise ValueError(f"tomography record lacks key(s) {missing}")
+        """Parse a ``to_dict`` document; a missing or unknown key, a number that is not a
+        non-negative JSON integer, a repeated qubit, or any other settings order or outcome
+        label set raises ValueError."""
+        required = ("qubits", "settings", "shots_per_setting", "seed", "counts")
+        missing = [key for key in required if key not in doc]
+        unknown = sorted(set(doc) - set(required) - {"rho_hat", "metrics"})
+        if missing or unknown:
+            raise ValueError(f"tomography record lacks key(s) {missing} "
+                             f"or has unknown key(s) {unknown}")
         for key, values in [("shots_per_setting", [doc["shots_per_setting"]]),
                             ("seed", [doc["seed"]]), ("qubits", doc["qubits"])]:
-            if any(type(v) is not int for v in values):  # not isinstance: JSON true is an int
-                raise ValueError(f"{key} must hold integers, got {doc[key]!r}")
+            if any(type(v) is not int or v < 0 for v in values):  # JSON true is an int too
+                raise ValueError(f"{key} must hold non-negative integers, got {doc[key]!r}")
         if len(set(doc["qubits"])) != len(doc["qubits"]):
             raise ValueError(f"qubits must be distinct, got {doc['qubits']}")
         n = len(doc["qubits"])
@@ -130,6 +133,9 @@ class TomographyRecord:
         labels = _outcome_labels(n)
         if any(sorted(c) != labels for c in doc["counts"]):
             raise ValueError(f"each histogram must hold exactly the outcomes {labels}")
+        counts = [[c[label] for label in labels] for c in doc["counts"]]
+        if set(map(type, itertools.chain.from_iterable(counts))) != {int}:  # not bool
+            raise ValueError("counts must hold JSON integers")
         rho = None
         if doc.get("rho_hat") is not None:
             mat = np.array([[complex(re, im) for re, im in row] for row in doc["rho_hat"]])
@@ -138,7 +144,7 @@ class TomographyRecord:
             qubits=tuple(doc["qubits"]),
             shots_per_setting=doc["shots_per_setting"],
             seed=doc["seed"],
-            counts=[[c[label] for label in labels] for c in doc["counts"]],
+            counts=counts,
             rho_hat=rho,
             metrics=dict(doc.get("metrics", {})),
         )

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+from fullspace import pump_fock
 from qproc_sim.circuits import (
     build_shor,
     classical_factors,
@@ -22,7 +23,6 @@ from qproc_sim.dynamics import (
     DeviceConfig,
     fit_oscillation_frequency,
     prepare_shared_excitation,
-    pump_fock,
     simultaneous_resonance,
     swap_spectroscopy,
 )
@@ -90,12 +90,18 @@ def test_criterion_02_iswap_timing():
     t0 = time.perf_counter()
     config = DeviceConfig.default()  # g1 = 55 MHz
     tau = 1.0 / (2 * config.g_bus_ghz(0))
+    # full-space oracle: Q1 -> bus
     state = pump_fock(config)
     table = state.probabilities().reshape(-1, config.n_max + 1)
     p_bus = float(table[:, 1].sum())
+    # shipped block solve: bus -> Q1
+    trace = simultaneous_resonance(config, (0,), tau, tau)
+    p_q1 = float(trace.p_qubit[0, -1])
     checks = [
         (abs(tau - 9.0909) < 0.01, f"tau={tau:.4f} ns"),
-        (p_bus >= 0.999, f"transfer={p_bus:.6f}"),
+        (p_bus >= 0.999, f"pump transfer={p_bus:.6f}"),
+        (trace.times[-1] == tau and p_q1 >= 0.999,
+         f"resonance transfer={p_q1:.6f} (bus left {trace.p_bus[-1]:.1e})"),
     ]
     _finish(2, 1.0, t0, checks)
 

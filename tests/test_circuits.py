@@ -398,6 +398,46 @@ def test_factoring_result_invariants():
         FactoringResult(15, 4, 8, {"00": 4, "10": 4}, 2, (2, 5), 0.5)
 
 
+def factoring_doc():
+    result, _ = factor_fifteen(build_shor("three_qubit"), shots=1000, seed=3)
+    return result.to_dict()
+
+
+def _string_shots(doc):
+    doc["shots"] = str(doc["shots"])
+
+
+def _missing_shots(doc):
+    del doc["shots"]
+
+
+def _unknown_label(doc):
+    doc["output_counts"]["zz"] = doc["output_counts"].pop("11")
+
+
+def _unknown_key(doc):
+    doc["mode"] = "ideal_pure"
+
+
+def _success_above_one(doc):
+    doc["success_probability"] = 2.0
+
+
+def _period_the_counts_do_not_give(doc):
+    doc["period_r"] = 3
+
+
+@pytest.mark.parametrize("corrupt", [_string_shots, _missing_shots, _unknown_label, _unknown_key,
+                                     _success_above_one, _period_the_counts_do_not_give],
+                         ids=lambda fn: fn.__name__.strip("_"))
+def test_factoring_result_from_dict_rejects_documents_its_writer_cannot_produce(corrupt):
+    doc = factoring_doc()
+    assert FactoringResult.from_dict(doc).to_dict() == doc  # the canonical document parses
+    corrupt(doc)
+    with pytest.raises(ValueError):
+        FactoringResult.from_dict(doc)
+
+
 def test_analyze_output_counts_prefers_frequent_valid_outcome():
     r, factors, success = analyze_output_counts({"00": 50, "10": 40, "01": 10}, a=4, N=15)
     assert (r, factors) == (2, (3, 5))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qproc_sim
 from qproc_sim.dynamics import ConfigError, DeviceConfig, swap_spectroscopy
 from qproc_sim.harness import (
     _OPTION_DEFAULTS,
@@ -30,6 +31,13 @@ from qproc_sim.harness import (
 )
 from qproc_sim.hilbert import InvariantError
 from qproc_sim.tomography import TomographyRecord
+
+
+def test_package_export_list_resolves():
+    assert [name for name in qproc_sim.__all__ if not hasattr(qproc_sim, name)] == []
+    namespace = {}
+    exec("from qproc_sim import *", namespace)
+    assert set(qproc_sim.__all__) <= set(namespace)
 
 
 def write_config(tmp_path, doc, name="device.json"):

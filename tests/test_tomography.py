@@ -350,6 +350,19 @@ def _string_qubit(doc):
     doc["qubits"] = ["0"]
 
 
+def _negative_seed(doc):
+    doc["seed"] = -1
+
+
+def _boolean_count(doc):
+    # sums to the shots: JSON true would otherwise be read as 1
+    doc["counts"][0] = {"0": doc["shots_per_setting"] - 1, "1": True}
+
+
+def _unknown_key(doc):
+    doc["shots"] = doc["shots_per_setting"]
+
+
 def _duplicate_qubits(doc):
     # a 2-qubit document, its settings and histograms intact, naming one qubit twice
     doc.update(simulate_tomography(bell_singlet(), (0, 1), 100, seed=0).to_dict(), qubits=[0, 0])
@@ -358,6 +371,7 @@ def _duplicate_qubits(doc):
 @pytest.mark.parametrize("corrupt", [_permuted, _duplicated, _missing_setting, _extra_label,
                                      _missing_label, _fractional_count, _missing_seed,
                                      _string_shots, _boolean_seed, _string_qubit,
+                                     _negative_seed, _boolean_count, _unknown_key,
                                      _duplicate_qubits],
                          ids=lambda fn: fn.__name__.strip("_"))
 def test_from_dict_rejects_non_canonical_documents(corrupt):
