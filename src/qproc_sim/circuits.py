@@ -305,9 +305,11 @@ class FactoringResult:
     @classmethod
     def from_dict(cls, doc: dict) -> "FactoringResult":
         """Parse a ``to_dict`` document. A missing or unknown key, a number that is not a
-        non-negative JSON integer, outcome labels other than the 2^w strings of one width,
-        or a period, factors or success probability that the counts do not give raises
-        ValueError naming the key."""
+        non-negative JSON integer, no shots, an (N, a) pair ``classical_factors`` refuses,
+        outcome labels other than the 2^w strings of one width, or a period, factors or
+        success probability that the counts do not give raises ValueError naming the key."""
+        if type(doc) is not dict:
+            raise ValueError(f"a factoring result must be a JSON object, got {doc!r}")
         keys = {"composite_N", "coprime_a", "shots", "output_counts", "period_r", "factors",
                 "success_probability"}
         if set(doc) != keys:
@@ -324,6 +326,12 @@ class FactoringResult:
         for key, values in numbers.items():
             if any(type(v) is not int or v < 0 for v in values):  # JSON true is an int too
                 raise ValueError(f"{key} must hold non-negative integers, got {doc[key]!r}")
+        if doc["shots"] < 1:
+            raise ValueError(f"shots must be >= 1, got {doc['shots']}")
+        try:
+            classical_factors(doc["coprime_a"], 0, doc["composite_N"])  # checks the pair only
+        except ValueError as exc:
+            raise ValueError(f"composite_N, coprime_a: {exc}") from None
         period, factors, success = analyze_output_counts(counts, doc["coprime_a"],
                                                          doc["composite_N"])
         derived = {"period_r": period, "factors": list(factors) if factors else None,

@@ -88,6 +88,10 @@ MAX_CSV_ROWS = 2_000_000
 MAX_QST_QUBITS = 7
 # rows of one CSV formatted together; the writer holds one block's cell strings
 CSV_BLOCK_ROWS = 4096
+# decimal places of the probability columns (P_e, P_B in [0, 1]): a decimal of at most 15
+# significant digits parses to a float in one exact operation, where the 17 of a full repr
+# take the slow correctly-rounded path; each value moves by at most 5.6e-16
+PROBABILITY_DECIMALS = 15
 
 # the option naming each experiment's 1-based qubit labels
 _LABEL_OPTIONS = {"spectroscopy": "qubit", "rabi_scaling": "qubits", "entangle": "participants"}
@@ -321,6 +325,7 @@ def _check_options(spec: ExperimentSpec, config: DeviceConfig) -> None:
 def _run_spectroscopy(spec: ExperimentSpec, config: DeviceConfig, noise) -> dict[str, str]:
     freqs, taus = _spectroscopy_grids(spec)
     grid = swap_spectroscopy(config, _qubit_labels(spec)[0] - 1, freqs, taus)
+    np.round(grid, PROBABILITY_DECIMALS, out=grid)  # in place: a rounded copy costs RSS
     f_col, tau_col = np.meshgrid(freqs, taus, indexing="ij")
     return {"spectroscopy.csv": _csv_text(["freq_ghz", "tau_ns", "p_e"],
                                           [f_col.ravel(), tau_col.ravel(), grid.ravel()])}
@@ -337,7 +342,8 @@ def _run_rabi_scaling(spec: ExperimentSpec, config: DeviceConfig, noise) -> dict
         participants = tuple(pool[:n])
         trace = simultaneous_resonance(config, participants, dtau_max, sample_dt)
         freq, err = fit_oscillation_frequency(trace.times, trace.p_bus)
-        traces.append((np.full(trace.times.size, n), trace.times, trace.p_bus))
+        traces.append((np.full(trace.times.size, n), trace.times,
+                       np.round(trace.p_bus, PROBABILITY_DECIMALS)))
         fits.append({
             "n": n,
             "participants": [q + 1 for q in participants],

@@ -112,15 +112,20 @@ class TomographyRecord:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TomographyRecord":
-        """Parse a ``to_dict`` document; a missing or unknown key, a number that is not a
-        non-negative JSON integer, a repeated qubit, or any other settings order or outcome
-        label set raises ValueError."""
+        """Parse a ``to_dict`` document; a missing or unknown key, a value of another JSON
+        type than the writer's, a number that is not a non-negative JSON integer, a repeated
+        qubit, or any other settings order or outcome label set raises ValueError."""
+        if type(doc) is not dict:
+            raise ValueError(f"a tomography record must be a JSON object, got {doc!r}")
         required = ("qubits", "settings", "shots_per_setting", "seed", "counts")
         missing = [key for key in required if key not in doc]
         unknown = sorted(set(doc) - set(required) - {"rho_hat", "metrics"})
         if missing or unknown:
             raise ValueError(f"tomography record lacks key(s) {missing} "
                              f"or has unknown key(s) {unknown}")
+        for key in ("qubits", "counts"):
+            if type(doc[key]) is not list:
+                raise ValueError(f"{key} must be a JSON list, got {doc[key]!r}")
         for key, values in [("shots_per_setting", [doc["shots_per_setting"]]),
                             ("seed", [doc["seed"]]), ("qubits", doc["qubits"])]:
             if any(type(v) is not int or v < 0 for v in values):  # JSON true is an int too
@@ -128,26 +133,39 @@ class TomographyRecord:
         if len(set(doc["qubits"])) != len(doc["qubits"]):
             raise ValueError(f"qubits must be distinct, got {doc['qubits']}")
         n = len(doc["qubits"])
-        if [tuple(s) for s in doc["settings"]] != list(all_settings(n)):
+        if doc["settings"] != [list(s) for s in all_settings(n)]:
             raise ValueError(f"settings must be the 3^{n} product settings in all_settings order")
         labels = _outcome_labels(n)
-        if any(sorted(c) != labels for c in doc["counts"]):
-            raise ValueError(f"each histogram must hold exactly the outcomes {labels}")
+        if any(type(c) is not dict or sorted(c) != labels for c in doc["counts"]):
+            raise ValueError(f"each histogram must be a JSON object of the outcomes {labels}")
         counts = [[c[label] for label in labels] for c in doc["counts"]]
         if set(map(type, itertools.chain.from_iterable(counts))) != {int}:  # not bool
             raise ValueError("counts must hold JSON integers")
         rho = None
         if doc.get("rho_hat") is not None:
-            mat = np.array([[complex(re, im) for re, im in row] for row in doc["rho_hat"]])
-            rho = DensityMatrix(SpaceLayout.qubits(n), mat)
+            rho = DensityMatrix(SpaceLayout.qubits(n), _complex_matrix(doc["rho_hat"], 2 ** n))
+        metrics = doc.get("metrics", {})
+        if type(metrics) is not dict or any(type(k) is not str or type(v) not in (int, float)
+                                            for k, v in metrics.items()):
+            raise ValueError(f"metrics must map names to JSON numbers, got {metrics!r}")
         return cls(
             qubits=tuple(doc["qubits"]),
             shots_per_setting=doc["shots_per_setting"],
             seed=doc["seed"],
             counts=counts,
             rho_hat=rho,
-            metrics=dict(doc.get("metrics", {})),
+            metrics=dict(metrics),
         )
+
+
+def _complex_matrix(rows, dim: int) -> np.ndarray:
+    """A ``to_dict`` matrix, ``dim`` lists of ``dim`` [re, im] pairs of JSON floats."""
+    pairs = np.array(rows)  # on any JSON value numpy raises ValueError at most
+    if (pairs.dtype != np.float64 or pairs.shape != (dim, dim, 2)
+            or set(map(type, itertools.chain.from_iterable(itertools.chain.from_iterable(rows))))
+            != {float}):  # numpy reads true and integers as floats too
+        raise ValueError(f"rho_hat must be {dim} lists of {dim} [re, im] pairs of JSON floats")
+    return pairs.view(complex)[..., 0]
 
 
 # ---------------------------------------------------------------------------

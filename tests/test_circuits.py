@@ -427,8 +427,20 @@ def _period_the_counts_do_not_give(doc):
     doc["period_r"] = 3
 
 
+def _no_shots(doc):
+    doc.update(composite_N=0, coprime_a=0, shots=0, output_counts={"00": 0, "01": 0, "10": 0,
+               "11": 0}, period_r=0, factors=None, success_probability=0.0)
+
+
+def _base_sharing_a_factor_with_n(doc):
+    # gcd(5, 15) = 5; with every shot on the all-zero outcome the counts reach no factoring
+    doc.update(composite_N=15, coprime_a=5, shots=3, output_counts={"00": 3, "01": 0, "10": 0,
+               "11": 0}, period_r=0, factors=None, success_probability=0.0)
+
+
 @pytest.mark.parametrize("corrupt", [_string_shots, _missing_shots, _unknown_label, _unknown_key,
-                                     _success_above_one, _period_the_counts_do_not_give],
+                                     _success_above_one, _period_the_counts_do_not_give,
+                                     _no_shots, _base_sharing_a_factor_with_n],
                          ids=lambda fn: fn.__name__.strip("_"))
 def test_factoring_result_from_dict_rejects_documents_its_writer_cannot_produce(corrupt):
     doc = factoring_doc()

@@ -1,6 +1,10 @@
+import copy
+import functools
 import json
 import math
+import tempfile
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -9,13 +13,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qproc_sim
-from qproc_sim.dynamics import ConfigError, DeviceConfig, swap_spectroscopy
+from qproc_sim.circuits import FactoringResult
+from qproc_sim.dynamics import (
+    ConfigError,
+    DeviceConfig,
+    effective_coupling,
+    fit_oscillation_frequency,
+    simultaneous_resonance,
+    swap_spectroscopy,
+)
 from qproc_sim.harness import (
     _OPTION_DEFAULTS,
     CSV_BLOCK_ROWS,
     EXPERIMENTS,
     MAX_CSV_ROWS,
     MAX_QST_QUBITS,
+    PROBABILITY_DECIMALS,
     ExperimentSpec,
     _check_options,
     _csv_text,
@@ -291,6 +304,47 @@ def test_small_spectroscopy_csv_matches_reference(tmp_path):
     assert run_experiment(ExperimentSpec("spectroscopy", options, tmp_path, 1)) == 0
     reference = Path(__file__).parent / "data" / "spectroscopy_small.csv"
     assert (tmp_path / "spectroscopy.csv").read_bytes() == reference.read_bytes()
+
+
+def last_column_decimals(path):
+    """The most digits after the point of any last-column cell of a CSV, exponent included."""
+    lines = Path(path).read_text().splitlines()[1:]
+    return max(-Decimal(line.rsplit(",", 1)[1]).as_tuple().exponent for line in lines)
+
+
+def test_spectroscopy_csv_holds_the_grid_rounded_to_probability_decimals(tmp_path):
+    spec = ExperimentSpec("spectroscopy", {"qubit": 2, "f_min": 6.0, "f_max": 6.3,
+                                           "tau_max": 40.0}, tmp_path, 0)
+    assert run_experiment(spec) == 0
+    freqs, taus = _spectroscopy_grids(spec)
+    exact = swap_spectroscopy(DeviceConfig.default(), 1, freqs, taus)
+    got_freqs, got_taus, grid = read_spectroscopy_csv(tmp_path / "spectroscopy.csv")
+    np.testing.assert_array_equal(got_freqs, freqs)
+    np.testing.assert_array_equal(got_taus, taus)
+    np.testing.assert_array_equal(grid, np.round(exact, PROBABILITY_DECIMALS))
+    assert (grid != exact).any()
+    assert np.abs(grid - exact).max() <= 5.6e-16
+    assert last_column_decimals(tmp_path / "spectroscopy.csv") <= PROBABILITY_DECIMALS == 15
+
+
+def test_rabi_traces_are_rounded_after_the_fits(tmp_path):
+    assert run_experiment(ExperimentSpec("rabi_scaling", {}, tmp_path, 0)) == 0
+    config = DeviceConfig.default()
+    traces = read_rabi_traces_csv(tmp_path / "rabi_traces.csv")
+    expected_fits = []
+    for n, (times, p_bus) in traces.items():
+        participants = tuple(range(n))
+        exact = simultaneous_resonance(config, participants, 200.0, 0.25)
+        np.testing.assert_array_equal(times, exact.times)
+        np.testing.assert_array_equal(p_bus, np.round(exact.p_bus, PROBABILITY_DECIMALS))
+        assert np.abs(p_bus - exact.p_bus).max() <= 5.6e-16
+        freq, err = fit_oscillation_frequency(exact.times, exact.p_bus)
+        expected_fits.append({"n": n, "participants": [q + 1 for q in participants],
+                              "fitted_freq_ghz": freq, "err_3db_ghz": err,
+                              "effective_coupling_ghz": effective_coupling(config, participants)})
+    assert list(traces) == [1, 2, 3, 4]
+    assert json.loads((tmp_path / "rabi_fits.json").read_text()) == expected_fits
+    assert last_column_decimals(tmp_path / "rabi_traces.csv") <= PROBABILITY_DECIMALS
 
 
 def test_small_w4_tomography_json_matches_reference(tmp_path):
@@ -575,6 +629,62 @@ def test_rabi_reader_rejects_bad_files(tmp_path, body):
     path.write_text(body)
     with pytest.raises(ValueError):
         read_rabi_traces_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# JSON document readers under single-field mutations
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def written_documents():
+    """(reader, document, defaults of its optional keys) for a Bell record and a three_qubit
+    factoring result, as the entangle and shor experiments write them."""
+    with tempfile.TemporaryDirectory() as out:
+        out = Path(out)
+        assert run_experiment(ExperimentSpec("entangle", {"participants": [1, 2],
+                                                          "qst_shots": 500}, out / "e", 2)) == 0
+        assert run_experiment(ExperimentSpec("shor", {"variant": "three_qubit", "shots": 1000,
+                                                      "qst_shots": 100}, out / "s", 2)) == 0
+        bell = json.loads((out / "e" / "tomography.json").read_text())
+        result = json.loads((out / "s" / "factoring.json").read_text())["result"]
+    return ((TomographyRecord.from_dict, bell, {"rho_hat": None, "metrics": {}}),
+            (FactoringResult.from_dict, result, {}))
+
+
+DELETE = "<delete>"
+MUTATIONS = [DELETE, 5, -1, 2.0, "x", True, None, [], {}, [[1]]]
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(data=st.data())
+def test_document_readers_reject_or_round_trip_every_single_field_mutation(data):
+    reader, source, defaults = data.draw(st.sampled_from(written_documents()))
+    doc = copy.deepcopy(source)
+    # walk down from the top level, stopping at some key or index of a dict or list
+    node = doc
+    key = data.draw(st.sampled_from(sorted(node)))
+    while type(node[key]) in (dict, list) and node[key] and data.draw(st.booleans()):
+        node = node[key]
+        key = data.draw(st.sampled_from(sorted(node) if type(node) is dict else range(len(node))))
+    mutation = data.draw(st.sampled_from(MUTATIONS))
+    if mutation == DELETE:
+        del node[key]
+    else:
+        node[key] = copy.deepcopy(mutation)
+    try:
+        parsed = reader(doc)
+    except ValueError:
+        return
+    # accepted: writing the parsed value back gives the same JSON, types included
+    assert json.dumps(parsed.to_dict(), sort_keys=True) == json.dumps({**defaults, **doc},
+                                                                      sort_keys=True)
+
+
+@pytest.mark.parametrize("reader", [TomographyRecord.from_dict, FactoringResult.from_dict])
+@pytest.mark.parametrize("doc", [5, "x", None, [], [[1]]])
+def test_document_readers_reject_documents_that_are_not_objects(reader, doc):
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        reader(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -363,20 +363,42 @@ def _unknown_key(doc):
     doc["shots"] = doc["shots_per_setting"]
 
 
-def _duplicate_qubits(doc):
-    # a 2-qubit document, its settings and histograms intact, naming one qubit twice
-    doc.update(simulate_tomography(bell_singlet(), (0, 1), 100, seed=0).to_dict(), qubits=[0, 0])
+def bell_doc():
+    record = simulate_tomography(bell_singlet(), (0, 1), 100, seed=0)
+    record.rho_hat = reconstruct(record)
+    record.metrics = {"max_abs_imag": max_abs_imag(record.rho_hat), "witness_passed": 1.0}
+    return record.to_dict()
+
+
+def _bell_with(name, key, value):
+    """A corruption that swaps one field of a 2-qubit document, reconstruction included."""
+    def corrupt(doc):
+        doc.update(bell_doc(), **{key: value})
+    corrupt.__name__ = name
+    return corrupt
 
 
 @pytest.mark.parametrize("corrupt", [_permuted, _duplicated, _missing_setting, _extra_label,
                                      _missing_label, _fractional_count, _missing_seed,
                                      _string_shots, _boolean_seed, _string_qubit,
                                      _negative_seed, _boolean_count, _unknown_key,
-                                     _duplicate_qubits],
+                                     # its settings and histograms intact, one qubit twice
+                                     _bell_with("duplicate_qubits", "qubits", [0, 0]),
+                                     _bell_with("number_settings", "settings", 5),
+                                     _bell_with("number_qubits", "qubits", 5),
+                                     _bell_with("number_counts", "counts", 5),
+                                     _bell_with("number_histograms", "counts", [5] * 9),
+                                     _bell_with("number_rho_hat", "rho_hat", 1),
+                                     _bell_with("short_rho_hat", "rho_hat", [[1]]),
+                                     _bell_with("number_metrics", "metrics", 5),
+                                     _bell_with("list_metrics", "metrics", [[1, 2]]),
+                                     _bell_with("string_metric", "metrics", {"f": "x"}),
+                                     _bell_with("boolean_metric", "metrics", {"f": True})],
                          ids=lambda fn: fn.__name__.strip("_"))
 def test_from_dict_rejects_non_canonical_documents(corrupt):
     doc = ground_doc()
-    TomographyRecord.from_dict(doc)  # the canonical document parses
+    TomographyRecord.from_dict(doc)  # the canonical documents parse
+    TomographyRecord.from_dict(bell_doc())
     corrupt(doc)
     with pytest.raises(ValueError):
         TomographyRecord.from_dict(doc)
