@@ -200,7 +200,7 @@ def _sample_amplitudes(vecs, rotated, coeffs, dts) -> np.ndarray:
     column per step, one matrix product); ``rotated`` is -2πi·eigenvalues. Norms are checked."""
     amps = vecs @ (np.exp(np.multiply.outer(rotated, dts)) * coeffs[:, None])
     defect = np.max(np.abs(np.sqrt((np.abs(amps) ** 2).sum(axis=0)) - 1.0))
-    if defect > NORM_TOL:
+    if not defect <= NORM_TOL:  # written so that NaN fails it
         raise InvariantError(f"sampled state norm differs from 1 by {defect} beyond {NORM_TOL}")
     return amps
 

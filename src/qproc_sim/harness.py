@@ -162,26 +162,90 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _digit_triples() -> np.ndarray:
+    """ASCII triples "000".."999", then the same with their trailing zeros as NUL."""
+    triples = (np.arange(1000)[:, None] // [100, 10, 1] % 10 + 48).astype(np.uint8)
+    trailing = np.logical_and.accumulate(triples[:, ::-1] == 48, axis=1)[:, ::-1]
+    return np.concatenate([triples, np.where(trailing, 0, triples).astype(np.uint8)])
+
+
+_DIGIT_TRIPLES = _digit_triples()
+
+
+def _digit_cells(k: np.ndarray) -> np.ndarray:
+    """The cell of each whole number 0 < k < 10**15: "0.", then the 15 digits of k with
+    its trailing zeros as NUL."""
+    # five base-1000 groups, least significant first; a group whose later groups are all
+    # zero takes the table's second half, so the digits end at the last nonzero one
+    rest, tail_zero, groups = k.astype(np.int64), np.ones(len(k), bool), []
+    for _ in range(5):
+        rest, group = np.divmod(rest, 1000)
+        groups.append(group + 1000 * tail_zero)
+        tail_zero &= group == 0
+    cells = np.empty((len(k), 17), np.uint8)
+    cells[:, :2] = (48, 46)  # "0."
+    cells[:, 2:] = np.take(_DIGIT_TRIPLES, np.stack(groups[::-1], axis=1), axis=0).reshape(-1, 15)
+    return cells
+
+
+def _repr_cells(block: np.ndarray) -> np.ndarray:
+    """The ``repr`` of each value, made once per distinct bit pattern (0.0 and -0.0 stay
+    distinct), as NUL-padded ASCII rows."""
+    keys = block.view(np.int64) if block.dtype == np.float64 else block
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    text = np.array([repr(v) for v in block[first].tolist()], dtype=bytes)
+    return text.view(np.uint8).reshape(len(text), -1)[inverse]
+
+
+def _cell_bytes(block: np.ndarray) -> np.ndarray:
+    """Each cell of a column block as one NUL-padded row of ASCII bytes (see ``_csv_text``)."""
+    fast = np.zeros(block.shape, bool)
+    if block.dtype == np.float64:
+        with np.errstate(over="ignore"):  # huge values overflow to inf, and are not fast
+            k = np.rint(block * 1e15)
+        fast = (block >= 1e-4) & (block < 1) & (k / 1e15 == block)
+    if fast.all():
+        return _digit_cells(k)
+    if not fast.any():
+        return _repr_cells(block)
+    digits, text = _digit_cells(k[fast]), _repr_cells(block[~fast])
+    cells = np.zeros((len(block), max(17, text.shape[1])), np.uint8)
+    cells[fast, :17] = digits
+    cells[~fast, :text.shape[1]] = text
+    return cells
+
+
 def _csv_text(header, columns) -> str:
     """Equal-length columns as CSV rows of Python int/float ``repr`` cells.
 
-    Rows are formatted and joined ``CSV_BLOCK_ROWS`` at a time, so only one block's cell
-    and line strings are alive at once: the peak is 2.3x the text on a default chevron
-    map, where holding every cell string of the map took 9x.
+    A float64 cell ``v`` with 1e-4 <= v < 1 whose ``k = rint(v * 1e15)`` gives back
+    ``k / 1e15 == v`` is written as "0." and the 15 digits of k, trailing zeros dropped,
+    built for the whole block from a table of digit triples. That is ``repr(v)``: the
+    division is correctly rounded, so v is the double nearest that 15-place decimal;
+    another decimal of at most 15 places is 1e-15 away, more than one ulp below 1, so
+    none is shorter; and ``repr`` uses exponent form only below 1e-4. Every probability
+    rounded to ``PROBABILITY_DECIMALS`` in that range takes this path; every other cell
+    is the ``repr`` of its bit pattern.
+
+    Rows are formatted ``CSV_BLOCK_ROWS`` at a time, each block as one NUL-padded byte
+    matrix of cells, commas and newlines, so only one block is held at once: the peak is
+    2.0x the text on a default chevron map, where holding every cell string took 9x.
     """
     columns = [np.ascontiguousarray(column) for column in columns]
     chunks = [",".join(header) + "\n"]
     for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        # each distinct bit pattern in the block is formatted once; 0.0 and -0.0 stay distinct
-        cells = []
-        for column in columns:
-            block = column[start:start + CSV_BLOCK_ROWS]
-            keys = block.view(np.int64) if block.dtype == np.float64 else block
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            text = np.array([repr(v) for v in block[first].tolist()], dtype=object)
-            cells.append(text[inverse])
-        chunks.append("\n".join(map(",".join, zip(*cells))) + "\n")
+        chunks.append(_csv_rows([column[start:start + CSV_BLOCK_ROWS] for column in columns]))
     return "".join(chunks)
+
+
+def _csv_rows(columns) -> str:
+    """One block of equal-length columns as CSV lines; its byte matrix is freed on return,
+    before ``_csv_text`` joins the blocks."""
+    parts = []
+    for column, separator in zip(columns, b"," * (len(columns) - 1) + b"\n"):
+        cells = _cell_bytes(column)
+        parts += [cells, np.full((len(cells), 1), separator, np.uint8)]
+    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _manifest(spec: ExperimentSpec, config: DeviceConfig, noise: NoiseParams | None) -> dict:

@@ -18,7 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Per-invariant tolerances. Scalars are IEEE-754 binary64 throughout.
+# Per-invariant tolerances. Scalars are IEEE-754 binary64 throughout. Each check is
+# written as `not defect <= tol`, so a NaN defect fails it.
 NORM_TOL = 1e-10          # state norm
 DM_HERM_TOL = 1e-10       # density-matrix Hermiticity and trace
 DM_EIG_FLOOR = -1e-9      # smallest admissible density-matrix eigenvalue
@@ -117,7 +118,7 @@ class QuantumState:
         arr = _frozen_array(self.amplitudes, (self.layout.total_dim,))
         object.__setattr__(self, "amplitudes", arr)
         norm = np.linalg.norm(arr)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise InvariantError(f"state norm {norm} differs from 1 beyond {NORM_TOL}")
 
     def probabilities(self) -> np.ndarray:
@@ -138,13 +139,13 @@ class DensityMatrix:
         d = self.layout.total_dim
         arr = _frozen_array(self.elements, (d, d))
         object.__setattr__(self, "elements", arr)
-        if np.max(np.abs(arr - arr.conj().T)) > DM_HERM_TOL:
+        if not np.max(np.abs(arr - arr.conj().T)) <= DM_HERM_TOL:
             raise InvariantError("density matrix is not Hermitian within tolerance")
         tr = np.trace(arr).real
-        if abs(tr - 1.0) > DM_HERM_TOL:
+        if not abs(tr - 1.0) <= DM_HERM_TOL:
             raise InvariantError(f"density matrix trace {tr} differs from 1")
         evals = np.linalg.eigvalsh(arr)
-        if evals.min() < DM_EIG_FLOOR:
+        if not evals.min() >= DM_EIG_FLOOR:
             raise InvariantError(f"density matrix has eigenvalue {evals.min()} below {DM_EIG_FLOOR}")
 
     def probabilities(self) -> np.ndarray:
@@ -167,11 +168,11 @@ class QuantumOperator:
         d = self.layout.total_dim
         arr = _frozen_array(self.elements, (d, d))
         object.__setattr__(self, "elements", arr)
-        if self.hermitian and np.max(np.abs(arr - arr.conj().T)) > OP_HERM_TOL:
+        if self.hermitian and not np.max(np.abs(arr - arr.conj().T)) <= OP_HERM_TOL:
             raise InvariantError("operator flagged hermitian is not Hermitian within 1e-12")
         if self.unitary:
             defect = np.max(np.abs(arr.conj().T @ arr - np.eye(d)))
-            if defect > OP_UNITARY_TOL:
+            if not defect <= OP_UNITARY_TOL:
                 raise InvariantError(f"operator flagged unitary has U†U-I defect {defect}")
 
     def apply(self, state: QuantumState) -> QuantumState:

@@ -545,6 +545,19 @@ def test_collective_protocols_check_sampled_norms(protocol, monkeypatch):
         COLLECTIVE_PROTOCOLS[protocol](DeviceConfig.default(), (0, 1, 2))
 
 
+@pytest.mark.parametrize("protocol", list(COLLECTIVE_PROTOCOLS))
+def test_collective_protocols_reject_nan_samples(protocol, monkeypatch):
+    eigh = np.linalg.eigh
+
+    def nan_eigh(a, *args, **kwargs):
+        evals, vecs = eigh(a, *args, **kwargs)
+        return evals, np.where(np.eye(len(vecs), dtype=bool), np.nan, vecs)
+
+    monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
+    with pytest.raises(InvariantError, match="sampled state norm"):
+        COLLECTIVE_PROTOCOLS[protocol](DeviceConfig.default(), (0, 1, 2))
+
+
 def test_shared_excitation_checks_resonator_vacuum_at_stop_time(monkeypatch):
     # stopping 10% early leaves the photon partly in the bus
     coupling = effective_coupling

@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import functools
+import io
 import json
 import math
 import tempfile
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qproc_sim
+from qproc_sim import harness
 from qproc_sim.circuits import FactoringResult
 from qproc_sim.dynamics import (
     ConfigError,
@@ -540,8 +543,10 @@ def row_read_rabi_traces_csv(path):
 @given(data=st.data())
 def test_column_writer_matches_row_writer(tmp_path_factory, data):
     n_rows = data.draw(st.integers(0, 30))
-    # small pools, so values repeat; 0.0/-0.0, nan and inf included
-    float_pool = data.draw(st.lists(st.floats(width=64) | st.sampled_from([0.0, -0.0]),
+    # small pools, so values repeat; 0.0/-0.0, nan and inf included, and probabilities
+    # rounded as the experiments write them, which take the writer's digit path
+    rounded = st.floats(0, 1).map(lambda x: float(np.round(x, PROBABILITY_DECIMALS)))
+    float_pool = data.draw(st.lists(st.floats(width=64) | st.sampled_from([0.0, -0.0]) | rounded,
                                     min_size=1, max_size=6))
     pick = st.lists(st.integers(0, len(float_pool) - 1), min_size=n_rows, max_size=n_rows)
     ints = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n_rows, max_size=n_rows)),
@@ -557,38 +562,87 @@ def test_column_writer_matches_row_writer(tmp_path_factory, data):
 B = CSV_BLOCK_ROWS
 
 
+# cells on both sides of each bound of the writer's digit path (1e-4 <= v < 1, at most 15
+# places), and 0.0/-0.0, nan and inf
+EDGE_VALUES = [1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), 0.1, 0.01, 0.001, 0.5,
+               0.999999999999999, np.nextafter(1, 0), 1.0, 0.0, -0.0, math.nan, math.inf,
+               -math.inf, -0.25, 0.12345678901234567, 0.00012345678901234567, 2 / 3,
+               0.3000000000000001, 6.25]
+
+
 @pytest.mark.parametrize("n_rows", [0, 1, B - 1, B, B + 1, 2 * B + 3])
 def test_block_writer_matches_row_writer_across_blocks(tmp_path, n_rows):
     rows = np.arange(n_rows)
-    # the pool's 7-row cycle does not divide a block, so each block starts at another pool
-    # value, and both sides of a boundary between full blocks hold every pool value,
-    # 0.0/-0.0, nan and inf included
-    pool = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 0.1, 6.25])
+    # the pool's 21-row cycle does not divide a block, so each block starts at another pool
+    # value, and both sides of a boundary between full blocks hold every pool value
+    pool = np.array(EDGE_VALUES)
     ints = rows % 5 - 2
-    x = pool[rows % 7]
-    # distinct per row except every third, so each block has its own set of values
-    y = np.where(rows % 3 == 0, pool[(rows // 3) % 7], rows * 0.1)
+    x = pool[rows % len(pool)]
+    # distinct per row except every third, so each block has its own set of values: repr'd
+    # multiples of 0.1, and probabilities rounded as the experiments write them
+    y = np.select([rows % 3 == 0, rows % 3 == 1], [pool[(rows // 3) % len(pool)], rows * 0.1],
+                  np.round(np.sin(rows) ** 2, PROBABILITY_DECIMALS))
     columns = [ints, x, y]
     (tmp_path / "columns.csv").write_text(_csv_text(["n", "x", "y"], columns))
     row_write_csv(tmp_path / "rows.csv", ["n", "x", "y"], list(zip(*columns)))
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
-def test_chevron_csv_peak_memory_is_a_small_multiple_of_its_text():
-    spec = ExperimentSpec("spectroscopy", {"qubit": 1})
-    freqs, taus = _spectroscopy_grids(spec)
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(ks=st.lists(st.integers(10**11, 10**15 - 1), min_size=1, max_size=40))
+def test_digit_cells_are_the_repr_of_every_fifteen_place_decimal(ks):
+    values = np.array(ks) / 1e15
+    expected = "p\n" + "".join(repr(v) + "\n" for v in values.tolist())
+    assert _csv_text(["p"], [values]) == expected
+
+
+def test_digit_triple_table_is_the_padded_and_stripped_triples():
+    triples = [f"{i:03d}" for i in range(1000)]
+    stripped = [t.rstrip("0").ljust(3, "\0") for t in triples]
+    assert harness._DIGIT_TRIPLES.dtype == np.uint8
+    assert harness._DIGIT_TRIPLES.tobytes() == "".join(triples + stripped).encode("ascii")
+
+
+def default_chevron_columns(rounded):
+    """The default Q1 map's CSV columns, raw or as ``_run_spectroscopy`` writes them."""
+    freqs, taus = _spectroscopy_grids(ExperimentSpec("spectroscopy", {"qubit": 1}))
     grid = swap_spectroscopy(DeviceConfig.default(), 0, freqs, taus)
+    if rounded:
+        np.round(grid, PROBABILITY_DECIMALS, out=grid)
     f_col, tau_col = np.meshgrid(freqs, taus, indexing="ij")
-    columns = [f_col.ravel(), tau_col.ravel(), grid.ravel()]
-    tracemalloc.start()
-    try:
-        text = _csv_text(["freq_ghz", "tau_ns", "p_e"], columns)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(columns[0]) > 10 * CSV_BLOCK_ROWS
-    # one block of cell strings at a time reads 2.3x; every cell string of the map at once, 9.1x
-    assert peak < 3 * len(text)
+    return [f_col.ravel(), tau_col.ravel(), grid.ravel()]
+
+
+def test_rounded_chevron_cells_take_the_digit_path(monkeypatch):
+    calls = []
+
+    def counting_repr(value):
+        calls.append(value)
+        return repr(value)
+
+    columns = default_chevron_columns(rounded=True)
+    monkeypatch.setattr(harness, "repr", counting_repr, raising=False)
+    _csv_text(["freq_ghz", "tau_ns", "p_e"], columns)
+    # the repr'd cells are each block's distinct frequencies and delays, and the P_e
+    # cells at 1 or below 1e-4: under 2% of the map
+    assert 0 < len(calls) < 0.05 * 3 * len(columns[0])
+
+
+def test_chevron_csv_peak_memory_is_a_small_multiple_of_its_text():
+    # the raw grid mostly takes the repr path; the grid as the experiment writes it, the
+    # digit path
+    for rounded in (False, True):
+        columns = default_chevron_columns(rounded)
+        tracemalloc.start()
+        try:
+            text = _csv_text(["freq_ghz", "tau_ns", "p_e"], columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(columns[0]) > 10 * CSV_BLOCK_ROWS
+        # one block of cells at a time reads 2.0x either way; every cell string of the map
+        # at once, 9.1x
+        assert peak < 3 * len(text), rounded
 
 
 def test_readers_match_row_readers(tmp_path):
@@ -655,10 +709,8 @@ DELETE = "<delete>"
 MUTATIONS = [DELETE, 5, -1, 2.0, "x", True, None, [], {}, [[1]]]
 
 
-@settings(derandomize=True, deadline=None, max_examples=400)
-@given(data=st.data())
-def test_document_readers_reject_or_round_trip_every_single_field_mutation(data):
-    reader, source, defaults = data.draw(st.sampled_from(written_documents()))
+def draw_single_field_mutation(data, source, mutations):
+    """A copy of ``source`` with one field, at any depth, deleted or swapped for a mutation."""
     doc = copy.deepcopy(source)
     # walk down from the top level, stopping at some key or index of a dict or list
     node = doc
@@ -666,11 +718,19 @@ def test_document_readers_reject_or_round_trip_every_single_field_mutation(data)
     while type(node[key]) in (dict, list) and node[key] and data.draw(st.booleans()):
         node = node[key]
         key = data.draw(st.sampled_from(sorted(node) if type(node) is dict else range(len(node))))
-    mutation = data.draw(st.sampled_from(MUTATIONS))
+    mutation = data.draw(st.sampled_from(mutations))
     if mutation == DELETE:
         del node[key]
     else:
         node[key] = copy.deepcopy(mutation)
+    return doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(data=st.data())
+def test_document_readers_reject_or_round_trip_every_single_field_mutation(data):
+    reader, source, defaults = data.draw(st.sampled_from(written_documents()))
+    doc = draw_single_field_mutation(data, source, MUTATIONS)
     try:
         parsed = reader(doc)
     except ValueError:
@@ -685,6 +745,24 @@ def test_document_readers_reject_or_round_trip_every_single_field_mutation(data)
 def test_document_readers_reject_documents_that_are_not_objects(reader, doc):
     with pytest.raises(ValueError, match="must be a JSON object"):
         reader(doc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(data=st.data())
+def test_device_documents_load_or_fail_with_one_config_error_under_any_single_field_mutation(
+        tmp_path_factory, data):
+    source = dict(json.loads(default_config_path().read_text()), noise=NOISE_BLOCK)
+    doc = draw_single_field_mutation(data, source, MUTATIONS + [math.nan, 1e308])
+    path = write_config(tmp_path_factory.mktemp("device"), doc)
+    try:
+        load_device_document(path)
+        loaded = True
+    except ConfigError:
+        loaded = False
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        assert main(["validate", "--config", str(path)]) == (0 if loaded else 1)
+    assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,22 @@ def test_operator_flags_checked():
         QuantumOperator(layout, 2 * np.eye(2, dtype=complex), unitary=True)
 
 
+@pytest.mark.parametrize("build", [
+    lambda layout: QuantumState(layout, [np.nan, 1]),
+    lambda layout: QuantumState(layout, [np.nan, np.nan]),
+    lambda layout: DensityMatrix(layout, [[0.5, np.nan], [0, 0.5]]),
+    lambda layout: DensityMatrix(layout, [[np.nan, 0], [0, 1]]),
+    lambda layout: DensityMatrix(layout, np.full((2, 2), np.nan)),
+    lambda layout: QuantumOperator(layout, [[np.nan, 0], [0, 1]], hermitian=True),
+    lambda layout: QuantumOperator(layout, [[0, np.nan], [1, 0]], unitary=True),
+], ids=["state", "nan_state", "dm_coherence", "dm_population", "nan_dm", "hermitian_op",
+        "unitary_op"])
+def test_nan_entries_fail_the_invariants(build):
+    # a NaN makes every comparison false, so each check must fail unless its bound holds
+    with pytest.raises(InvariantError):
+        build(SpaceLayout.qubits(1))
+
+
 def test_destroy_and_fock():
     a = destroy(3)
     fock = SpaceLayout((resonator(2),))
