@@ -70,6 +70,12 @@ class DeviceConfig:
     n_max: int = 3
 
     def __post_init__(self):
+        # float() would read JSON true/false as 1/0
+        flagged = [
+            name for name in ("f_bus", "f_memory", "f_idle", "g_bus", "g_mem")
+            if any(isinstance(v, bool) for v in np.array(getattr(self, name), dtype=object).flat)]
+        if flagged:
+            raise ConfigError([f"{name} must hold numbers, not true or false" for name in flagged])
         for name in ("f_memory", "f_idle", "g_bus", "g_mem"):
             object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
             if len(getattr(self, name)) != self.n_qubits:
@@ -307,7 +313,13 @@ def swap_spectroscopy(
     # <e00|U(τ)|e00> = Σ_k V_0k² exp(-2πi λ_k τ)
     amps = np.einsum("fk,fkt->ft", vecs[:, 0, :] ** 2,
                      np.exp(-2j * np.pi * evals[:, :, None] * tau_grid))
-    return np.clip(np.abs(amps) ** 2, 0.0, 1.0)
+    probs = np.abs(amps) ** 2
+    # the clip below would pass NaN and hide a probability above 1
+    defect = np.max(probs) - 1.0
+    if not defect <= NORM_TOL:  # written so that NaN fails it
+        raise InvariantError(f"chevron probabilities must be finite and at most 1 + {NORM_TOL} "
+                             f"(largest minus 1: {defect})")
+    return np.clip(probs, 0.0, 1.0, out=probs)
 
 
 # ---------------------------------------------------------------------------

@@ -128,13 +128,17 @@ def load_device_document(config_path=None) -> tuple[DeviceConfig, NoiseParams | 
     """Parse the device JSON; a ``noise`` key selects noisy (density) mode."""
     path = Path(config_path) if config_path else default_config_path()
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config file {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config file {path} nests too deeply to parse") from exc
     config = DeviceConfig.from_dict(doc)
     noise = None
     if "noise" in doc:
@@ -162,90 +166,96 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _digit_triples() -> np.ndarray:
-    """ASCII triples "000".."999", then the same with their trailing zeros as NUL."""
-    triples = (np.arange(1000)[:, None] // [100, 10, 1] % 10 + 48).astype(np.uint8)
+def _digit_quads() -> np.ndarray:
+    """uint32 cells of four bytes: the ASCII triples "000".."999" and a NUL, then the same
+    with their trailing zeros as NUL."""
+    triples = np.arange(1000)[:, None] // [100, 10, 1] % 10 + 48
     trailing = np.logical_and.accumulate(triples[:, ::-1] == 48, axis=1)[:, ::-1]
-    return np.concatenate([triples, np.where(trailing, 0, triples).astype(np.uint8)])
+    quads = np.zeros((2000, 4), np.uint8)
+    quads[:, :3] = np.concatenate([triples, np.where(trailing, 0, triples)])
+    return quads.view(np.uint32).ravel()
 
 
-_DIGIT_TRIPLES = _digit_triples()
+_DIGIT_QUADS = _digit_quads()
 
 
 def _digit_cells(k: np.ndarray) -> np.ndarray:
-    """The cell of each whole number 0 < k < 10**15: "0.", then the 15 digits of k with
-    its trailing zeros as NUL."""
-    # five base-1000 groups, least significant first; a group whose later groups are all
-    # zero takes the table's second half, so the digits end at the last nonzero one
-    rest, tail_zero, groups = k.astype(np.int64), np.ones(len(k), bool), []
-    for _ in range(5):
-        rest, group = np.divmod(rest, 1000)
-        groups.append(group + 1000 * tail_zero)
+    """The 24-byte cell of each whole float64 0 < k < 10**15: "0.", then the 15 digits of k
+    with its trailing zeros as NUL."""
+    # five base-1000 groups, least significant first, each exact in float64 (see
+    # ``_csv_text``); a group whose later groups are all zero takes the table's second
+    # half, so the digits end at the last nonzero one
+    cells = np.empty((len(k), 6), np.uint32)
+    cells[:, 0] = np.frombuffer(b"0.\0\0", np.uint32)[0]
+    rest, tail_zero = k, np.ones(len(k), bool)
+    for column in range(5, 0, -1):
+        quotient = np.floor(rest / 1000)
+        group = rest - quotient * 1000
+        cells[:, column] = _DIGIT_QUADS[(group + 1000 * tail_zero).astype(np.intp)]
         tail_zero &= group == 0
-    cells = np.empty((len(k), 17), np.uint8)
-    cells[:, :2] = (48, 46)  # "0."
-    cells[:, 2:] = np.take(_DIGIT_TRIPLES, np.stack(groups[::-1], axis=1), axis=0).reshape(-1, 15)
-    return cells
+        rest = quotient
+    return cells.view("S24")[:, 0]
 
 
 def _repr_cells(block: np.ndarray) -> np.ndarray:
-    """The ``repr`` of each value, made once per distinct bit pattern (0.0 and -0.0 stay
-    distinct), as NUL-padded ASCII rows."""
+    """The ``repr`` of each value as a NUL-padded byte string, made once per distinct bit
+    pattern (0.0 and -0.0 stay distinct)."""
     keys = block.view(np.int64) if block.dtype == np.float64 else block
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    text = np.array([repr(v) for v in block[first].tolist()], dtype=bytes)
-    return text.view(np.uint8).reshape(len(text), -1)[inverse]
+    return np.array([repr(v) for v in block[first].tolist()], dtype=bytes)[inverse]
 
 
 def _cell_bytes(block: np.ndarray) -> np.ndarray:
-    """Each cell of a column block as one NUL-padded row of ASCII bytes (see ``_csv_text``)."""
-    fast = np.zeros(block.shape, bool)
-    if block.dtype == np.float64:
-        with np.errstate(over="ignore"):  # huge values overflow to inf, and are not fast
-            k = np.rint(block * 1e15)
-        fast = (block >= 1e-4) & (block < 1) & (k / 1e15 == block)
-    if fast.all():
-        return _digit_cells(k)
+    """Each cell of a 1-D block as a NUL-padded byte string (see ``_csv_text``)."""
+    with np.errstate(over="ignore"):  # huge values overflow to inf, and are not fast
+        k = np.rint(block * 1e15)
+    fast = (block >= 1e-4) & (block < 1) & (k / 1e15 == block)
     if not fast.any():
         return _repr_cells(block)
-    digits, text = _digit_cells(k[fast]), _repr_cells(block[~fast])
-    cells = np.zeros((len(block), max(17, text.shape[1])), np.uint8)
-    cells[fast, :17] = digits
-    cells[~fast, :text.shape[1]] = text
+    cells = _digit_cells(np.where(fast, k, 1.0))
+    if not fast.all():
+        # a float64 repr is at most 24 bytes, as in "-2.2250738585072014e-308"
+        cells[~fast] = _repr_cells(block[~fast])
     return cells
 
 
-def _csv_text(header, columns) -> str:
-    """Equal-length columns as CSV rows of Python int/float ``repr`` cells.
+def _csv_text(header, outer, inner, values) -> str:
+    """The grid ``values[i, j]`` as CSV rows ``outer[i],inner[j],values[i, j]`` in
+    row-major order, each cell the ``repr`` of its Python int or float.
 
     A float64 cell ``v`` with 1e-4 <= v < 1 whose ``k = rint(v * 1e15)`` gives back
-    ``k / 1e15 == v`` is written as "0." and the 15 digits of k, trailing zeros dropped,
-    built for the whole block from a table of digit triples. That is ``repr(v)``: the
-    division is correctly rounded, so v is the double nearest that 15-place decimal;
-    another decimal of at most 15 places is 1e-15 away, more than one ulp below 1, so
-    none is shorter; and ``repr`` uses exponent form only below 1e-4. Every probability
-    rounded to ``PROBABILITY_DECIMALS`` in that range takes this path; every other cell
-    is the ``repr`` of its bit pattern.
+    ``k / 1e15 == v`` is written as "0." and the 15 digits of k, trailing zeros dropped.
+    That is ``repr(v)``: the division is correctly rounded, so v is the double nearest
+    that 15-place decimal; another decimal of at most 15 places is 1e-15 away, more than
+    one ulp below 1, so none is shorter; and ``repr`` uses exponent form only below 1e-4.
+    Every probability rounded to ``PROBABILITY_DECIMALS`` in that range takes this path;
+    every other cell is the ``repr`` of its bit pattern. The digits are built in float64,
+    where every whole number below 2**53 is exact: the true quotient of a whole
+    ``rest < 10**15`` by 1000 is q + r/1000, and for r > 0 it lies at least 0.001 from
+    any integer, while the division errs by at most 1.2e-4; so ``q = floor(rest / 1000)``
+    is exact, and so is the group ``r = rest - q * 1000``. Each group is gathered from a
+    table of four-byte digit cells.
 
-    Rows are formatted ``CSV_BLOCK_ROWS`` at a time, each block as one NUL-padded byte
-    matrix of cells, commas and newlines, so only one block is held at once: the peak is
-    2.0x the text on a default chevron map, where holding every cell string took 9x.
+    Each axis is formatted once, with ``repr`` alone: one 24-byte digit cell in an axis
+    would widen that field of every line. The values are formatted ``CSV_BLOCK_ROWS`` rows
+    at a time; each line of a block is one record of NUL-padded fields, its axis cells
+    taken by ``divmod(row, len(inner))``, and the block's NULs are deleted, so only one
+    block is held at once: the peak is 2.2x the text on a default chevron map, where
+    holding every cell string took 9x.
     """
-    columns = [np.ascontiguousarray(column) for column in columns]
     chunks = [",".join(header) + "\n"]
-    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        chunks.append(_csv_rows([column[start:start + CSV_BLOCK_ROWS] for column in columns]))
+    outer_cells, inner_cells = (np.char.add(_repr_cells(np.asarray(axis)), b",")
+                                for axis in (outer, inner))
+    flat = np.ravel(values)
+    for start in range(0, flat.size, CSV_BLOCK_ROWS):
+        i, j = np.divmod(np.arange(start, min(start + CSV_BLOCK_ROWS, flat.size)), len(inner))
+        cells = _cell_bytes(flat[start:start + CSV_BLOCK_ROWS])
+        lines = np.empty(len(i), [("outer", outer_cells.dtype), ("inner", inner_cells.dtype),
+                                  ("value", cells.dtype), ("newline", "S1")])
+        lines["outer"], lines["inner"], lines["value"], lines["newline"] = (
+            outer_cells[i], inner_cells[j], cells, b"\n")
+        chunks.append(lines.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(chunks)
-
-
-def _csv_rows(columns) -> str:
-    """One block of equal-length columns as CSV lines; its byte matrix is freed on return,
-    before ``_csv_text`` joins the blocks."""
-    parts = []
-    for column, separator in zip(columns, b"," * (len(columns) - 1) + b"\n"):
-        cells = _cell_bytes(column)
-        parts += [cells, np.full((len(cells), 1), separator, np.uint8)]
-    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _manifest(spec: ExperimentSpec, config: DeviceConfig, noise: NoiseParams | None) -> dict:
@@ -390,9 +400,7 @@ def _run_spectroscopy(spec: ExperimentSpec, config: DeviceConfig, noise) -> dict
     freqs, taus = _spectroscopy_grids(spec)
     grid = swap_spectroscopy(config, _qubit_labels(spec)[0] - 1, freqs, taus)
     np.round(grid, PROBABILITY_DECIMALS, out=grid)  # in place: a rounded copy costs RSS
-    f_col, tau_col = np.meshgrid(freqs, taus, indexing="ij")
-    return {"spectroscopy.csv": _csv_text(["freq_ghz", "tau_ns", "p_e"],
-                                          [f_col.ravel(), tau_col.ravel(), grid.ravel()])}
+    return {"spectroscopy.csv": _csv_text(["freq_ghz", "tau_ns", "p_e"], freqs, taus, grid)}
 
 
 def _run_rabi_scaling(spec: ExperimentSpec, config: DeviceConfig, noise) -> dict[str, str]:
@@ -406,8 +414,7 @@ def _run_rabi_scaling(spec: ExperimentSpec, config: DeviceConfig, noise) -> dict
         participants = tuple(pool[:n])
         trace = simultaneous_resonance(config, participants, dtau_max, sample_dt)
         freq, err = fit_oscillation_frequency(trace.times, trace.p_bus)
-        traces.append((np.full(trace.times.size, n), trace.times,
-                       np.round(trace.p_bus, PROBABILITY_DECIMALS)))
+        traces.append(trace)
         fits.append({
             "n": n,
             "participants": [q + 1 for q in participants],
@@ -415,9 +422,14 @@ def _run_rabi_scaling(spec: ExperimentSpec, config: DeviceConfig, noise) -> dict
             "err_3db_ghz": err,
             "effective_coupling_ghz": effective_coupling(config, participants),
         })
+    # one time axis for every N: the CSV is the grid N x time
+    times = traces[0].times
+    if not all(np.array_equal(trace.times, times) for trace in traces):
+        raise InvariantError("rabi_scaling traces do not share one time axis")
+    p_bus = np.round([trace.p_bus for trace in traces], PROBABILITY_DECIMALS)
     return {
         "rabi_traces.csv": _csv_text(["n_participants", "time_ns", "p_bus"],
-                                     [np.concatenate(column) for column in zip(*traces)]),
+                                     np.arange(1, len(traces) + 1), times, p_bus),
         "rabi_fits.json": _json_text(fits),
     }
 

@@ -99,6 +99,9 @@ def _frozen_array(values, shape_check) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128, copy=True)
     if arr.shape != shape_check:
         raise ValueError(f"expected array of shape {shape_check}, got {arr.shape}")
+    # first, so that no invariant check below computes with inf or NaN
+    if not np.isfinite(arr).all():
+        raise InvariantError("state or operator holds entries that are not finite")
     arr.setflags(write=False)
     return arr
 

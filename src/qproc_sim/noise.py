@@ -65,19 +65,26 @@ class NoiseParams:
         if not isinstance(doc.get("invented_default", False), bool):
             raise ValueError("invented_default must be true or false")
 
+        def number(key, value):
+            if isinstance(value, bool):  # float() would read true/false as 1/0
+                raise ValueError(f"{key} must hold numbers, not true or false")
+            return float(value)
+
         def times(key, fallback):
             raw = doc.get(key)
             if raw is None:
                 return (fallback,) * n_qubits
             if len(raw) != n_qubits:
                 raise ValueError(f"{key} must list one value per qubit ({n_qubits}), got {len(raw)}")
-            return tuple(math.inf if v in (None, "inf") else float(v) for v in raw)
+            return tuple(math.inf if v in (None, "inf") else number(key, v) for v in raw)
 
         return cls(
             t1=times("t1_ns", DEFAULT_T1_NS),
             t_phi=times("t_phi_ns", DEFAULT_TPHI_NS),
-            gate_time_1q=float(doc.get("gate_time_1q_ns", DEFAULT_GATE_TIME_1Q_NS)),
-            gate_time_2q=float(doc.get("gate_time_2q_ns", DEFAULT_GATE_TIME_2Q_NS)),
+            gate_time_1q=number("gate_time_1q_ns",
+                                doc.get("gate_time_1q_ns", DEFAULT_GATE_TIME_1Q_NS)),
+            gate_time_2q=number("gate_time_2q_ns",
+                                doc.get("gate_time_2q_ns", DEFAULT_GATE_TIME_2Q_NS)),
             invented_default=bool(doc.get("invented_default", False)),
         )
 

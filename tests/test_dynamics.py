@@ -545,6 +545,18 @@ def test_collective_protocols_check_sampled_norms(protocol, monkeypatch):
         COLLECTIVE_PROTOCOLS[protocol](DeviceConfig.default(), (0, 1, 2))
 
 
+def test_swap_spectroscopy_checks_probabilities_before_the_clip(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def scaled_eigh(a, *args, **kwargs):
+        evals, vecs = eigh(a, *args, **kwargs)
+        return evals, vecs * (1 + 1e-6)
+
+    monkeypatch.setattr(np.linalg, "eigh", scaled_eigh)
+    with pytest.raises(InvariantError, match="chevron probabilities must be finite"):
+        swap_spectroscopy(DeviceConfig.default(), 0, [6.5, 6.8], [0.0, 10.0])
+
+
 @pytest.mark.parametrize("protocol", list(COLLECTIVE_PROTOCOLS))
 def test_collective_protocols_reject_nan_samples(protocol, monkeypatch):
     eigh = np.linalg.eigh

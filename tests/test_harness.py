@@ -138,6 +138,21 @@ CONFIG_ERRORS = {
     "noise_not_object": ({"noise": [400, 200]}, "noise block must be a JSON object"),
     "string_flag": ({"noise": dict(NOISE_BLOCK, invented_default="false")},
                     "invented_default must be true or false"),
+    # JSON true/false in a number field, which float() would read as 1/0
+    "boolean_bus": ({"f_bus_ghz": True}, "f_bus must hold numbers"),
+    "boolean_memory": ({"f_memory_ghz": [6.8, 7.2, False, 6.9]}, "f_memory must hold numbers"),
+    "boolean_idle": ({"f_idle_ghz": [True, 6.6, 6.6, 6.6]}, "f_idle must hold numbers"),
+    "boolean_bus_coupling": ({"g_bus_mhz": [55.0, True, 55.0, 55.0]}, "g_bus must hold numbers"),
+    "boolean_memory_coupling": ({"g_mem_mhz": [20.0, 20.0, 20.0, True]},
+                                "g_mem must hold numbers"),
+    "boolean_t1": ({"noise": dict(NOISE_BLOCK, t1_ns=[400, True, 400, 400])},
+                   "t1_ns must hold numbers"),
+    "boolean_dephasing": ({"noise": dict(NOISE_BLOCK, t_phi_ns=[200, 200, 200, True])},
+                          "t_phi_ns must hold numbers"),
+    "boolean_gate_1q": ({"noise": dict(NOISE_BLOCK, gate_time_1q_ns=True)},
+                        "gate_time_1q_ns must hold numbers"),
+    "boolean_gate_2q": ({"noise": dict(NOISE_BLOCK, gate_time_2q_ns=True)},
+                        "gate_time_2q_ns must hold numbers"),
 }
 
 
@@ -157,6 +172,19 @@ def test_bad_config_documents_exit_one(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert fragment in captured.err
     assert "config ok" not in captured.out
+
+
+@pytest.mark.parametrize("raw, fragment", [(b"\xff\xfe{", "is not UTF-8 text"),
+                                           (b"[" * 100_000, "nests too deeply to parse")],
+                         ids=["not_utf8", "deep_nesting"])
+def test_unparseable_config_files_exit_one(tmp_path, capsys, raw, fragment):
+    path = tmp_path / "device.json"
+    path.write_bytes(raw)
+    for argv in (["validate"], ["spectroscopy", "--out", str(tmp_path / "out")]):
+        assert main(argv + ["--config", str(path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and fragment in err[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_benchmark_noise_block_is_valid(tmp_path):
@@ -425,6 +453,38 @@ def test_negative_seed_exits_one(tmp_path, capsys, name):
     assert err == ["config error: seed must be >= 0 (got -1)"]
 
 
+def test_non_finite_chevron_exits_two(tmp_path, capsys):
+    # a memory frequency this far out passes the device checks, but the chevron solve
+    # overflows to NaN
+    doc = DeviceConfig.default().to_dict()
+    doc["f_memory_ghz"][0] = 1e308
+    path = write_config(tmp_path, doc)
+    assert main(["validate", "--config", str(path)]) == 0
+    capsys.readouterr()
+    with pytest.warns(RuntimeWarning):
+        code = main(["spectroscopy", "--qubit", "1", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "chevron probabilities must be finite" in err[0]
+
+
+def test_rabi_traces_must_share_one_time_axis(tmp_path, capsys, monkeypatch):
+    resonance = harness.simultaneous_resonance
+
+    def shifted(config, participants, dtau_max, sample_dt):
+        trace = resonance(config, participants, dtau_max, sample_dt)
+        if len(participants) == 2:
+            object.__setattr__(trace, "times", trace.times + 1e-9)
+        return trace
+
+    monkeypatch.setattr(harness, "simultaneous_resonance", shifted)
+    assert run_experiment(ExperimentSpec("rabi_scaling", {}, tmp_path / "out", 0)) == 2
+    assert "do not share one time axis" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sampled_norm_defect_exits_two(tmp_path, capsys, monkeypatch):
     eigh = np.linalg.eigh
 
@@ -539,78 +599,97 @@ def row_read_rabi_traces_csv(path):
     }
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+def grid_rows(outer, inner, values):
+    """The rows ``(outer[i], inner[j], values[i, j])`` of a grid, in row-major order."""
+    return [(o, x, values[i, j]) for i, o in enumerate(outer) for j, x in enumerate(inner)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
 @given(data=st.data())
-def test_column_writer_matches_row_writer(tmp_path_factory, data):
-    n_rows = data.draw(st.integers(0, 30))
+def test_grid_writer_matches_row_writer(tmp_path_factory, data):
+    n_outer, n_inner = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 8))
     # small pools, so values repeat; 0.0/-0.0, nan and inf included, and probabilities
     # rounded as the experiments write them, which take the writer's digit path
     rounded = st.floats(0, 1).map(lambda x: float(np.round(x, PROBABILITY_DECIMALS)))
-    float_pool = data.draw(st.lists(st.floats(width=64) | st.sampled_from([0.0, -0.0]) | rounded,
-                                    min_size=1, max_size=6))
-    pick = st.lists(st.integers(0, len(float_pool) - 1), min_size=n_rows, max_size=n_rows)
-    ints = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n_rows, max_size=n_rows)),
-                    dtype=np.int64)
-    floats = [np.array(float_pool)[data.draw(pick)] for _ in range(2)]
-    columns = [ints, *floats]
+    float_pool = np.array(data.draw(st.lists(
+        st.floats(width=64) | st.sampled_from([0.0, -0.0]) | rounded, min_size=1, max_size=6)))
+
+    def pick(n):
+        return float_pool[data.draw(st.lists(st.integers(0, len(float_pool) - 1),
+                                             min_size=n, max_size=n))]
+
+    if data.draw(st.booleans()):
+        outer = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n_outer,
+                                            max_size=n_outer)), dtype=np.int64)
+    else:
+        outer = pick(n_outer)
+    inner, values = pick(n_inner), pick(n_outer * n_inner).reshape(n_outer, n_inner)
     out = tmp_path_factory.mktemp("csv")
-    (out / "columns.csv").write_text(_csv_text(["n", "x", "y"], columns))
-    row_write_csv(out / "rows.csv", ["n", "x", "y"], list(zip(*columns)))
-    assert (out / "columns.csv").read_bytes() == (out / "rows.csv").read_bytes()
-
-
-B = CSV_BLOCK_ROWS
+    (out / "grid.csv").write_text(_csv_text(["n", "x", "y"], outer, inner, values))
+    row_write_csv(out / "rows.csv", ["n", "x", "y"], grid_rows(outer, inner, values))
+    assert (out / "grid.csv").read_bytes() == (out / "rows.csv").read_bytes()
 
 
 # cells on both sides of each bound of the writer's digit path (1e-4 <= v < 1, at most 15
-# places), and 0.0/-0.0, nan and inf
+# places), 0.0/-0.0, nan and inf, and the longest reprs
 EDGE_VALUES = [1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), 0.1, 0.01, 0.001, 0.5,
                0.999999999999999, np.nextafter(1, 0), 1.0, 0.0, -0.0, math.nan, math.inf,
                -math.inf, -0.25, 0.12345678901234567, 0.00012345678901234567, 2 / 3,
-               0.3000000000000001, 6.25]
+               0.3000000000000001, 6.25, -2.2250738585072014e-308, 1.2345678901234567e-300,
+               1e300]
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, B - 1, B, B + 1, 2 * B + 3])
-def test_block_writer_matches_row_writer_across_blocks(tmp_path, n_rows):
-    rows = np.arange(n_rows)
-    # the pool's 21-row cycle does not divide a block, so each block starts at another pool
-    # value, and both sides of a boundary between full blocks hold every pool value
+# each grid named by its row count; inner axes that do not divide CSV_BLOCK_ROWS put the
+# block boundaries inside an outer row
+@pytest.mark.parametrize("shape", [
+    pytest.param((0, 21), id="0"), pytest.param((1, 1), id="1"),
+    pytest.param((195, 21), id="4095"), pytest.param((2, 2048), id="4096"),
+    pytest.param((17, 241), id="4097"), pytest.param((5, 1639), id="8195"),
+    pytest.param((2, 4095), id="8190"), pytest.param((2, 4097), id="8194"),
+    pytest.param((3, 4096), id="12288")])
+def test_block_writer_matches_row_writer_across_blocks(tmp_path, shape):
+    n_outer, n_inner = shape
+    rows = np.arange(n_outer * n_inner)
     pool = np.array(EDGE_VALUES)
-    ints = rows % 5 - 2
-    x = pool[rows % len(pool)]
+    outer = np.arange(n_outer) % 5 - 2
+    inner = pool[np.arange(n_inner) % len(pool)]
     # distinct per row except every third, so each block has its own set of values: repr'd
     # multiples of 0.1, and probabilities rounded as the experiments write them
-    y = np.select([rows % 3 == 0, rows % 3 == 1], [pool[(rows // 3) % len(pool)], rows * 0.1],
-                  np.round(np.sin(rows) ** 2, PROBABILITY_DECIMALS))
-    columns = [ints, x, y]
-    (tmp_path / "columns.csv").write_text(_csv_text(["n", "x", "y"], columns))
-    row_write_csv(tmp_path / "rows.csv", ["n", "x", "y"], list(zip(*columns)))
-    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    values = np.select([rows % 3 == 0, rows % 3 == 1], [pool[(rows // 3) % len(pool)], rows * 0.1],
+                       np.round(np.sin(rows) ** 2, PROBABILITY_DECIMALS)).reshape(shape)
+    (tmp_path / "grid.csv").write_text(_csv_text(["n", "x", "y"], outer, inner, values))
+    row_write_csv(tmp_path / "rows.csv", ["n", "x", "y"], grid_rows(outer, inner, values))
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(ks=st.lists(st.integers(10**11, 10**15 - 1), min_size=1, max_size=40))
+@given(ks=st.lists(st.integers(10**11, 10**15 - 1)
+                   | st.integers(10**8, 10**12 - 1).map(lambda k: k * 1000)
+                   | st.integers(10**5, 10**9 - 1).map(lambda k: k * 10**6),
+                   min_size=1, max_size=40))
 def test_digit_cells_are_the_repr_of_every_fifteen_place_decimal(ks):
+    # multiples of 1000 and 10**6 end in whole zero groups, which the float groups must
+    # find exactly
     values = np.array(ks) / 1e15
-    expected = "p\n" + "".join(repr(v) + "\n" for v in values.tolist())
-    assert _csv_text(["p"], [values]) == expected
+    expected = "p,k,v\n" + "".join(f"0,{k},{v!r}\n" for k, v in zip(ks, values.tolist()))
+    assert _csv_text(["p", "k", "v"], [0], np.array(ks), values[None, :]) == expected
 
 
-def test_digit_triple_table_is_the_padded_and_stripped_triples():
+def test_digit_quad_table_is_the_padded_and_stripped_triples():
     triples = [f"{i:03d}" for i in range(1000)]
     stripped = [t.rstrip("0").ljust(3, "\0") for t in triples]
-    assert harness._DIGIT_TRIPLES.dtype == np.uint8
-    assert harness._DIGIT_TRIPLES.tobytes() == "".join(triples + stripped).encode("ascii")
+    assert harness._DIGIT_QUADS.dtype == np.uint32 and harness._DIGIT_QUADS.shape == (2000,)
+    assert harness._DIGIT_QUADS.tobytes() == "".join(
+        t + "\0" for t in triples + stripped).encode("ascii")
 
 
-def default_chevron_columns(rounded):
-    """The default Q1 map's CSV columns, raw or as ``_run_spectroscopy`` writes them."""
+def default_chevron_grid(rounded):
+    """The default Q1 map's axes and grid, raw or as ``_run_spectroscopy`` writes them."""
     freqs, taus = _spectroscopy_grids(ExperimentSpec("spectroscopy", {"qubit": 1}))
     grid = swap_spectroscopy(DeviceConfig.default(), 0, freqs, taus)
     if rounded:
         np.round(grid, PROBABILITY_DECIMALS, out=grid)
-    f_col, tau_col = np.meshgrid(freqs, taus, indexing="ij")
-    return [f_col.ravel(), tau_col.ravel(), grid.ravel()]
+    return freqs, taus, grid
 
 
 def test_rounded_chevron_cells_take_the_digit_path(monkeypatch):
@@ -620,27 +699,29 @@ def test_rounded_chevron_cells_take_the_digit_path(monkeypatch):
         calls.append(value)
         return repr(value)
 
-    columns = default_chevron_columns(rounded=True)
+    freqs, taus, grid = default_chevron_grid(rounded=True)
     monkeypatch.setattr(harness, "repr", counting_repr, raising=False)
-    _csv_text(["freq_ghz", "tau_ns", "p_e"], columns)
-    # the repr'd cells are each block's distinct frequencies and delays, and the P_e
-    # cells at 1 or below 1e-4: under 2% of the map
-    assert 0 < len(calls) < 0.05 * 3 * len(columns[0])
+    _csv_text(["freq_ghz", "tau_ns", "p_e"], freqs, taus, grid)
+    # each axis value once, and at most the P_e cells at 1 or below 1e-4: under 2% of
+    # the map
+    slow = ~((grid >= 1e-4) & (grid < 1))
+    assert (len(freqs), len(taus)) == (261, 201)
+    assert 0 < len(calls) <= 261 + 201 + slow.sum() < 0.02 * grid.size
 
 
 def test_chevron_csv_peak_memory_is_a_small_multiple_of_its_text():
     # the raw grid mostly takes the repr path; the grid as the experiment writes it, the
     # digit path
     for rounded in (False, True):
-        columns = default_chevron_columns(rounded)
+        freqs, taus, grid = default_chevron_grid(rounded)
         tracemalloc.start()
         try:
-            text = _csv_text(["freq_ghz", "tau_ns", "p_e"], columns)
+            text = _csv_text(["freq_ghz", "tau_ns", "p_e"], freqs, taus, grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(columns[0]) > 10 * CSV_BLOCK_ROWS
-        # one block of cells at a time reads 2.0x either way; every cell string of the map
+        assert grid.size > 10 * CSV_BLOCK_ROWS
+        # one block of cells at a time reads 2.2x either way; every cell string of the map
         # at once, 9.1x
         assert peak < 3 * len(text), rounded
 

@@ -276,10 +276,16 @@ def test_operator_flags_checked():
     lambda layout: DensityMatrix(layout, np.full((2, 2), np.nan)),
     lambda layout: QuantumOperator(layout, [[np.nan, 0], [0, 1]], hermitian=True),
     lambda layout: QuantumOperator(layout, [[0, np.nan], [1, 0]], unitary=True),
+    lambda layout: QuantumState(layout, [np.inf, 0]),
+    lambda layout: DensityMatrix(layout, [[np.inf, 0], [0, 1]]),
+    lambda layout: DensityMatrix(layout, [[0.5, -np.inf], [np.inf, 0.5]]),
+    lambda layout: QuantumOperator(layout, [[np.inf, 0], [0, 1]], hermitian=True),
 ], ids=["state", "nan_state", "dm_coherence", "dm_population", "nan_dm", "hermitian_op",
-        "unitary_op"])
+        "unitary_op", "inf_state", "inf_dm_population", "inf_dm_coherence", "inf_op"])
 def test_nan_entries_fail_the_invariants(build):
-    # a NaN makes every comparison false, so each check must fail unless its bound holds
+    # a NaN makes every comparison false, so each check must fail unless its bound holds;
+    # inf must fail before any check computes with it (inf - inf warns), so the suite's
+    # warnings-as-errors also sees the InvariantError
     with pytest.raises(InvariantError):
         build(SpaceLayout.qubits(1))
 

@@ -384,11 +384,16 @@ def _nan_rho_hat(doc):
     doc["rho_hat"][0][1] = [json.loads("NaN"), 0.0]
 
 
+def _infinite_rho_hat(doc):
+    doc.update(bell_doc())
+    doc["rho_hat"][1][1] = [json.loads("Infinity"), 0.0]
+
+
 @pytest.mark.parametrize("corrupt", [_permuted, _duplicated, _missing_setting, _extra_label,
                                      _missing_label, _fractional_count, _missing_seed,
                                      _string_shots, _boolean_seed, _string_qubit,
                                      _negative_seed, _boolean_count, _unknown_key,
-                                     _nan_rho_hat,
+                                     _nan_rho_hat, _infinite_rho_hat,
                                      # its settings and histograms intact, one qubit twice
                                      _bell_with("duplicate_qubits", "qubits", [0, 0]),
                                      _bell_with("number_settings", "settings", 5),
