@@ -37,6 +37,10 @@ OPERATING_HALF_RANGE_GHZ = 1.0
 # idle points must sit at least this many max-couplings away from the bus
 COUPLING_OFF_FACTOR = 5.0
 
+# the physical band of every device frequency (GHz), and the largest coupling (MHz)
+FREQUENCY_BAND_GHZ = (1.0, 20.0)
+MAX_COUPLING_MHZ = 500.0
+
 
 class ConfigError(ValueError):
     """Invalid device or noise configuration; carries the violation list."""
@@ -77,9 +81,12 @@ class DeviceConfig:
         if flagged:
             raise ConfigError([f"{name} must hold numbers, not true or false" for name in flagged])
         for name in ("f_memory", "f_idle", "g_bus", "g_mem"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
-            if len(getattr(self, name)) != self.n_qubits:
-                raise ConfigError(f"{name} must list one value per qubit ({self.n_qubits})")
+            values = getattr(self, name)
+            # a list, not a string, whose characters would pass as one value per qubit
+            if not isinstance(values, (list, tuple, np.ndarray)) or len(values) != self.n_qubits:
+                raise ConfigError(f"{name} must list one value per qubit ({self.n_qubits}), "
+                                  f"got {values!r}")
+            object.__setattr__(self, name, tuple(float(v) for v in values))
         violations = self.validate()
         if violations:
             raise ConfigError(violations)
@@ -90,14 +97,18 @@ class DeviceConfig:
             value = getattr(self, name)
             if type(value) is not int or value < 1:  # bool is not a count
                 out.append(f"{name} must be a whole number >= 1 (got {value})")
+        low, high = FREQUENCY_BAND_GHZ
         for name in ("f_bus", "f_memory", "f_idle", "g_bus", "g_mem"):
             values = np.atleast_1d(getattr(self, name))
             if not np.isfinite(values).all():
                 out.append(f"{name} must be finite (got {values.tolist()})")
-        for name in ("g_bus", "g_mem"):
-            for i, g in enumerate(getattr(self, name)):
-                if g <= 0:
-                    out.append(f"{name}[{i}] must be > 0 (got {g})")
+                continue
+            labels = [name] if name == "f_bus" else [f"{name}[{i}]" for i in range(len(values))]
+            for label, v in zip(labels, values):
+                if name.startswith("f") and not low <= v <= high:
+                    out.append(f"{label} must lie in {low}..{high} GHz (got {v})")
+                elif name.startswith("g") and not 0 < v <= MAX_COUPLING_MHZ:
+                    out.append(f"{label} must be > 0 and at most {MAX_COUPLING_MHZ} MHz (got {v})")
         g_max = max(self.g_bus, default=0.0) * MHZ
         for i, f in enumerate(self.f_idle):
             if abs(f - self.f_bus) < COUPLING_OFF_FACTOR * g_max:

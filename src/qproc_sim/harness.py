@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
+import itertools
 import json
 import math
 import os
@@ -25,6 +27,7 @@ import platform
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -163,7 +166,79 @@ def validate_config(config_path) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte, for a document
+    whose keys are strings. The pure-Python encoder that ``indent`` selects costs about a
+    microsecond per value; here only containers recurse, and a record's count histograms
+    and each ``rho_hat`` row are filled into one cached %-template each."""
+    return _json_value(doc, "\n") + "\n"
+
+
+def _json_value(value, nl: str) -> str:
+    """The JSON text of ``value``, nested so that its line breaks are ``nl``."""
+    if isinstance(value, dict):
+        keys = sorted(value)
+        values = list(map(value.__getitem__, keys))
+        texts = _json_leaves(values) or [_json_value(v, nl + "  ") for v in values]
+        return _json_container("{}", [f"{encode_basestring_ascii(k)}: {text}"
+                                      for k, text in zip(keys, texts)], nl)
+    if not isinstance(value, (list, tuple)):
+        return _json_scalar(value)
+    kinds = set(map(type, value))
+    if kinds == {dict} and all(map(value[0].keys().__eq__, map(dict.keys, value))):
+        row_shape = tuple(sorted(value[0]))
+        leaves = _json_leaves([d[k] for d in value for k in row_shape])
+    elif kinds and kinds <= {list, tuple} and len(set(map(len, value))) == 1:
+        row_shape = len(value[0])
+        leaves = _json_leaves(list(itertools.chain.from_iterable(value)))
+    elif leaves := _json_leaves(value):
+        return _json_container("[]", leaves, nl)
+    if leaves:
+        return _json_template(row_shape, nl, len(value)) % tuple(leaves)
+    return _json_container("[]", [_json_value(v, nl + "  ") for v in value], nl)
+
+
+def _json_leaves(values) -> list[str] | None:
+    """The JSON text of each value if all are strings, all ints or all finite floats, else
+    None. A bool is not an int here: ``type`` is checked, not ``isinstance``."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, values))
+    # a sum is finite only if every term is
+    if kinds == {int} or kinds == {float} and math.isfinite(sum(values)):
+        return list(map(repr, values))
+    return None
+
+
+def _json_scalar(value) -> str:
+    """json's spelling of one string, number, bool or None."""
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_container(brackets: str, items: list[str], nl: str) -> str:
+    inner = nl + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1] if items else brackets
+
+
+@functools.cache
+def _json_template(row_shape, nl: str, rows: int) -> str:
+    """A %-template of a list of ``rows`` rows of leaves: lists of ``row_shape`` leaves if it
+    is a number, else objects of the keys ``row_shape``."""
+    inner = nl + "  "
+    if isinstance(row_shape, int):
+        row = _json_container("[]", ["%s"] * row_shape, inner)
+    else:
+        row = _json_container("{}", [encode_basestring_ascii(k).replace("%", "%%") + ": %s"
+                                     for k in row_shape], inner)
+    return _json_container("[]", [row] * rows, nl)
 
 
 def _digit_quads() -> np.ndarray:

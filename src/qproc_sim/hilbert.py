@@ -255,11 +255,14 @@ def apply_local(op, array, dims: Sequence[int], axes: Sequence[int]) -> np.ndarr
     """
     dims, axes = tuple(dims), tuple(axes)
     array = np.asarray(array)
-    k = len(axes)
-    op = np.asarray(op).reshape(tuple(dims[a] for a in axes) * 2)
-    out = np.tensordot(op, array.reshape(dims + array.shape[1:]),
-                       axes=(tuple(range(k, 2 * k)), axes))
-    return np.moveaxis(out, tuple(range(k)), axes).reshape(array.shape)
+    # the operands and product of np.tensordot(op, array, (op's column axes, axes)),
+    # without its argument handling: target axes first, every other axis in order
+    tensor = array.reshape(dims + array.shape[1:])
+    order = axes + tuple(a for a in range(tensor.ndim) if a not in axes)
+    m = math.prod(dims[a] for a in axes)
+    out = np.dot(np.asarray(op).reshape(m, m), tensor.transpose(order).reshape(m, -1))
+    out = out.reshape([tensor.shape[a] for a in order])
+    return out.transpose(np.argsort(order)).reshape(array.shape)
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:

@@ -74,6 +74,8 @@ class NoiseParams:
             raw = doc.get(key)
             if raw is None:
                 return (fallback,) * n_qubits
+            if type(raw) is not list:  # not one qubit per character of a string
+                raise ValueError(f"{key} must be a JSON list of one value per qubit (got {raw!r})")
             if len(raw) != n_qubits:
                 raise ValueError(f"{key} must list one value per qubit ({n_qubits}), got {len(raw)}")
             return tuple(math.inf if v in (None, "inf") else number(key, v) for v in raw)

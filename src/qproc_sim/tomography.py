@@ -12,6 +12,7 @@ unit-trace) set; deterministic given the counts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -51,13 +52,15 @@ _INVERSION_KERNEL = np.array([
 ])
 
 
+@functools.cache
 def all_settings(n_qubits: int) -> tuple[tuple[str, ...], ...]:
     """The full 3^n product set of per-qubit pre-rotations, in fixed lexicographic order."""
     return tuple(itertools.product(ROTATION_KINDS, repeat=n_qubits))
 
 
-def _outcome_labels(n_qubits: int) -> list[str]:
-    return [format(m, f"0{n_qubits}b") for m in range(2 ** n_qubits)]
+@functools.cache
+def _outcome_labels(n_qubits: int) -> tuple[str, ...]:
+    return tuple(format(m, f"0{n_qubits}b") for m in range(2 ** n_qubits))
 
 
 @dataclass
@@ -96,17 +99,15 @@ class TomographyRecord:
         return all_settings(self.n_qubits)
 
     def to_dict(self) -> dict:
-        def complex_pairs(mat):
-            return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
-
-        labels = _outcome_labels(self.n_qubits)
+        labels, d = _outcome_labels(self.n_qubits), 2 ** self.n_qubits
         return {
             "qubits": list(self.qubits),
             "settings": [list(s) for s in self.settings],
             "shots_per_setting": self.shots_per_setting,
             "seed": self.seed,
             "counts": [dict(zip(labels, row)) for row in self.counts.tolist()],
-            "rho_hat": None if self.rho_hat is None else complex_pairs(self.rho_hat.elements),
+            "rho_hat": (None if self.rho_hat is None  # [re, im] pairs
+                        else self.rho_hat.elements.view(np.float64).reshape(d, d, 2).tolist()),
             "metrics": dict(sorted(self.metrics.items())),
         }
 
@@ -136,8 +137,8 @@ class TomographyRecord:
         if doc["settings"] != [list(s) for s in all_settings(n)]:
             raise ValueError(f"settings must be the 3^{n} product settings in all_settings order")
         labels = _outcome_labels(n)
-        if any(type(c) is not dict or sorted(c) != labels for c in doc["counts"]):
-            raise ValueError(f"each histogram must be a JSON object of the outcomes {labels}")
+        if any(type(c) is not dict or tuple(sorted(c)) != labels for c in doc["counts"]):
+            raise ValueError(f"each histogram must be a JSON object of the outcomes {list(labels)}")
         counts = [[c[label] for label in labels] for c in doc["counts"]]
         if set(map(type, itertools.chain.from_iterable(counts))) != {int}:  # not bool
             raise ValueError("counts must hold JSON integers")
@@ -405,24 +406,31 @@ def phase_gauged_fidelity(state, target: QuantumState, max_sweeps: int = 100) ->
 # reference states
 # ---------------------------------------------------------------------------
 
+# the reference states are frozen values, built and validated once
+
+@functools.cache
 def bell_singlet() -> QuantumState:
     return superposition_ket([("ge", 1), ("eg", -1)])
 
 
+@functools.cache
 def bell_phi_plus() -> QuantumState:
     """(|gg> + |ee>)/√2, the H-then-CNOT circuit output."""
     return superposition_ket([("gg", 1), ("ee", 1)])
 
 
+@functools.cache
 def w_state(n: int = 3) -> QuantumState:
     labels = ["g" * k + "e" + "g" * (n - 1 - k) for k in range(n - 1, -1, -1)]
     return superposition_ket([(label, 1) for label in labels])
 
 
+@functools.cache
 def ghz_state(n: int = 3) -> QuantumState:
     return superposition_ket([("g" * n, 1), ("e" * n, 1)])
 
 
+@functools.cache
 def maximally_mixed_qubit() -> DensityMatrix:
     """The ideal output-register state (|g><g| + |e><e|)/2."""
     return DensityMatrix(SpaceLayout.qubits(1), np.eye(2, dtype=complex) / 2)

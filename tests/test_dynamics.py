@@ -68,6 +68,26 @@ def test_config_rejects_nonpositive_coupling():
     assert any("g_bus[1]" in v for v in exc.value.violations)
 
 
+@pytest.mark.parametrize("field", ["f_memory", "f_idle", "g_bus", "g_mem"])
+def test_config_rejects_a_string_for_a_per_qubit_list(field):
+    # iterated, "2222" would be one value per character
+    with pytest.raises(ConfigError, match=f"{field} must list one value per qubit"):
+        DeviceConfig(**{field: "2222"})
+
+
+@pytest.mark.parametrize("change, fragment", [
+    ({"f_bus": 0.999}, "f_bus must lie in 1.0..20.0 GHz"),
+    ({"f_memory": (6.8, 7.2, 7.1, 20.001)}, "f_memory[3] must lie in 1.0..20.0 GHz"),
+    ({"g_mem": (20.0, 500.001, 20.0, 20.0)}, "g_mem[1] must be > 0 and at most 500.0 MHz"),
+])
+def test_config_rejects_values_outside_the_physical_band(change, fragment):
+    with pytest.raises(ConfigError) as exc:
+        DeviceConfig(**change)
+    assert len(exc.value.violations) == 1 and fragment in exc.value.violations[0]
+    band_edges = {"f_bus": 1.0, "f_memory": (6.8, 7.2, 7.1, 20.0), "g_mem": (20.0, 500.0, 20.0, 20.0)}
+    DeviceConfig(**{key: band_edges[key] for key in change})  # the edges themselves are in
+
+
 def test_config_rejects_idle_too_close_to_bus():
     with pytest.raises(ConfigError) as exc:
         DeviceConfig(f_idle=(6.2, 6.6, 6.6, 6.6))

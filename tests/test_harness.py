@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qproc_sim
-from qproc_sim import harness
+from qproc_sim import dynamics, harness
 from qproc_sim.circuits import FactoringResult
 from qproc_sim.dynamics import (
     ConfigError,
@@ -153,6 +153,25 @@ CONFIG_ERRORS = {
                         "gate_time_1q_ns must hold numbers"),
     "boolean_gate_2q": ({"noise": dict(NOISE_BLOCK, gate_time_2q_ns=True)},
                         "gate_time_2q_ns must hold numbers"),
+    # a JSON string where a per-qubit list belongs, which would be read one digit per qubit
+    "string_memory": ({"f_memory_ghz": "7777"}, "f_memory must list one value per qubit"),
+    "string_idle": ({"f_idle_ghz": "6666"}, "f_idle must list one value per qubit"),
+    "string_bus_coupling": ({"g_bus_mhz": "5555"}, "g_bus must list one value per qubit"),
+    "string_memory_coupling": ({"g_mem_mhz": "2222"}, "g_mem must list one value per qubit"),
+    "string_t1": ({"noise": dict(NOISE_BLOCK, t1_ns="1111")}, "t1_ns must be a JSON list"),
+    "string_dephasing": ({"noise": dict(NOISE_BLOCK, t_phi_ns="2222")},
+                         "t_phi_ns must be a JSON list"),
+    "number_memory": ({"f_memory_ghz": 6.8}, "f_memory must list one value per qubit"),
+    # frequencies outside the physical band, couplings above its ceiling
+    "negative_bus": ({"f_bus_ghz": -1}, "f_bus must lie in 1.0..20.0 GHz"),
+    "low_bus": ({"f_bus_ghz": 0.5}, "f_bus must lie in 1.0..20.0 GHz"),
+    "huge_idle": ({"f_idle_ghz": [1e308, 6.6, 6.6, 6.6]}, "f_idle[0] must lie in 1.0..20.0 GHz"),
+    "huge_memory": ({"f_memory_ghz": [6.8, 7.2, 1e308, 6.9]}, "f_memory[2] must lie in"),
+    "high_memory": ({"f_memory_ghz": [6.8, 7.2, 7.1, 20.5]}, "f_memory[3] must lie in"),
+    "huge_memory_coupling": ({"g_mem_mhz": [20.0, 1e308, 20.0, 20.0]},
+                             "g_mem[1] must be > 0 and at most 500.0 MHz"),
+    "strong_memory_coupling": ({"g_mem_mhz": [20.0, 20.0, 20.0, 501.0]},
+                               "g_mem[3] must be > 0 and at most 500.0 MHz"),
 }
 
 
@@ -389,6 +408,20 @@ def test_small_w4_tomography_json_matches_reference(tmp_path):
     assert (tmp_path / "tomography.json").read_bytes() == reference.read_bytes()
 
 
+@pytest.mark.parametrize("variant, noisy, fixture", [
+    ("three_qubit", True, "shor_three_qubit_noisy_small.json"),  # records at depth 2
+    ("control", False, "shor_control_ideal_small.json"),  # "factors": null
+])
+def test_small_factoring_json_matches_reference(tmp_path, variant, noisy, fixture):
+    # reference written by json.dumps(indent=2, sort_keys=True) at the same options and seed
+    doc = dict(DeviceConfig.default().to_dict(), **({"noise": NOISE_BLOCK} if noisy else {}))
+    options = {"variant": variant, "shots": 2000, "qst_shots": 100}
+    assert run_experiment(ExperimentSpec("shor", options, tmp_path / "out", 3),
+                          config_path=write_config(tmp_path, doc)) == 0
+    reference = Path(__file__).parent / "data" / fixture
+    assert (tmp_path / "out" / "factoring.json").read_bytes() == reference.read_bytes()
+
+
 # each bad option, with a fragment its one-line message must contain
 OPTION_ERRORS = {
     ("spectroscopy", "--qubit", "0"): "1-based",
@@ -453,12 +486,14 @@ def test_negative_seed_exits_one(tmp_path, capsys, name):
     assert err == ["config error: seed must be >= 0 (got -1)"]
 
 
-def test_non_finite_chevron_exits_two(tmp_path, capsys):
-    # a memory frequency this far out passes the device checks, but the chevron solve
-    # overflows to NaN
+def test_non_finite_chevron_exits_two(tmp_path, capsys, monkeypatch):
+    # a memory frequency this far out fails the device band; with the band lifted the
+    # device loads, but the chevron solve overflows to NaN
     doc = DeviceConfig.default().to_dict()
     doc["f_memory_ghz"][0] = 1e308
     path = write_config(tmp_path, doc)
+    assert main(["validate", "--config", str(path)]) == 1
+    monkeypatch.setattr(dynamics, "FREQUENCY_BAND_GHZ", (1.0, math.inf))
     assert main(["validate", "--config", str(path)]) == 0
     capsys.readouterr()
     with pytest.warns(RuntimeWarning):
@@ -551,6 +586,85 @@ def test_rerun_over_earlier_outputs_matches_fresh_run(tmp_path):
     outputs = [{p.name: p.read_bytes() for p in sorted(d.iterdir())} for d in (reused, fresh)]
     assert outputs[0] == outputs[1]
     assert set(outputs[0]) == {"factoring.json", "manifest.json"}
+
+
+# ---------------------------------------------------------------------------
+# JSON writer against json.dumps, its oracle
+# ---------------------------------------------------------------------------
+
+JSON_TEXTS = st.one_of(st.text(max_size=6),
+                       st.sampled_from(["%", "%d", "%s%%", "a%(b)s", '"', "\\", "é", "☃", "\x00"]))
+JSON_FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0,
+                                                     5e-324, 1e16, 0.1, 1e308]))
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), JSON_FLOATS, JSON_TEXTS)
+
+
+@st.composite
+def int_dict_lists(draw):
+    """Lists of int-valued objects as the writer's template path takes them, each object
+    possibly with its keys in another order, a key dropped or added, or a bool or float."""
+    keys = draw(st.lists(JSON_TEXTS, max_size=4, unique=True))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        row_keys = list(draw(st.permutations(keys)))
+        if row_keys and draw(st.integers(0, 5)) == 0:
+            row_keys.pop()
+        if draw(st.integers(0, 5)) == 0:
+            row_keys.append(draw(JSON_TEXTS))
+        values = st.one_of(st.integers(), st.just(True), st.just(1.0)) \
+            if draw(st.integers(0, 3)) == 0 else st.integers()
+        rows.append({k: draw(values) for k in row_keys})
+    return rows
+
+
+@st.composite
+def float_rows(draw):
+    """Lists of float rows, mostly of one width and finite, sometimes ragged or not finite."""
+    width = draw(st.integers(0, 3))
+    leaves = JSON_FLOATS if draw(st.booleans()) else st.floats(allow_nan=False,
+                                                                allow_infinity=False)
+    return [draw(st.lists(leaves, min_size=width, max_size=width + draw(st.integers(0, 1))))
+            for _ in range(draw(st.integers(0, 4)))]
+
+
+JSON_DOCS = st.recursive(
+    st.one_of(JSON_SCALARS, int_dict_lists(), float_rows(), st.lists(JSON_TEXTS, max_size=4),
+              st.lists(JSON_FLOATS, max_size=4), st.dictionaries(JSON_TEXTS, st.integers(),
+                                                                  max_size=4)),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(JSON_TEXTS, children, max_size=4)),
+    max_leaves=12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(doc=JSON_DOCS)
+def test_json_writer_matches_json_dumps(doc):
+    assert harness._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {"a%d": {"x%": 1, "y": 2}, "b": {"n": True, "m": 1}, "c": {}, "d": []},
+    [{"b": 1, "a": 2}, {"a": 3, "b": 4}],  # one key set in two orders
+    [{"a": 1, "b": 2}, {"a": 1, "c": 2}],  # two key sets
+    [{"a": 1}, {"a": True}],
+    [[0.5, -0.0], [5e-324, 1e16]],
+    [[0.5, math.nan], [1.0, 2.0]],
+    [[0.5], [1.0, 2.0]],
+    [[], []],
+    [["I", "X_half"], ["Y_half", "%s"]],
+    [np.float64(0.1), 1.0, {"k": np.float64(-0.0)}],  # numpy floats are floats to json
+    (1, (2.0, "three"), None),
+])
+def test_json_writer_matches_json_dumps_on_edge_documents(doc):
+    assert harness._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("doc", [{"a": np.int64(1)}, [1.0, object()], {"a": [{1j}]}])
+def test_json_writer_rejects_values_json_cannot_encode(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        harness._json_text(doc)
 
 
 # ---------------------------------------------------------------------------
