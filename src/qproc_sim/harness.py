@@ -25,6 +25,7 @@ import math
 import os
 import platform
 import sys
+import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 from json.encoder import encode_basestring_ascii
@@ -355,14 +356,17 @@ def _manifest(spec: ExperimentSpec, config: DeviceConfig, noise: NoiseParams | N
 # ---------------------------------------------------------------------------
 
 def _read_csv(path, columns) -> np.ndarray:
-    """Check a CSV's header against ``columns``; return its body as a float table."""
-    lines = Path(path).read_text().strip().splitlines()
+    """Check a CSV's first line against ``columns``; return the rest as a float table,
+    read from the open file without holding its text."""
     header = ",".join(columns)
-    if not lines or lines[0] != header:
-        raise ValueError(f"unexpected header in {path}: {lines[:1]}, expected {header!r}")
-    if len(lines) == 1:
+    with open(path) as f, warnings.catch_warnings():
+        first = f.readline().rstrip("\n")
+        if first != header:
+            raise ValueError(f"unexpected header in {path}: {first!r}, expected {header!r}")
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        table = np.loadtxt(f, delimiter=",", ndmin=2)
+    if table.size == 0:
         return np.empty((0, len(columns)))
-    table = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
     if table.shape[1] != len(columns):
         raise ValueError(f"{path}: rows have {table.shape[1]} values, expected {len(columns)}")
     return table

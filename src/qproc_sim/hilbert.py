@@ -12,8 +12,9 @@ be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -69,23 +70,21 @@ class SpaceLayout:
     """
 
     factors: tuple[Subsystem, ...]
+    # derived from the factors once; equality, hash and repr read the factors only
+    dims: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    total_dim: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
         if not self.factors:
             raise ValueError("a layout needs at least one factor")
+        object.__setattr__(self, "dims", tuple(f.dim for f in self.factors))
+        object.__setattr__(self, "total_dim", math.prod(self.dims))
 
     @classmethod
+    @functools.cache
     def qubits(cls, n: int) -> "SpaceLayout":
         return cls(tuple(qubit() for _ in range(n)))
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(f.dim for f in self.factors)
-
-    @property
-    def total_dim(self) -> int:
-        return math.prod(self.dims)
 
     @property
     def n_factors(self) -> int:
@@ -253,16 +252,22 @@ def apply_local(op, array, dims: Sequence[int], axes: Sequence[int]) -> np.ndarr
     ``apply_local(op, eye, dims, axes)``; ``op @ rho @ op†`` is two calls,
     on rho and then on the conjugate transpose of the result.
     """
-    dims, axes = tuple(dims), tuple(axes)
     array = np.asarray(array)
+    shape, order, ordered_shape, inverse, m = _local_plan(tuple(dims), tuple(axes), array.shape)
     # the operands and product of np.tensordot(op, array, (op's column axes, axes)),
     # without its argument handling: target axes first, every other axis in order
-    tensor = array.reshape(dims + array.shape[1:])
-    order = axes + tuple(a for a in range(tensor.ndim) if a not in axes)
+    out = np.dot(np.asarray(op).reshape(m, m), array.reshape(shape).transpose(order).reshape(m, -1))
+    return out.reshape(ordered_shape).transpose(inverse).reshape(array.shape)
+
+
+@functools.lru_cache(maxsize=256)
+def _local_plan(dims: tuple, axes: tuple, array_shape: tuple) -> tuple:
+    """``apply_local``'s index plan: the tensor shape, the order that puts ``axes`` first,
+    the shape in that order, the inverse order, and the dimension ``axes`` span."""
+    shape = dims + array_shape[1:]
+    order = axes + tuple(a for a in range(len(shape)) if a not in axes)
     m = math.prod(dims[a] for a in axes)
-    out = np.dot(np.asarray(op).reshape(m, m), tensor.transpose(order).reshape(m, -1))
-    out = out.reshape([tensor.shape[a] for a in order])
-    return out.transpose(np.argsort(order)).reshape(array.shape)
+    return shape, order, tuple(shape[a] for a in order), tuple(np.argsort(order).tolist()), m
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:

@@ -8,6 +8,7 @@ not published) and are flagged as such wherever they are serialized.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -35,8 +36,12 @@ class NoiseParams:
     invented_default: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "t1", tuple(float(v) for v in self.t1))
-        object.__setattr__(self, "t_phi", tuple(float(v) for v in self.t_phi))
+        for name in ("t1", "t_phi"):
+            values = getattr(self, name)
+            # a list, not a string, whose characters would pass as one value per qubit
+            if not isinstance(values, (list, tuple, np.ndarray)):
+                raise ValueError(f"{name} must list one value per qubit, got {values!r}")
+            object.__setattr__(self, name, tuple(float(v) for v in values))
         if len(self.t1) != len(self.t_phi):
             raise ValueError("t1 and t_phi must list the same number of qubits")
         for name in ("t1", "t_phi"):
@@ -121,6 +126,15 @@ def dephasing_kraus(dt: float, t_phi: float) -> tuple[np.ndarray, np.ndarray]:
     return K0, K1
 
 
+@functools.lru_cache(maxsize=256)
+def _step_kraus(dt: float, t1: float, t_phi: float) -> tuple:
+    """The damping and dephasing pairs of one qubit's step, built once and read-only."""
+    pairs = (damping_kraus(dt, t1), dephasing_kraus(dt, t_phi))
+    for K in (K for pair in pairs for K in pair):
+        K.setflags(write=False)
+    return pairs
+
+
 def apply_noise_step(
     rho: DensityMatrix,
     params: NoiseParams,
@@ -144,7 +158,7 @@ def apply_noise_step(
             raise ValueError(f"qubit index {q} outside 0..{len(dims) - 1}")
         if rho.layout.factors[q].kind != "qubit":
             raise ValueError(f"factor {q} is not a qubit")
-        for kraus in (damping_kraus(dt, params.t1[q]), dephasing_kraus(dt, params.t_phi[q])):
+        for kraus in _step_kraus(dt, params.t1[q], params.t_phi[q]):
             out = np.zeros_like(mat)
             for K in kraus:
                 half = apply_local(K, mat, dims, (q,))

@@ -45,11 +45,12 @@ _MEASURED_PAULI = {"I": (SIGMA_Z, 1.0), "X_half": (SIGMA_Y, 1.0), "Y_half": (SIG
 
 # per-qubit linear-inversion kernel, indexed [rotation, outcome bit, row, col]:
 # I/6 + sign·(-1)^b·P/2. The I/6 term is the identity's share of each of the
-# three rotations; the Pauli term is read by one rotation only.
+# three rotations; the Pauli term is read by one rotation only. Stored as the
+# (6, 4) matrix [(rotation, bit), (row, col)] that a contraction multiplies by.
 _INVERSION_KERNEL = np.array([
     [np.eye(2) / 6 + sign * (-1) ** b * pauli / 2 for b in (0, 1)]
     for pauli, sign in (_MEASURED_PAULI[r] for r in ROTATION_KINDS)
-])
+]).reshape(6, 4)
 
 
 @functools.cache
@@ -206,20 +207,71 @@ def setting_probabilities(rho: DensityMatrix) -> np.ndarray:
     return np.clip(np.concatenate(blocks).real, 0.0, None)
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and PCG64's multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = np.uint64(2**32 - 1), 2**128 - 1
+
+
+@functools.cache
+def _hash_constants(init: int, mult: int, start: int, count: int) -> np.ndarray:
+    """The read-only (count, 1) column of init · mult^j mod 2^32 for j = start, start + 1, ..."""
+    h = np.array([init * pow(mult, j, 2**32) % 2**32 for j in range(start, start + count)],
+                 dtype=np.uint64)[:, None]
+    h.setflags(write=False)
+    return h
+
+
+def _hashed(words: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of ``words`` into row j: (w ^ h_j) · h_(j+1) mod 2^32, x ^= x >> 16."""
+    out = (words ^ h[:-1]) * h[1:] & _MASK32
+    return out ^ (out >> np.uint64(16))
+
+
+def _spawned_pcg64_states(seed, k: int) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) of each of ``SeedSequence(seed).spawn(k)``, in one pass over k.
+
+    Child i mixes its parent's entropy and then its spawn key i, so its pool is the parent's
+    pool with i mixed into each word. Building the parent raises numpy's error for a bad seed.
+    """
+    parent = np.random.SeedSequence(seed)
+    size = parent.pool_size
+    words = max(1, -(-int(parent.entropy).bit_length() // 32))  # the seed's 32-bit words
+    # hash steps of the parent's mixing: its first pool_size words, their cross-mixing,
+    # then pool_size for each further word
+    steps = size * size + max(0, words - size) * size
+    keys = _hashed(np.arange(k, dtype=np.uint64),
+                   _hash_constants(_INIT_A, _MULT_A, steps, size + 1))
+    pool = (_MIX_MULT_L * parent.pool.astype(np.uint64)[:, None] - _MIX_MULT_R * keys) & _MASK32
+    pool ^= pool >> np.uint64(16)
+    # generate_state(4, np.uint64): 8 words, the pool twice over
+    out = _hashed(np.concatenate((pool, pool)), _hash_constants(_INIT_B, _MULT_B, 0, 2 * size + 1))
+    states = []  # from little-endian word pairs: initstate from out[0:4], initseq from out[4:8]
+    for s_hi, s_lo, i_hi, i_lo in zip(*(out[0::2] | out[1::2] << np.uint64(32)).tolist()):
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
 def simulate_tomography(state, qubits: Sequence[int], shots_per_setting: int,
                         seed: int) -> TomographyRecord:
-    """Sample every product setting with independent per-setting seed streams."""
+    """Sample every product setting with independent per-setting seed streams: setting i
+    draws from ``default_rng(SeedSequence(seed).spawn(3^n)[i])``'s PCG64 stream."""
     if shots_per_setting < 1:
         raise ValueError("shots_per_setting must be >= 1")
     qubits = tuple(sorted(set(qubits)))
     rho = register_density_matrix(state, qubits)
-    streams = np.random.SeedSequence(seed).spawn(3 ** len(qubits))
+    streams = _spawned_pcg64_states(seed, 3 ** len(qubits))
     probs = setting_probabilities(rho)
     probs = probs / probs.sum(axis=1, keepdims=True)
-    counts = np.array([np.random.default_rng(stream).multinomial(shots_per_setting, row)
-                       for row, stream in zip(probs, streams)])
+    rng, counts = np.random.Generator(np.random.PCG64(0)), []
+    for row, (pcg_state, inc) in zip(probs, streams):
+        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": pcg_state, "inc": inc}}
+        counts.append(rng.multinomial(shots_per_setting, row))
     return TomographyRecord(qubits=qubits, shots_per_setting=shots_per_setting, seed=seed,
-                            counts=counts)
+                            counts=np.array(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +302,13 @@ def _linear_inversion(frequencies: np.ndarray, n: int) -> np.ndarray:
     # indexed [r_1..r_n, b_1..b_n]: all_settings order varies the first qubit's rotation
     # slowest, and the first qubit is the most significant outcome bit
     table = np.reshape(frequencies, (3,) * n + (2,) * n)
-    # contract qubit q's (r_q, b_q) axes, leaving its (row, col) pair at the end
+    # contract qubit q's (r_q, b_q) axes, leaving its (row, col) pair at the end: the
+    # transpose, reshape and np.dot of np.tensordot(table, kernel, ([0, n - q], [0, 1]))
     for q in range(n):
-        table = np.tensordot(table, _INVERSION_KERNEL, axes=([0, n - q], [0, 1]))
+        rest = [a for a in range(table.ndim) if a not in (0, n - q)]
+        shape = [table.shape[a] for a in rest] + [2, 2]
+        table = np.dot(table.transpose(rest + [0, n - q]).reshape(-1, 6), _INVERSION_KERNEL)
+        table = table.reshape(shape)
     order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
     return table.transpose(order).reshape(2 ** n, 2 ** n)
 
@@ -364,6 +420,14 @@ class GaugeFidelity:
     phases: tuple[float, ...]
 
 
+@functools.cache
+def _bit_table(n: int) -> np.ndarray:
+    """Read-only (2^n, n) table of each basis index's bits, the first qubit most significant."""
+    bits = np.array([[(x >> (n - 1 - q)) & 1 for q in range(n)] for x in range(2 ** n)])
+    bits.setflags(write=False)
+    return bits
+
+
 def phase_gauged_fidelity(state, target: QuantumState, max_sweeps: int = 100) -> GaugeFidelity:
     """Fidelity to a pure target maximized over one Z phase per qubit.
 
@@ -375,8 +439,7 @@ def phase_gauged_fidelity(state, target: QuantumState, max_sweeps: int = 100) ->
     rho = state.density_matrix() if isinstance(state, QuantumState) else state
     t = target.amplitudes
     n = target.layout.n_factors
-    dim = t.size
-    bits = np.array([[(x >> (n - 1 - q)) & 1 for q in range(n)] for x in range(dim)])
+    bits = _bit_table(n)
 
     raw = state_fidelity(rho, target)
     phases = np.zeros(n)

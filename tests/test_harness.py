@@ -193,6 +193,15 @@ def test_bad_config_documents_exit_one(tmp_path, capsys, case):
     assert "config ok" not in captured.out
 
 
+@pytest.mark.parametrize("key", ["t1_ns", "t_phi_ns"])
+def test_string_coherence_times_are_one_violation(tmp_path, capsys, key):
+    doc = dict(DeviceConfig.default().to_dict(), noise=dict(NOISE_BLOCK, **{key: "1111"}))
+    assert main(["validate", "--config", str(write_config(tmp_path, doc))]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"violation: bad noise parameters: {key} must be a JSON list of one value per qubit "
+        "(got '1111')"]
+
+
 @pytest.mark.parametrize("raw, fragment", [(b"\xff\xfe{", "is not UTF-8 text"),
                                            (b"[" * 100_000, "nests too deeply to parse")],
                          ids=["not_utf8", "deep_nesting"])
@@ -866,6 +875,34 @@ def test_spectroscopy_reader_rejects_bad_files(tmp_path, body):
     path.write_text(body)
     with pytest.raises(ValueError):
         read_spectroscopy_csv(path)
+
+
+@pytest.mark.parametrize("body, rows", [
+    ("freq_ghz,tau_ns,p_e", 0),
+    ("freq_ghz,tau_ns,p_e\n", 0),
+    ("freq_ghz,tau_ns,p_e\n\n", 0),
+    ("freq_ghz,tau_ns,p_e\r\n6.1,0.0,1.0\r\n", 1),
+    ("freq_ghz,tau_ns,p_e\n6.1,0.0,1.0\n\n6.1,0.5,0.5\n\n", 2),
+])
+def test_csv_reader_reads_the_body_after_the_header(tmp_path, body, rows):
+    path = tmp_path / "spectroscopy.csv"
+    path.write_bytes(body.encode())
+    assert harness._read_csv(path, ("freq_ghz", "tau_ns", "p_e")).shape == (rows, 3)
+
+
+@pytest.mark.parametrize("body", [
+    "",
+    "\nfreq_ghz,tau_ns,p_e\n6.1,0.0,1.0\n",   # the header must be the first line
+    " freq_ghz,tau_ns,p_e\n6.1,0.0,1.0\n",
+    "freq_ghz,tau_ns,p_e\n6.1,0.0,1.0\n   \n",  # a line of blanks is not an empty line
+    "freq_ghz,tau_ns\n6.1,0.0\n",
+    "freq_ghz,tau_ns,p_e\n6.1,0.0\n",
+])
+def test_csv_reader_rejects_bad_files(tmp_path, body):
+    path = tmp_path / "spectroscopy.csv"
+    path.write_bytes(body.encode())
+    with pytest.raises(ValueError):
+        harness._read_csv(path, ("freq_ghz", "tau_ns", "p_e"))
 
 
 @pytest.mark.parametrize("body", [

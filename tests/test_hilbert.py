@@ -62,6 +62,28 @@ def taylor_expm(H, t, terms=40):
 # tensor_product
 # ---------------------------------------------------------------------------
 
+def test_layout_equality_hash_and_repr_read_the_factors_only():
+    factors = (qubit(), resonator(2), qubit())
+    layout = SpaceLayout(list(factors))
+    assert layout == SpaceLayout(factors) and hash(layout) == hash(SpaceLayout(factors))
+    assert hash(layout) == hash((factors,))
+    assert repr(layout) == f"SpaceLayout(factors={factors!r})"
+    assert layout != SpaceLayout(factors[:2]) and layout != SpaceLayout.qubits(3)
+    assert layout.dims == (2, 3, 2) and layout.total_dim == 12
+    with pytest.raises(TypeError):
+        SpaceLayout(factors, dims=(2, 3, 2))
+    with pytest.raises(AttributeError):
+        layout.total_dim = 4
+
+
+def test_qubit_layouts_are_shared():
+    assert SpaceLayout.qubits(3) is SpaceLayout.qubits(3)
+    assert SpaceLayout.qubits(3) == SpaceLayout((qubit(),) * 3)
+    assert SpaceLayout.qubits(2).dims == (2, 2)
+    with pytest.raises(ValueError):
+        SpaceLayout.qubits(0)
+
+
 def test_tensor_identity_case():
     # a one-item product is the item itself
     psi = random_state(SpaceLayout((resonator(2),)))
@@ -360,15 +382,26 @@ def kron_oracle(op, dims, axes):
     ((3, 2, 2, 2), (3, 0, 2)),
 ])
 def test_apply_local_matches_kron_oracle(dims, axes):
-    d_op = int(np.prod([dims[a] for a in axes]))
-    op = RNG.normal(size=(d_op, d_op)) + 1j * RNG.normal(size=(d_op, d_op))
-    full = kron_oracle(op, dims, axes)
-    d = int(np.prod(dims))
-    vec = RNG.normal(size=d) + 1j * RNG.normal(size=d)
-    mat = RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d))
-    np.testing.assert_allclose(apply_local(op, vec, dims, axes), full @ vec, atol=1e-12)
-    np.testing.assert_allclose(apply_local(op, mat, dims, axes), full @ mat, atol=1e-12)
-    np.testing.assert_array_equal(apply_local(op, np.eye(d), dims, axes), full)
+    # the same dims with a vector, a matrix and a wide matrix, then other dims and axes, then
+    # the first again: each call reuses or adds a cached index plan, never another call's
+    n = len(dims)
+    calls = [(dims, axes), (dims, tuple(reversed(axes))), (dims[::-1], axes),
+             (dims + (2,), (n,) + axes), (dims, axes)]
+    for call_dims, call_axes in calls:
+        d_op = int(np.prod([call_dims[a] for a in call_axes]))
+        op = RNG.normal(size=(d_op, d_op)) + 1j * RNG.normal(size=(d_op, d_op))
+        full = kron_oracle(op, call_dims, call_axes)
+        d = int(np.prod(call_dims))
+        vec = RNG.normal(size=d) + 1j * RNG.normal(size=d)
+        mat = RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d))
+        wide = RNG.normal(size=(d, 3))
+        np.testing.assert_allclose(apply_local(op, vec, call_dims, call_axes), full @ vec,
+                                   atol=1e-12)
+        np.testing.assert_allclose(apply_local(op, mat, call_dims, call_axes), full @ mat,
+                                   atol=1e-12)
+        np.testing.assert_allclose(apply_local(op, wide, call_dims, call_axes), full @ wide,
+                                   atol=1e-12)
+        np.testing.assert_array_equal(apply_local(op, np.eye(d), call_dims, call_axes), full)
 
 
 def test_apply_local_rejects_repeated_axes():

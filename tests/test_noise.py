@@ -17,6 +17,7 @@ from qproc_sim.hilbert import (
 )
 from qproc_sim.noise import (
     NoiseParams,
+    _step_kraus,
     apply_noise_step,
     damping_kraus,
     dephasing_kraus,
@@ -241,3 +242,21 @@ def test_noise_params_validation_and_roundtrip():
     no_dephasing = NoiseParams.from_dict({"t1_ns": [300, 300], "t_phi_ns": ["inf", "inf"]},
                                          n_qubits=2)
     assert math.isinf(no_dephasing.t_phi[0])
+
+
+def test_step_kraus_is_cached_read_only_and_equal_to_the_builders():
+    pairs = _step_kraus(10.0, 400.0, 200.0)
+    assert _step_kraus(10.0, 400.0, 200.0) is pairs
+    for got, expected in zip(pairs, (damping_kraus(10.0, 400.0), dephasing_kraus(10.0, 200.0))):
+        for K, E in zip(got, expected, strict=True):
+            assert np.array_equal(K, E)
+            with pytest.raises(ValueError):
+                K[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("t1, t_phi", [("1111", (200.0,) * 4), ((400.0,) * 4, "2222"),
+                                       (400.0, (200.0,)), ((400.0,), {"q": 200.0})])
+def test_noise_params_reject_a_non_list_per_qubit_value(t1, t_phi):
+    # a string used to be read one qubit per character
+    with pytest.raises(ValueError, match="must list one value per qubit"):
+        NoiseParams(t1=t1, t_phi=t_phi)

@@ -22,9 +22,12 @@ from qproc_sim.hilbert import (
 )
 from qproc_sim.noise import NoiseParams
 from qproc_sim.tomography import (
+    _INVERSION_KERNEL,
     GaugeFidelity,
+    _bit_table,
     _linear_inversion,
     _setting_unitaries,
+    _spawned_pcg64_states,
     TomographyRecord,
     all_settings,
     bell_phi_plus,
@@ -229,6 +232,42 @@ def test_batched_forward_model_matches_oracle_on_named_states(name):
         record = simulate_tomography(state, range(state.layout.n_factors), 100, seed)
         assert np.array_equal(record.counts,
                               per_setting_counts(state, range(state.layout.n_factors), 100, seed))
+
+
+SPAWN_SEEDS = [0, 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 127, 2 ** 128, 2 ** 200 + 9,
+               10 ** 40, np.int64(7)]
+
+
+@pytest.mark.parametrize("seed", SPAWN_SEEDS, ids=str)
+@pytest.mark.parametrize("k", [1, 3, 9, 27, 81])
+def test_spawned_pcg64_states_match_numpy(seed, k):
+    children = np.random.SeedSequence(seed).spawn(k)
+    expected = [np.random.PCG64(child).state["state"] for child in children]
+    assert _spawned_pcg64_states(seed, k) == [(s["state"], s["inc"]) for s in expected]
+
+
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError), ("7", TypeError)])
+def test_spawned_pcg64_states_reject_seeds_numpy_rejects(seed, error):
+    with pytest.raises(error):
+        np.random.SeedSequence(seed)
+    with pytest.raises(error):
+        _spawned_pcg64_states(seed, 3)
+
+
+def test_spawned_pcg64_states_reject_a_sequence_seed():
+    # numpy takes a sequence of words as entropy; a tomography record's seed is one integer
+    np.random.SeedSequence([1, 2])
+    with pytest.raises(TypeError):
+        _spawned_pcg64_states([1, 2], 3)
+
+
+@hypothesis_settings(derandomize=True, deadline=None, max_examples=40)
+@given(rho=register_density_matrices(), shots=st.integers(1, 10 ** 6),
+       seed=st.integers(0, 2 ** 140))
+def test_simulate_tomography_matches_per_setting_oracle(rho, shots, seed):
+    qubits = range(rho.layout.n_factors)
+    record = simulate_tomography(rho, qubits, shots, seed)
+    assert np.array_equal(record.counts, per_setting_counts(rho, qubits, shots, seed))
 
 
 @pytest.mark.parametrize("variant", ["three_qubit", "four_qubit", "control"])
@@ -449,6 +488,23 @@ def test_linear_inversion_matches_pauli_string_oracle(n):
     assert np.max(np.abs(_linear_inversion(freqs, n) - expected)) <= 1e-12
 
 
+def tensordot_inversion(frequencies, n):
+    """_linear_inversion as written with np.tensordot on the (3, 2, 2, 2) kernel."""
+    table = np.reshape(frequencies, (3,) * n + (2,) * n)
+    for q in range(n):
+        table = np.tensordot(table, _INVERSION_KERNEL.reshape(3, 2, 2, 2),
+                             axes=([0, n - q], [0, 1]))
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return table.transpose(order).reshape(2 ** n, 2 ** n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_linear_inversion_is_bit_identical_to_tensordot(n):
+    freqs = RNG.uniform(size=(3 ** n, 2 ** n))
+    freqs /= freqs.sum(axis=1, keepdims=True)
+    assert np.array_equal(_linear_inversion(freqs, n), tensordot_inversion(freqs, n))
+
+
 def test_record_json_roundtrip():
     record = simulate_tomography(bell_singlet(), (0, 1), 300, seed=17)
     record.rho_hat = reconstruct(record)
@@ -631,6 +687,14 @@ def test_witness_unknown_class():
 # ---------------------------------------------------------------------------
 # phase gauge
 # ---------------------------------------------------------------------------
+
+def test_gauge_bit_table_is_read_only():
+    bits = _bit_table(3)
+    assert bits.tolist() == [[(x >> (2 - q)) & 1 for q in range(3)] for x in range(8)]
+    with pytest.raises(ValueError):
+        bits[0, 0] = 1
+    assert _bit_table(3) is bits
+
 
 def test_gauge_aligns_triplet_with_singlet():
     result = phase_gauged_fidelity(bell_triplet(), bell_singlet())
