@@ -41,6 +41,9 @@ COUPLING_OFF_FACTOR = 5.0
 FREQUENCY_BAND_GHZ = (1.0, 20.0)
 MAX_COUPLING_MHZ = 500.0
 
+# grid cells of one swap-spectroscopy block, with 64 B of complex work arrays each
+SPECTROSCOPY_BLOCK_CELLS = 4096
+
 
 class ConfigError(ValueError):
     """Invalid device or noise configuration; carries the violation list."""
@@ -80,13 +83,18 @@ class DeviceConfig:
             if any(isinstance(v, bool) for v in np.array(getattr(self, name), dtype=object).flat)]
         if flagged:
             raise ConfigError([f"{name} must hold numbers, not true or false" for name in flagged])
-        for name in ("f_memory", "f_idle", "g_bus", "g_mem"):
+        for name in ("f_bus", "f_memory", "f_idle", "g_bus", "g_mem"):
             values = getattr(self, name)
             # a list, not a string, whose characters would pass as one value per qubit
-            if not isinstance(values, (list, tuple, np.ndarray)) or len(values) != self.n_qubits:
+            if name != "f_bus" and (not isinstance(values, (list, tuple, np.ndarray))
+                                    or len(values) != self.n_qubits):
                 raise ConfigError(f"{name} must list one value per qubit ({self.n_qubits}), "
                                   f"got {values!r}")
-            object.__setattr__(self, name, tuple(float(v) for v in values))
+            try:
+                values = float(values) if name == "f_bus" else tuple(float(v) for v in values)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{name} must hold numbers (got {values!r})") from None
+            object.__setattr__(self, name, values)
         violations = self.validate()
         if violations:
             raise ConfigError(violations)
@@ -305,6 +313,11 @@ def swap_spectroscopy(
     and left to interact with the bus and its memory resonator. Chevron
     centers sit at the resonator frequencies; the on-resonance oscillation
     period gives 1/g. Solved exactly in the one-excitation block {|e00>, |g10>, |g01>}.
+
+    The grid is solved in blocks of whole frequency rows, ``SPECTROSCOPY_BLOCK_CELLS``
+    cells each (one row if a row is longer), into one preallocated map. Each matrix is
+    diagonalized and each cell computed exactly as in one solve of the whole grid, so
+    the map has the same bits, and only one block's complex work arrays are held.
     """
     freq_grid = np.asarray(freq_grid, dtype=float)
     tau_grid = np.asarray(tau_grid, dtype=float)
@@ -320,11 +333,15 @@ def swap_spectroscopy(
     H[:, 2, 2] = config.f_memory[qubit_index] - config.f_bus
     H[:, 0, 1] = H[:, 1, 0] = config.g_bus_ghz(qubit_index) / 2
     H[:, 0, 2] = H[:, 2, 0] = config.g_mem_ghz(qubit_index) / 2
-    evals, vecs = np.linalg.eigh(H)
-    # <e00|U(τ)|e00> = Σ_k V_0k² exp(-2πi λ_k τ)
-    amps = np.einsum("fk,fkt->ft", vecs[:, 0, :] ** 2,
-                     np.exp(-2j * np.pi * evals[:, :, None] * tau_grid))
-    probs = np.abs(amps) ** 2
+    probs = np.empty((freq_grid.size, tau_grid.size))
+    rows = max(1, SPECTROSCOPY_BLOCK_CELLS // tau_grid.size)
+    for block in (slice(start, start + rows) for start in range(0, freq_grid.size, rows)):
+        evals, vecs = np.linalg.eigh(H[block])
+        # <e00|U(τ)|e00> = Σ_k V_0k² exp(-2πi λ_k τ)
+        phases = -2j * np.pi * evals[:, :, None] * tau_grid
+        amps = np.einsum("fk,fkt->ft", vecs[:, 0, :] ** 2, np.exp(phases, out=phases))
+        np.abs(amps, out=probs[block])
+    np.square(probs, out=probs)
     # the clip below would pass NaN and hide a probability above 1
     defect = np.max(probs) - 1.0
     if not defect <= NORM_TOL:  # written so that NaN fails it

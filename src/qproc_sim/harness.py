@@ -8,9 +8,11 @@ Four experiments reproduce the device's headline measurements end to end:
 * ``entangle``      - Bell/W preparation, full QST and the metric suite
 * ``shor``          - compiled factoring run with breakpoint QST records
 
-Each experiment returns its files; ``run_experiment`` writes them once the run has
-succeeded, ``manifest.json`` last (config echo, options, seed, versions - no timestamps
-or paths, so identical invocations are byte-identical). A failed run writes no file.
+Each experiment returns its files, each as one text or as an iterable of text chunks (a
+CSV comes block by block, so no whole-file string is held); ``run_experiment`` writes
+them once the run has succeeded, ``manifest.json`` last (config echo, options, seed,
+versions - no timestamps or paths, so identical invocations are byte-identical). A
+failed run writes no file.
 Exit codes: 0 success, 1 config error, 2 numerical-invariant violation.
 """
 
@@ -30,6 +32,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -163,7 +166,7 @@ def validate_config(config_path) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# output encoders: each experiment returns its files as text
+# output encoders: each experiment returns its files as text or text chunks
 # ---------------------------------------------------------------------------
 
 def _json_text(doc) -> str:
@@ -259,7 +262,7 @@ def _digit_cells(k: np.ndarray) -> np.ndarray:
     """The 24-byte cell of each whole float64 0 < k < 10**15: "0.", then the 15 digits of k
     with its trailing zeros as NUL."""
     # five base-1000 groups, least significant first, each exact in float64 (see
-    # ``_csv_text``); a group whose later groups are all zero takes the table's second
+    # ``_csv_chunks``); a group whose later groups are all zero takes the table's second
     # half, so the digits end at the last nonzero one
     cells = np.empty((len(k), 6), np.uint32)
     cells[:, 0] = np.frombuffer(b"0.\0\0", np.uint32)[0]
@@ -282,7 +285,7 @@ def _repr_cells(block: np.ndarray) -> np.ndarray:
 
 
 def _cell_bytes(block: np.ndarray) -> np.ndarray:
-    """Each cell of a 1-D block as a NUL-padded byte string (see ``_csv_text``)."""
+    """Each cell of a 1-D block as a NUL-padded byte string (see ``_csv_chunks``)."""
     with np.errstate(over="ignore"):  # huge values overflow to inf, and are not fast
         k = np.rint(block * 1e15)
     fast = (block >= 1e-4) & (block < 1) & (k / 1e15 == block)
@@ -295,7 +298,7 @@ def _cell_bytes(block: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _csv_text(header, outer, inner, values) -> str:
+def _csv_chunks(header, outer, inner, values) -> Iterator[str]:
     """The grid ``values[i, j]`` as CSV rows ``outer[i],inner[j],values[i, j]`` in
     row-major order, each cell the ``repr`` of its Python int or float.
 
@@ -313,13 +316,13 @@ def _csv_text(header, outer, inner, values) -> str:
     table of four-byte digit cells.
 
     Each axis is formatted once, with ``repr`` alone: one 24-byte digit cell in an axis
-    would widen that field of every line. The values are formatted ``CSV_BLOCK_ROWS`` rows
-    at a time; each line of a block is one record of NUL-padded fields, its axis cells
-    taken by ``divmod(row, len(inner))``, and the block's NULs are deleted, so only one
-    block is held at once: the peak is 2.2x the text on a default chevron map, where
-    holding every cell string took 9x.
+    would widen that field of every line. The header line is yielded first, then the
+    values ``CSV_BLOCK_ROWS`` rows at a time; each line of a block is one record of
+    NUL-padded fields, its axis cells taken by ``divmod(row, len(inner))``, and the
+    block's NULs are deleted. A consumer that writes each chunk as it comes holds one
+    block at a time, whatever the size of the grid.
     """
-    chunks = [",".join(header) + "\n"]
+    yield ",".join(header) + "\n"
     outer_cells, inner_cells = (np.char.add(_repr_cells(np.asarray(axis)), b",")
                                 for axis in (outer, inner))
     flat = np.ravel(values)
@@ -330,8 +333,7 @@ def _csv_text(header, outer, inner, values) -> str:
                                   ("value", cells.dtype), ("newline", "S1")])
         lines["outer"], lines["inner"], lines["value"], lines["newline"] = (
             outer_cells[i], inner_cells[j], cells, b"\n")
-        chunks.append(lines.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(chunks)
+        yield lines.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _manifest(spec: ExperimentSpec, config: DeviceConfig, noise: NoiseParams | None) -> dict:
@@ -475,14 +477,16 @@ def _check_options(spec: ExperimentSpec, config: DeviceConfig) -> None:
                           f"(got {_option(spec, 'variant')!r})")
 
 
-def _run_spectroscopy(spec: ExperimentSpec, config: DeviceConfig, noise) -> dict[str, str]:
+def _run_spectroscopy(spec: ExperimentSpec, config: DeviceConfig,
+                      noise) -> dict[str, Iterator[str]]:
     freqs, taus = _spectroscopy_grids(spec)
     grid = swap_spectroscopy(config, _qubit_labels(spec)[0] - 1, freqs, taus)
     np.round(grid, PROBABILITY_DECIMALS, out=grid)  # in place: a rounded copy costs RSS
-    return {"spectroscopy.csv": _csv_text(["freq_ghz", "tau_ns", "p_e"], freqs, taus, grid)}
+    return {"spectroscopy.csv": _csv_chunks(["freq_ghz", "tau_ns", "p_e"], freqs, taus, grid)}
 
 
-def _run_rabi_scaling(spec: ExperimentSpec, config: DeviceConfig, noise) -> dict[str, str]:
+def _run_rabi_scaling(spec: ExperimentSpec, config: DeviceConfig,
+                      noise) -> dict[str, str | Iterator[str]]:
     pool = [q - 1 for q in _qubit_labels(spec)]
     dtau_max = float(_option(spec, "dtau_max"))
     sample_dt = float(_option(spec, "sample_dt"))
@@ -507,8 +511,8 @@ def _run_rabi_scaling(spec: ExperimentSpec, config: DeviceConfig, noise) -> dict
         raise InvariantError("rabi_scaling traces do not share one time axis")
     p_bus = np.round([trace.p_bus for trace in traces], PROBABILITY_DECIMALS)
     return {
-        "rabi_traces.csv": _csv_text(["n_participants", "time_ns", "p_bus"],
-                                     np.arange(1, len(traces) + 1), times, p_bus),
+        "rabi_traces.csv": _csv_chunks(["n_participants", "time_ns", "p_bus"],
+                                       np.arange(1, len(traces) + 1), times, p_bus),
         "rabi_fits.json": _json_text(fits),
     }
 
@@ -643,12 +647,17 @@ def run_experiment(spec: ExperimentSpec, config_path=None) -> int:
         out = Path(spec.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "manifest.json").unlink(missing_ok=True)  # an earlier run's, now stale
-        for name, text in files.items():
-            tmp = out / f".{name}.tmp"
-            try:
-                tmp.write_text(text)
+        tmps = {name: out / f".{name}.tmp" for name in files}
+        try:
+            # every file is complete before any is renamed into place, so a chunk
+            # iterator that fails leaves no file
+            for name, body in files.items():
+                with open(tmps[name], "w") as f:
+                    f.writelines((body,) if isinstance(body, str) else body)
+            for name, tmp in tmps.items():
                 os.replace(tmp, out / name)
-            finally:
+        finally:
+            for tmp in tmps.values():
                 tmp.unlink(missing_ok=True)
     except ConfigError as exc:
         for violation in exc.violations:

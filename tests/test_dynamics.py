@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fullspace import (
@@ -17,6 +17,7 @@ from fullspace import (
     pump_fock,
 )
 from qproc_sim.dynamics import (
+    SPECTROSCOPY_BLOCK_CELLS,
     ConfigError,
     DeviceConfig,
     effective_coupling,
@@ -28,6 +29,7 @@ from qproc_sim.dynamics import (
 )
 from qproc_sim.harness import read_spectroscopy_csv
 from qproc_sim.hilbert import (
+    NORM_TOL,
     InvariantError,
     QuantumOperator,
     SpaceLayout,
@@ -489,6 +491,50 @@ def test_small_spectroscopy_fixture_matches_full_space_oracle():
     freqs, taus, grid = read_spectroscopy_csv(Path(__file__).parent / "data" / "spectroscopy_small.csv")
     oracle = full_space_spectroscopy(DeviceConfig.default(), 0, freqs, taus)
     np.testing.assert_allclose(grid, oracle, rtol=0, atol=1e-12)
+
+
+def one_shot_swap_spectroscopy(config, qubit_index, freq_grid, tau_grid):
+    """The chevron solved as one batch over the whole grid, as before the block solve."""
+    freq_grid = np.asarray(freq_grid, dtype=float)
+    tau_grid = np.asarray(tau_grid, dtype=float)
+    H = np.zeros((freq_grid.size, 3, 3))
+    H[:, 0, 0] = freq_grid - config.f_bus
+    H[:, 2, 2] = config.f_memory[qubit_index] - config.f_bus
+    H[:, 0, 1] = H[:, 1, 0] = config.g_bus_ghz(qubit_index) / 2
+    H[:, 0, 2] = H[:, 2, 0] = config.g_mem_ghz(qubit_index) / 2
+    evals, vecs = np.linalg.eigh(H)
+    amps = np.einsum("fk,fkt->ft", vecs[:, 0, :] ** 2,
+                     np.exp(-2j * np.pi * evals[:, :, None] * tau_grid))
+    probs = np.abs(amps) ** 2
+    assert np.max(probs) - 1.0 <= NORM_TOL
+    return np.clip(probs, 0.0, 1.0, out=probs)
+
+
+BLOCK = SPECTROSCOPY_BLOCK_CELLS
+# (frequencies, delays): one frequency; one delay; rows longer than a block, so one row per
+# block; and grids whose last block is partial
+chevron_shapes = (st.tuples(st.just(1), st.integers(1, 3 * BLOCK))
+                  | st.tuples(st.integers(1, 3 * BLOCK), st.just(1))
+                  | st.tuples(st.integers(1, 3), st.integers(BLOCK + 1, BLOCK + 500))
+                  | st.tuples(st.integers(2, 80), st.integers(2, 400)))
+
+
+@PROPERTY
+@example(config=DeviceConfig.default(), qubit_index=0, shape=(261, 201), tau_max=100.0)
+@example(config=DeviceConfig.default(), qubit_index=2, shape=(1001, 37), tau_max=18.0)
+@example(config=DeviceConfig.default(), qubit_index=3, shape=(3, BLOCK), tau_max=80.0)
+@given(config=device_configs(), qubit_index=st.integers(0, 3), shape=chevron_shapes,
+       tau_max=st.floats(0.0, 300.0))
+def test_blockwise_chevron_equals_one_shot_solve_bit_for_bit(config, qubit_index, shape,
+                                                             tau_max):
+    n_f, n_tau = shape
+    idle = config.f_idle[qubit_index]
+    freqs = np.linspace(idle - 0.95, idle + 0.95, n_f)
+    taus = np.linspace(0.0, tau_max, n_tau)
+    blocks = swap_spectroscopy(config, qubit_index, freqs, taus)
+    one_shot = one_shot_swap_spectroscopy(config, qubit_index, freqs, taus)
+    # compared as bit patterns, so +0.0 and -0.0 differ
+    np.testing.assert_array_equal(blocks.view(np.int64), one_shot.view(np.int64))
 
 
 participant_sets = st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True)

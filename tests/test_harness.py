@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import functools
+import hashlib
 import io
 import json
 import math
@@ -34,7 +35,7 @@ from qproc_sim.harness import (
     PROBABILITY_DECIMALS,
     ExperimentSpec,
     _check_options,
-    _csv_text,
+    _csv_chunks,
     _spectroscopy_grids,
     build_parser,
     default_config_path,
@@ -191,6 +192,26 @@ def test_bad_config_documents_exit_one(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert fragment in captured.err
     assert "config ok" not in captured.out
+
+
+@pytest.mark.parametrize("value", [None, "x", {}, [6.1]],
+                         ids=["null", "string", "object", "list"])
+def test_non_number_bus_frequency_is_one_violation_naming_it(tmp_path, capsys, value):
+    doc = dict(DeviceConfig.default().to_dict(), f_bus_ghz=value)
+    with pytest.raises(ConfigError) as exc:
+        DeviceConfig.from_dict(doc)
+    assert exc.value.violations == [f"f_bus must hold numbers (got {value!r})"]
+    assert main(["validate", "--config", str(write_config(tmp_path, doc))]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"violation: f_bus must hold numbers (got {value!r})"]
+
+
+def test_whole_number_bus_frequency_is_echoed_as_a_float(tmp_path):
+    path = write_config(tmp_path, dict(DeviceConfig.default().to_dict(), f_bus_ghz=6))
+    assert DeviceConfig.from_dict(json.loads(path.read_text())).f_bus == 6.0
+    spec = ExperimentSpec("shor", {"shots": 100, "qst_shots": 100}, tmp_path / "out", 0)
+    assert run_experiment(spec, config_path=path) == 0
+    assert '"f_bus_ghz": 6.0,' in (tmp_path / "out" / "manifest.json").read_text()
 
 
 @pytest.mark.parametrize("key", ["t1_ns", "t_phi_ns"])
@@ -363,6 +384,27 @@ def test_small_spectroscopy_csv_matches_reference(tmp_path):
     assert run_experiment(ExperimentSpec("spectroscopy", options, tmp_path, 1)) == 0
     reference = Path(__file__).parent / "data" / "spectroscopy_small.csv"
     assert (tmp_path / "spectroscopy.csv").read_bytes() == reference.read_bytes()
+
+
+# SHA-256 of the default-size CSVs at seed 5: a default chevron map is 261 x 201 = 52,461
+# rows, solved in 14 frequency blocks and written in 13 CSV blocks, so these pin every seam
+# that the 231-row fixture above fits inside
+DEFAULT_CSV_SHA256 = {
+    ("spectroscopy", 1): "08621a6c9c59ee4fb4facd86d4cf13ed366af55dccea99786e95badfa9c56dc0",
+    ("spectroscopy", 2): "83ac9d0979439e2420fb25c6da20004cacbd2e216a69cc05b5e6645e09a520e6",
+    ("spectroscopy", 3): "84a48e380e430ceefe5697562192398b7ee51f1f2e229e89a5c45104c01868ef",
+    ("spectroscopy", 4): "44b6695deaac9147fa3215503fa67cf4ca8ff6b51bfc60c7c503aab5709d6d13",
+    ("rabi_scaling", None): "0acc5b9a0a96ee73f1816a2495f8679503c345c7d551517531657a5bb790a094",
+}
+
+
+@pytest.mark.parametrize("name, qubit", list(DEFAULT_CSV_SHA256))
+def test_default_size_csvs_match_their_pinned_digests(tmp_path, name, qubit):
+    options = {} if qubit is None else {"qubit": qubit}
+    assert run_experiment(ExperimentSpec(name, options, tmp_path, 5)) == 0
+    csv = "spectroscopy.csv" if qubit else "rabi_traces.csv"
+    digest = hashlib.sha256((tmp_path / csv).read_bytes()).hexdigest()
+    assert digest == DEFAULT_CSV_SHA256[name, qubit]
 
 
 def last_column_decimals(path):
@@ -586,6 +628,37 @@ def test_failed_write_leaves_no_manifest_or_temp_file(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["factoring.json"]
 
 
+@pytest.mark.parametrize("name", ["spectroscopy", "rabi_scaling"])
+def test_csv_chunks_that_fail_leave_no_file(tmp_path, monkeypatch, name):
+    chunks = harness._csv_chunks
+
+    def failing_chunks(*args):
+        yield next(chunks(*args))
+        raise InvariantError("synthetic failure after the first chunk")
+
+    monkeypatch.setattr(harness, "_csv_chunks", failing_chunks)
+    options = {"f_max": 6.2} if name == "spectroscopy" else {}
+    assert run_experiment(ExperimentSpec(name, options, tmp_path, 0)) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_large_chevron_run_holds_its_grid_and_one_block(tmp_path):
+    # 1,301 x 201 cells: the grid itself is 2.1 MB, its CSV about 7.5 MB of text
+    spec = ExperimentSpec("spectroscopy", {"f_step": 0.001}, tmp_path, 0)
+    freqs, taus = _spectroscopy_grids(spec)
+    grid_bytes = freqs.size * taus.size * 8
+    tracemalloc.start()
+    try:
+        assert run_experiment(spec) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (freqs.size, taus.size) == (1301, 201)
+    # the grid, one solve block and one CSV block: about 3 MB; the whole map's complex
+    # arrays and CSV text took 24 MB
+    assert peak < grid_bytes + 2 * 2**20
+
+
 def test_rerun_over_earlier_outputs_matches_fresh_run(tmp_path):
     options = {"variant": "control", "shots": 500, "qst_shots": 100}
     reused, fresh = tmp_path / "reused", tmp_path / "fresh"
@@ -748,7 +821,7 @@ def test_grid_writer_matches_row_writer(tmp_path_factory, data):
         outer = pick(n_outer)
     inner, values = pick(n_inner), pick(n_outer * n_inner).reshape(n_outer, n_inner)
     out = tmp_path_factory.mktemp("csv")
-    (out / "grid.csv").write_text(_csv_text(["n", "x", "y"], outer, inner, values))
+    (out / "grid.csv").write_text("".join(_csv_chunks(["n", "x", "y"], outer, inner, values)))
     row_write_csv(out / "rows.csv", ["n", "x", "y"], grid_rows(outer, inner, values))
     assert (out / "grid.csv").read_bytes() == (out / "rows.csv").read_bytes()
 
@@ -780,7 +853,7 @@ def test_block_writer_matches_row_writer_across_blocks(tmp_path, shape):
     # multiples of 0.1, and probabilities rounded as the experiments write them
     values = np.select([rows % 3 == 0, rows % 3 == 1], [pool[(rows // 3) % len(pool)], rows * 0.1],
                        np.round(np.sin(rows) ** 2, PROBABILITY_DECIMALS)).reshape(shape)
-    (tmp_path / "grid.csv").write_text(_csv_text(["n", "x", "y"], outer, inner, values))
+    (tmp_path / "grid.csv").write_text("".join(_csv_chunks(["n", "x", "y"], outer, inner, values)))
     row_write_csv(tmp_path / "rows.csv", ["n", "x", "y"], grid_rows(outer, inner, values))
     assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
@@ -795,7 +868,7 @@ def test_digit_cells_are_the_repr_of_every_fifteen_place_decimal(ks):
     # find exactly
     values = np.array(ks) / 1e15
     expected = "p,k,v\n" + "".join(f"0,{k},{v!r}\n" for k, v in zip(ks, values.tolist()))
-    assert _csv_text(["p", "k", "v"], [0], np.array(ks), values[None, :]) == expected
+    assert "".join(_csv_chunks(["p", "k", "v"], [0], np.array(ks), values[None, :])) == expected
 
 
 def test_digit_quad_table_is_the_padded_and_stripped_triples():
@@ -824,7 +897,7 @@ def test_rounded_chevron_cells_take_the_digit_path(monkeypatch):
 
     freqs, taus, grid = default_chevron_grid(rounded=True)
     monkeypatch.setattr(harness, "repr", counting_repr, raising=False)
-    _csv_text(["freq_ghz", "tau_ns", "p_e"], freqs, taus, grid)
+    "".join(_csv_chunks(["freq_ghz", "tau_ns", "p_e"], freqs, taus, grid))
     # each axis value once, and at most the P_e cells at 1 or below 1e-4: under 2% of
     # the map
     slow = ~((grid >= 1e-4) & (grid < 1))
@@ -837,16 +910,23 @@ def test_chevron_csv_peak_memory_is_a_small_multiple_of_its_text():
     # digit path
     for rounded in (False, True):
         freqs, taus, grid = default_chevron_grid(rounded)
+        args = (["freq_ghz", "tau_ns", "p_e"], freqs, taus, grid)
         tracemalloc.start()
         try:
-            text = _csv_text(["freq_ghz", "tau_ns", "p_e"], freqs, taus, grid)
-            _, peak = tracemalloc.get_traced_memory()
+            size = len("".join(_csv_chunks(*args)))
+            _, joined_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            # consumed as they come, as the experiments write them
+            assert sum(map(len, _csv_chunks(*args))) == size
+            _, streamed_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert grid.size > 10 * CSV_BLOCK_ROWS
-        # one block of cells at a time reads 2.2x either way; every cell string of the map
+        # joined, the chunks and the text read 2.0x the text; every cell string of the map
         # at once, 9.1x
-        assert peak < 3 * len(text), rounded
+        assert joined_peak < 3 * size, rounded
+        # one block at a time: 0.8x raw, 0.5x rounded
+        assert streamed_peak < size, rounded
 
 
 def test_readers_match_row_readers(tmp_path):
