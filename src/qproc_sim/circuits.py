@@ -42,6 +42,11 @@ GATE_MATRICES = {**SINGLE_QUBIT_GATES, "CZ": CZ_MATRIX, "CNOT": CNOT_MATRIX}
 TWO_QUBIT_GATES = ("CZ", "CNOT")
 GATE_KINDS = tuple(SINGLE_QUBIT_GATES) + TWO_QUBIT_GATES
 
+# decimals each probability keeps before a multinomial draw. States differ between BLAS
+# kernels by ~1e-16 and numpy's sampler is discontinuous in its probabilities; the rounding
+# biases each probability by at most 5e-10, against ~1e-2 of shot noise at 10k shots
+SAMPLING_DECIMALS = 9
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -210,11 +215,17 @@ def sample_output(state, register: Sequence, shots: int, seed: int) -> dict[str,
         raise ValueError("output register must be nonempty")
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs = output_distribution(state, register)
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, probs)
+    draws = np.random.default_rng(seed).multinomial(
+        shots, sampling_distribution(output_distribution(state, register)))
     width = len(register)
     return {format(m, f"0{width}b"): int(c) for m, c in enumerate(draws)}
+
+
+def sampling_distribution(probs: np.ndarray) -> np.ndarray:
+    """Each probability row rounded to ``SAMPLING_DECIMALS``, then renormalized: the input to
+    every multinomial draw, so that counts do not depend on which BLAS kernel built ``probs``."""
+    probs = np.round(probs, SAMPLING_DECIMALS)
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def output_distribution(state, register: Sequence) -> np.ndarray:

@@ -640,6 +640,8 @@ def run_experiment(spec: ExperimentSpec, config_path=None) -> int:
         if spec.name not in _RUNNERS:
             raise ConfigError(f"unknown experiment {spec.name!r}; choose from {EXPERIMENTS}")
         config, noise = load_device_document(config_path)
+        if noise is not None and spec.name != "shor":  # not echoed as if it had acted
+            raise ConfigError("the noise block is used only by shor")
         _check_options(spec, config)
         files = _RUNNERS[spec.name](spec, config, noise)
         # written last: a manifest marks a finished run

@@ -331,9 +331,10 @@ def hermitian_exponential(H: QuantumOperator, t: float) -> QuantumOperator:
 def nearest_psd(matrix, layout: SpaceLayout | None = None) -> DensityMatrix:
     """Project a Hermitian, trace-~1 matrix onto the density-matrix set.
 
-    Policy: clip negative eigenvalues to zero, then rescale the eigenvalue
-    vector uniformly to restore unit trace (simple-clip; a trace-preserving
-    least-squares redistribution could be swapped in behind this interface).
+    Policy: the nearest density matrix in Frobenius norm (Smolin, Gambetta and Smith,
+    PRL 108, 070502): keep the eigenvectors and project the eigenvalues onto the
+    probability simplex (Wang and Carreira-Perpiñán, arXiv:1309.1541), subtracting the one
+    threshold that leaves the positive part summing to 1.
     """
     if isinstance(matrix, DensityMatrix):
         layout = matrix.layout
@@ -344,11 +345,12 @@ def nearest_psd(matrix, layout: SpaceLayout | None = None) -> DensityMatrix:
     if np.max(np.abs(mat - mat.conj().T)) > 1e-8:
         raise InvariantError("nearest_psd input is not Hermitian")
     evals, vecs = np.linalg.eigh(mat)
-    evals = np.clip(evals, 0.0, None)
-    total = evals.sum()
-    if total <= 0.0:
-        raise InvariantError("nearest_psd input has no positive spectral weight")
-    evals /= total
+    # keep the k largest, for the largest k whose k-th largest stays positive after the
+    # shift (s_k - 1)/k, s_k the sum of the k largest; those k form a prefix and k = 1 is one
+    desc = evals[::-1]
+    sums, sizes = np.cumsum(desc), np.arange(1, evals.size + 1)
+    kept = np.count_nonzero(desc * sizes - sums + 1.0 > 0)
+    evals = np.clip(evals - (sums[kept - 1] - 1.0) / kept, 0.0, None)
     projected = (vecs * evals) @ vecs.conj().T
     # re-symmetrize rounding noise so the DensityMatrix invariants hold exactly
     projected = 0.5 * (projected + projected.conj().T)

@@ -6,8 +6,8 @@ product settings estimate every Pauli-string expectation (I/X_half/Y_half
 map the measured axis to Z/Y/-X respectively). The forward model is one
 batched U ρ U† over all 3^n pre-rotation unitaries, bit-identical to the
 per-setting Kronecker form. Reconstruction is linear inversion over the
-full Pauli basis followed by projection onto the physical (PSD,
-unit-trace) set; deterministic given the counts.
+full Pauli basis followed by the nearest density matrix (``nearest_psd``);
+deterministic given the counts.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import SINGLE_QUBIT_GATES
+from .circuits import SINGLE_QUBIT_GATES, sampling_distribution
 from .hilbert import (
     DensityMatrix,
     QuantumState,
@@ -207,71 +207,17 @@ def setting_probabilities(rho: DensityMatrix) -> np.ndarray:
     return np.clip(np.concatenate(blocks).real, 0.0, None)
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and PCG64's multiplier
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = np.uint64(2**32 - 1), 2**128 - 1
-
-
-@functools.cache
-def _hash_constants(init: int, mult: int, start: int, count: int) -> np.ndarray:
-    """The read-only (count, 1) column of init · mult^j mod 2^32 for j = start, start + 1, ..."""
-    h = np.array([init * pow(mult, j, 2**32) % 2**32 for j in range(start, start + count)],
-                 dtype=np.uint64)[:, None]
-    h.setflags(write=False)
-    return h
-
-
-def _hashed(words: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """SeedSequence's hash of ``words`` into row j: (w ^ h_j) · h_(j+1) mod 2^32, x ^= x >> 16."""
-    out = (words ^ h[:-1]) * h[1:] & _MASK32
-    return out ^ (out >> np.uint64(16))
-
-
-def _spawned_pcg64_states(seed, k: int) -> list[tuple[int, int]]:
-    """The PCG64 (state, inc) of each of ``SeedSequence(seed).spawn(k)``, in one pass over k.
-
-    Child i mixes its parent's entropy and then its spawn key i, so its pool is the parent's
-    pool with i mixed into each word. Building the parent raises numpy's error for a bad seed.
-    """
-    parent = np.random.SeedSequence(seed)
-    size = parent.pool_size
-    words = max(1, -(-int(parent.entropy).bit_length() // 32))  # the seed's 32-bit words
-    # hash steps of the parent's mixing: its first pool_size words, their cross-mixing,
-    # then pool_size for each further word
-    steps = size * size + max(0, words - size) * size
-    keys = _hashed(np.arange(k, dtype=np.uint64),
-                   _hash_constants(_INIT_A, _MULT_A, steps, size + 1))
-    pool = (_MIX_MULT_L * parent.pool.astype(np.uint64)[:, None] - _MIX_MULT_R * keys) & _MASK32
-    pool ^= pool >> np.uint64(16)
-    # generate_state(4, np.uint64): 8 words, the pool twice over
-    out = _hashed(np.concatenate((pool, pool)), _hash_constants(_INIT_B, _MULT_B, 0, 2 * size + 1))
-    states = []  # from little-endian word pairs: initstate from out[0:4], initseq from out[4:8]
-    for s_hi, s_lo, i_hi, i_lo in zip(*(out[0::2] | out[1::2] << np.uint64(32)).tolist()):
-        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
-        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
-
-
 def simulate_tomography(state, qubits: Sequence[int], shots_per_setting: int,
                         seed: int) -> TomographyRecord:
-    """Sample every product setting with independent per-setting seed streams: setting i
-    draws from ``default_rng(SeedSequence(seed).spawn(3^n)[i])``'s PCG64 stream."""
+    """Sample every product setting in one ``default_rng(seed)`` multinomial draw over the
+    (3^n, 2^n) table of ``sampling_distribution`` rows, in ``all_settings`` order."""
     if shots_per_setting < 1:
         raise ValueError("shots_per_setting must be >= 1")
     qubits = tuple(sorted(set(qubits)))
-    rho = register_density_matrix(state, qubits)
-    streams = _spawned_pcg64_states(seed, 3 ** len(qubits))
-    probs = setting_probabilities(rho)
-    probs = probs / probs.sum(axis=1, keepdims=True)
-    rng, counts = np.random.Generator(np.random.PCG64(0)), []
-    for row, (pcg_state, inc) in zip(probs, streams):
-        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                   "state": {"state": pcg_state, "inc": inc}}
-        counts.append(rng.multinomial(shots_per_setting, row))
+    probs = sampling_distribution(setting_probabilities(register_density_matrix(state, qubits)))
+    counts = np.random.default_rng(seed).multinomial(shots_per_setting, probs)
     return TomographyRecord(qubits=qubits, shots_per_setting=shots_per_setting, seed=seed,
-                            counts=np.array(counts))
+                            counts=counts)
 
 
 # ---------------------------------------------------------------------------

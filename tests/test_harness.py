@@ -5,6 +5,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from decimal import Decimal
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 
 import qproc_sim
 from qproc_sim import dynamics, harness
-from qproc_sim.circuits import FactoringResult
+from qproc_sim.circuits import SHOR_VARIANTS, FactoringResult
 from qproc_sim.dynamics import (
     ConfigError,
     DeviceConfig,
@@ -239,6 +242,17 @@ def test_unparseable_config_files_exit_one(tmp_path, capsys, raw, fragment):
 def test_benchmark_noise_block_is_valid(tmp_path):
     doc = dict(DeviceConfig.default().to_dict(), noise=NOISE_BLOCK)
     assert validate_config(write_config(tmp_path, doc)).ok
+
+
+@pytest.mark.parametrize("argv", [["spectroscopy"], ["rabi_scaling"], ["entangle"]],
+                         ids=lambda argv: argv[0])
+def test_noise_block_is_a_config_error_outside_shor(tmp_path, capsys, argv):
+    path = write_config(tmp_path, dict(DeviceConfig.default().to_dict(), noise=NOISE_BLOCK))
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: the noise block is used only by shor"]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +485,54 @@ def test_small_factoring_json_matches_reference(tmp_path, variant, noisy, fixtur
                           config_path=write_config(tmp_path, doc)) == 0
     reference = Path(__file__).parent / "data" / fixture
     assert (tmp_path / "out" / "factoring.json").read_bytes() == reference.read_bytes()
+
+
+# every shor variant, ideal and noisy, at three seeds, and entangle for N = 2, 3, 4
+KERNEL_RUNS = [["shor", "--variant", variant, "--shots", "2000", "--qst-shots", "100",
+                "--seed", str(seed)] + (["--config", "../noisy.json"] if noisy else [])
+               for variant in SHOR_VARIANTS for noisy in (False, True) for seed in (3, 5, 11)]
+KERNEL_RUNS += [["entangle", "--participants", participants, "--qst-shots", "100", "--seed", "3"]
+                for participants in ("1,2", "1,2,3", "1,2,3,4")]
+KERNEL_CODE = """
+import json, sys
+from qproc_sim.harness import main
+for k, argv in enumerate(json.loads(sys.argv[1])):
+    assert main(argv + ["--out", str(k)]) == 0
+"""
+
+
+def count_tables(doc):
+    """Only the "counts" entries of a factoring or tomography document, nested as in it."""
+    if isinstance(doc, list):
+        return [count_tables(v) for v in doc]
+    if isinstance(doc, dict):
+        return {k: v if k == "counts" else count_tables(v) for k, v in doc.items()
+                if k == "counts" or isinstance(v, (dict, list))}
+    return None
+
+
+@pytest.mark.parametrize("kernel", ["Prescott", "SandyBridge"])
+def test_counts_do_not_depend_on_the_blas_kernel(tmp_path, kernel):
+    # OPENBLAS_CORETYPE picks the kernel of a DYNAMIC_ARCH OpenBLAS build for one process.
+    # States differ between kernels in their last bits, and so do rho_hat and the metrics;
+    # the counts must not, since every multinomial draws from rounded probabilities
+    write_config(tmp_path, dict(DeviceConfig.default().to_dict(), noise=NOISE_BLOCK),
+                 "noisy.json")
+    src = str(Path(qproc_sim.__file__).parents[1])
+    tables = {}
+    for name in ("default", kernel):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+        if name == kernel:
+            env["OPENBLAS_CORETYPE"] = kernel
+        cwd = tmp_path / name
+        cwd.mkdir()
+        subprocess.run([sys.executable, "-c", KERNEL_CODE, json.dumps(KERNEL_RUNS)],
+                       cwd=cwd, env=env, check=True)
+        tables[name] = [count_tables(json.loads(
+            (cwd / str(k) / ("factoring.json" if argv[0] == "shor" else "tomography.json"))
+            .read_text())) for k, argv in enumerate(KERNEL_RUNS)]
+    assert tables[kernel] == tables["default"]
 
 
 # each bad option, with a fragment its one-line message must contain

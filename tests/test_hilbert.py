@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,6 +258,53 @@ def test_nearest_psd_postconditions_and_idempotence():
         assert np.trace(out.elements).real == pytest.approx(1.0, abs=1e-12)
         twice = nearest_psd(out)
         np.testing.assert_allclose(twice.elements, out.elements, atol=1e-12)
+
+
+def clip_and_rescale(mat):
+    """The simpler projection: negative eigenvalues clipped to 0, the rest rescaled to sum 1."""
+    evals, vecs = np.linalg.eigh(mat)
+    evals = np.clip(evals, 0.0, None)
+    return (vecs * (evals / evals.sum())) @ vecs.conj().T
+
+
+def brute_force_simplex_projection(values):
+    """Nearest point of the probability simplex: over every support, the projection onto
+    that face's affine hull, kept if non-negative; the closest of those."""
+    candidates = []
+    for size in range(1, values.size + 1):
+        for support in map(list, itertools.combinations(range(values.size), size)):
+            point = np.zeros(values.size)
+            point[support] = values[support] + (1.0 - values[support].sum()) / size
+            if point.min() >= 0:
+                candidates.append(point)
+    return min(candidates, key=lambda point: np.linalg.norm(point - values))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(values=st.sampled_from([2, 4, 8]).flatmap(
+    lambda d: st.lists(st.floats(-1.0, 2.0), min_size=d, max_size=d)))
+def test_nearest_psd_projects_a_spectrum_onto_the_simplex(values):
+    values = np.array(values)
+    layout = SpaceLayout.qubits(values.size.bit_length() - 1)
+    out = nearest_psd(np.diag(values).astype(complex), layout).elements
+    np.testing.assert_allclose(out, np.diag(brute_force_simplex_projection(values)), atol=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(n=st.integers(1, 4), scale=st.sampled_from([1e-3, 0.05, 0.3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_nearest_psd_is_a_state_no_farther_than_the_clip(n, scale, seed):
+    # a state plus Hermitian noise, as linear inversion of sampled counts gives
+    rng = np.random.default_rng(seed)
+    layout = SpaceLayout.qubits(n)
+    a = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
+    raw = random_density_matrix(layout, rng).elements + scale * (a + a.conj().T) / 2
+    raw = raw - np.eye(2 ** n) * (np.trace(raw).real - 1) / 2 ** n
+    out = nearest_psd(raw, layout).elements
+    assert np.linalg.eigvalsh(out).min() >= -1e-12
+    assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(nearest_psd(out, layout).elements, out, atol=1e-12)
+    assert np.linalg.norm(out - raw) <= np.linalg.norm(clip_and_rescale(raw) - raw) + 1e-12
 
 
 def test_nearest_psd_rejects_non_hermitian():
