@@ -357,42 +357,42 @@ def _manifest(spec: ExperimentSpec, config: DeviceConfig, noise: NoiseParams | N
 # schema parsers (round-trip contract for every output file)
 # ---------------------------------------------------------------------------
 
-def _read_csv(path, columns) -> np.ndarray:
-    """Check a CSV's first line against ``columns``; return the rest as a float table,
-    read from the open file without holding its text."""
-    header = ",".join(columns)
-    with open(path) as f, warnings.catch_warnings():
+def _read_grid(path, columns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The inverse of ``_csv_chunks``: (outer, inner, values) from a CSV headed ``columns``
+    whose rows hold a grid row-major, each cell once, both axes strictly increasing."""
+    with open(path) as f:
         first = f.readline().rstrip("\n")
-        if first != header:
-            raise ValueError(f"unexpected header in {path}: {first!r}, expected {header!r}")
+    if first != (header := ",".join(columns)):
+        raise ValueError(f"unexpected header in {path}: {first!r}, expected {header!r}")
+    with warnings.catch_warnings():  # given a path, numpy reads in chunks, not by lines
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        table = np.loadtxt(f, delimiter=",", ndmin=2)
+        table = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
     if table.size == 0:
-        return np.empty((0, len(columns)))
+        return np.empty(0), np.empty(0), np.empty((0, 0))
     if table.shape[1] != len(columns):
         raise ValueError(f"{path}: rows have {table.shape[1]} values, expected {len(columns)}")
-    return table
+    # the inner axis ends where column 0 first changes; NaN != NaN fails every test below
+    n_inner = int(np.argmax(table[:, 0] != table[0, 0])) or len(table)
+    grid = table[:len(table) // n_inner * n_inner].reshape(-1, n_inner, 3)
+    outer, inner = grid[:, 0, 0], grid[0, :, 1]
+    if not (grid.size == table.size and (grid[..., 0] == outer[:, None]).all()
+            and (grid[..., 1] == inner).all() and (outer[1:] > outer[:-1]).all()
+            and (inner[1:] > inner[:-1]).all()):
+        raise ValueError(f"{path}: rows are not a row-major grid of strictly increasing axes")
+    return outer.copy(), inner.copy(), grid[..., 2].copy()
 
 
 def read_spectroscopy_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (freqs GHz, taus ns, P_e map) from a spectroscopy CSV."""
-    table = _read_csv(path, ("freq_ghz", "tau_ns", "p_e"))
-    freqs, f_index = np.unique(table[:, 0], return_inverse=True)
-    taus, t_index = np.unique(table[:, 1], return_inverse=True)
-    grid = np.full((freqs.size, taus.size), np.nan)
-    grid[f_index, t_index] = table[:, 2]
-    if np.isnan(grid).any():
-        raise ValueError("spectroscopy CSV does not cover the full grid")
-    return freqs, taus, grid
+    return _read_grid(path, ("freq_ghz", "tau_ns", "p_e"))
 
 
 def read_rabi_traces_csv(path) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Return {N: (times, p_bus)} from a rabi_scaling traces CSV."""
-    table = _read_csv(path, ("n_participants", "time_ns", "p_bus"))
-    ns = table[:, 0].astype(int)
-    if not np.array_equal(ns, table[:, 0]):
-        raise ValueError(f"{path}: n_participants must be whole numbers")
-    return {n: (table[ns == n, 1], table[ns == n, 2]) for n in dict.fromkeys(ns.tolist())}
+    ns, times, p_bus = _read_grid(path, ("n_participants", "time_ns", "p_bus"))
+    if not ((np.floor(ns) == ns) & (np.abs(ns) < 2**63)).all():  # before a cast, which warns
+        raise ValueError(f"{path}: n_participants must be whole numbers below 2**63")
+    return {n: (times, trace) for n, trace in zip(ns.astype(int).tolist(), p_bus)}
 
 
 # ---------------------------------------------------------------------------

@@ -1006,11 +1006,48 @@ def test_readers_match_row_readers(tmp_path):
         np.testing.assert_array_equal(got[n][1], expected[n][1])
 
 
+def increasing_axis(data, n):
+    """n strictly increasing axis values: whole numbers, which the writer spells as ints;
+    up to 8 floats from anywhere, -0.0 and ±inf included; or an evenly stepped float run."""
+    if data.draw(st.booleans()):
+        steps = data.draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=8))
+        return data.draw(st.integers(-10**9, 10**9)) + np.cumsum(np.resize(steps, n))
+    if n <= 8:
+        element = st.sampled_from([-0.0, -math.inf, math.inf]) | st.floats(allow_nan=False)
+        return np.array(sorted(data.draw(st.lists(element, min_size=n, max_size=n,
+                                                  unique=True))), dtype=float)
+    return data.draw(st.floats(-1e6, 1e6)) + data.draw(st.floats(1e-3, 1e3)) * np.arange(n)
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (1, 1), (1, 9), (9, 1), (4, 6),
+                                   (2, CSV_BLOCK_ROWS + 3)], ids="{0[0]}x{0[1]}".format)
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(data=st.data())
+def test_grid_reader_inverts_the_grid_writer(tmp_path_factory, shape, data):
+    outer, inner = (increasing_axis(data, n) for n in shape)
+    picks = data.draw(st.lists(st.integers(0, len(EDGE_VALUES) - 1), min_size=1, max_size=16))
+    values = np.resize(np.array(EDGE_VALUES)[picks], shape)
+    path = tmp_path_factory.mktemp("csv") / "grid.csv"
+    path.write_text("".join(_csv_chunks(["n", "x", "y"], outer, inner, values)))
+    # a grid without cells is a header alone, which reads back empty
+    expected = (outer, inner, values) if values.size else (np.empty(0), np.empty(0),
+                                                            np.empty((0, 0)))
+    for got, want in zip(harness._read_grid(path, ("n", "x", "y")), expected):
+        want = np.asarray(want, dtype=float)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("body", [
     "freq_ghz,tau,p_e\n6.1,0.0,1.0\n",                            # bad header
     "freq_ghz,tau_ns,p_e\n6.1,0.0,1.0\n6.1,1.0\n",              # ragged row
     "freq_ghz,tau_ns,p_e\n6.1,0.0,1.0\n6.1,x,1.0\n",            # malformed value
     "freq_ghz,tau_ns,p_e\n6.1,0.0,1.0\n6.2,1.0,0.5\n",          # grid not covered
+    "freq_ghz,tau_ns,p_e\n6.1,0.0,1.0\n6.1,0.0,0.5\n",          # a cell written twice
+    "freq_ghz,tau_ns,p_e\nnan,0.0,1.0\n",                        # NaN frequency
+    "freq_ghz,tau_ns,p_e\n6.1,nan,1.0\n",                        # NaN delay
+    # the 2x2 grid in column-major order
+    "freq_ghz,tau_ns,p_e\n6.1,0.0,1.0\n6.2,0.0,0.5\n6.1,1.0,0.5\n6.2,1.0,0.5\n",
 ])
 def test_spectroscopy_reader_rejects_bad_files(tmp_path, body):
     path = tmp_path / "spectroscopy.csv"
@@ -1025,11 +1062,12 @@ def test_spectroscopy_reader_rejects_bad_files(tmp_path, body):
     ("freq_ghz,tau_ns,p_e\n\n", 0),
     ("freq_ghz,tau_ns,p_e\r\n6.1,0.0,1.0\r\n", 1),
     ("freq_ghz,tau_ns,p_e\n6.1,0.0,1.0\n\n6.1,0.5,0.5\n\n", 2),
+    ("freq_ghz,tau_ns,p_e\n6.1,0.0,1.0\n6.1,0.5,0.5", 2),   # no newline after the last row
 ])
 def test_csv_reader_reads_the_body_after_the_header(tmp_path, body, rows):
     path = tmp_path / "spectroscopy.csv"
     path.write_bytes(body.encode())
-    assert harness._read_csv(path, ("freq_ghz", "tau_ns", "p_e")).shape == (rows, 3)
+    assert harness._read_grid(path, ("freq_ghz", "tau_ns", "p_e"))[2].size == rows
 
 
 @pytest.mark.parametrize("body", [
@@ -1044,13 +1082,18 @@ def test_csv_reader_rejects_bad_files(tmp_path, body):
     path = tmp_path / "spectroscopy.csv"
     path.write_bytes(body.encode())
     with pytest.raises(ValueError):
-        harness._read_csv(path, ("freq_ghz", "tau_ns", "p_e"))
+        harness._read_grid(path, ("freq_ghz", "tau_ns", "p_e"))
 
 
 @pytest.mark.parametrize("body", [
     "n,time_ns,p_bus\n1,0.0,1.0\n",
     "n_participants,time_ns,p_bus\n1,0.0\n",
     "n_participants,time_ns,p_bus\n1.5,0.0,1.0\n",
+    # not whole numbers that fit an int64; a cast would warn before any check
+    "n_participants,time_ns,p_bus\nnan,0.0,1.0\n",
+    "n_participants,time_ns,p_bus\ninf,0.0,1.0\n",
+    "n_participants,time_ns,p_bus\n1e300,0.0,1.0\n",
+    "n_participants,time_ns,p_bus\n1,0.0,1.0\n1,0.5,0.5\n2,0.0,1.0\n",   # ragged traces
 ])
 def test_rabi_reader_rejects_bad_files(tmp_path, body):
     path = tmp_path / "rabi_traces.csv"
