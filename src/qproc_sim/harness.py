@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import copy
 import functools
-import itertools
 import json
 import math
 import os
@@ -51,6 +50,9 @@ from .dynamics import (
 from .hilbert import InvariantError, QuantumState, apply_local, partial_trace, qubit_ket
 from .noise import NoiseParams
 from .tomography import (
+    TomographyRecord,
+    _outcome_labels,
+    all_settings,
     bell_phi_plus,
     bell_singlet,
     concurrence_eof,
@@ -127,6 +129,7 @@ class ValidationReport:
 # config loading
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def default_config_path() -> Path:
     return Path(str(resources.files("qproc_sim").joinpath("data/default_device.json")))
 
@@ -135,15 +138,24 @@ def load_device_document(config_path=None) -> tuple[DeviceConfig, NoiseParams | 
     """Parse the device JSON; a ``noise`` key selects noisy (density) mode."""
     path = Path(config_path) if config_path else default_config_path()
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
+    return _parse_device_document(path, text)
+
+
+@functools.lru_cache(maxsize=16)
+def _parse_device_document(path: Path, text: str) -> tuple[DeviceConfig, NoiseParams | None]:
+    """The checked values of one device text, built once per distinct (path, text): both are
+    frozen, and a text that fails a check raises on every call, as no failure is cached."""
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config file {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError(f"config file {path} nests too deeply to parse") from exc
     config = DeviceConfig.from_dict(doc)
@@ -171,14 +183,17 @@ def validate_config(config_path) -> ValidationReport:
 
 def _json_text(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte, for a document
-    whose keys are strings. The pure-Python encoder that ``indent`` selects costs about a
-    microsecond per value; here only containers recurse, and a record's count histograms
-    and each ``rho_hat`` row are filled into one cached %-template each."""
+    whose keys are strings, with each ``TomographyRecord`` written as its ``to_dict()``. The
+    pure-Python encoder that ``indent`` selects costs about a microsecond per value; here
+    only containers recurse, and a record is filled from its arrays into one cached
+    %-template."""
     return _json_value(doc, "\n") + "\n"
 
 
 def _json_value(value, nl: str) -> str:
     """The JSON text of ``value``, nested so that its line breaks are ``nl``."""
+    if isinstance(value, TomographyRecord):
+        return _record_text(value, nl)
     if isinstance(value, dict):
         keys = sorted(value)
         values = list(map(value.__getitem__, keys))
@@ -187,18 +202,8 @@ def _json_value(value, nl: str) -> str:
                                       for k, text in zip(keys, texts)], nl)
     if not isinstance(value, (list, tuple)):
         return _json_scalar(value)
-    kinds = set(map(type, value))
-    if kinds == {dict} and all(map(value[0].keys().__eq__, map(dict.keys, value))):
-        row_shape = tuple(sorted(value[0]))
-        leaves = _json_leaves([d[k] for d in value for k in row_shape])
-    elif kinds and kinds <= {list, tuple} and len(set(map(len, value))) == 1:
-        row_shape = len(value[0])
-        leaves = _json_leaves(list(itertools.chain.from_iterable(value)))
-    elif leaves := _json_leaves(value):
-        return _json_container("[]", leaves, nl)
-    if leaves:
-        return _json_template(row_shape, nl, len(value)) % tuple(leaves)
-    return _json_container("[]", [_json_value(v, nl + "  ") for v in value], nl)
+    return _json_container("[]", _json_leaves(value) or [_json_value(v, nl + "  ")
+                                                         for v in value], nl)
 
 
 def _json_leaves(values) -> list[str] | None:
@@ -232,17 +237,45 @@ def _json_container(brackets: str, items: list[str], nl: str) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1] if items else brackets
 
 
-@functools.cache
-def _json_template(row_shape, nl: str, rows: int) -> str:
-    """A %-template of a list of ``rows`` rows of leaves: lists of ``row_shape`` leaves if it
-    is a number, else objects of the keys ``row_shape``."""
-    inner = nl + "  "
-    if isinstance(row_shape, int):
-        row = _json_container("[]", ["%s"] * row_shape, inner)
-    else:
-        row = _json_container("{}", [encode_basestring_ascii(k).replace("%", "%%") + ": %s"
-                                     for k in row_shape], inner)
-    return _json_container("[]", [row] * rows, nl)
+def _record_text(record: TomographyRecord, nl: str) -> str:
+    """``_json_value(record.to_dict(), nl)``: the record's counts, metrics, qubits,
+    ``rho_hat`` (finite, as a ``DensityMatrix``), seed and shots filled into its template.
+    An int64 count and a finite float format by ``%s`` as their ``repr``."""
+    metrics = sorted(record.metrics.items())
+    template = _record_template(record.n_qubits, nl, tuple(key for key, _ in metrics),
+                                record.rho_hat is not None)
+    values = record.counts.ravel().tolist()
+    for leaves in ([v for _, v in metrics], record.qubits):
+        values += _json_leaves(leaves) or map(_json_scalar, leaves)
+    if record.rho_hat is not None:
+        values += record.rho_hat.elements.view(np.float64).ravel().tolist()
+    values += [_json_scalar(record.seed), _json_scalar(record.shots_per_setting)]
+    return template % tuple(values)
+
+
+@functools.lru_cache(maxsize=32)
+def _record_template(n: int, nl: str, metric_keys: tuple, has_rho: bool) -> str:
+    """The %-template of an n-qubit record's ``to_dict`` text at line breaks ``nl``, with
+    its settings written out and one ``%s`` per other leaf, in ``_record_text`` order."""
+    key = lambda k: encode_basestring_ascii(k).replace("%", "%%") + ": "
+    inner, d = nl + "  ", 2 ** n
+
+    def rows(row: str, count: int, at: str) -> str:  # a list of ``count`` equal rows
+        return _json_container("[]", [row] * count, at)
+
+    at_rows, at_cells = inner + "  ", inner + "    "
+    fields = {
+        "counts": rows(_json_container("{}", [key(label) + "%s" for label in
+                                              _outcome_labels(n)], at_rows), 3 ** n, inner),
+        "metrics": _json_container("{}", [key(k) + "%s" for k in metric_keys], inner),
+        "qubits": rows("%s", n, inner),
+        "rho_hat": (rows(rows(rows("%s", 2, at_cells), d, at_rows), d, inner) if has_rho
+                    else "null"),
+        "seed": "%s",
+        "settings": _json_value([list(s) for s in all_settings(n)], inner).replace("%", "%%"),
+        "shots_per_setting": "%s",
+    }
+    return _json_container("{}", [key(k) + text for k, text in fields.items()], nl)
 
 
 def _digit_quads() -> np.ndarray:
@@ -382,16 +415,24 @@ def _read_grid(path, columns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return outer.copy(), inner.copy(), grid[..., 2].copy()
 
 
+def _read_probability_grid(path, columns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_read_grid`` of a grid of probabilities: each cell must lie in [0, 1]."""
+    outer, inner, values = _read_grid(path, columns)
+    if not ((values >= 0) & (values <= 1)).all():  # NaN fails both comparisons
+        raise ValueError(f"{path}: every {columns[2]} must be a probability in [0, 1]")
+    return outer, inner, values
+
+
 def read_spectroscopy_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (freqs GHz, taus ns, P_e map) from a spectroscopy CSV."""
-    return _read_grid(path, ("freq_ghz", "tau_ns", "p_e"))
+    return _read_probability_grid(path, ("freq_ghz", "tau_ns", "p_e"))
 
 
 def read_rabi_traces_csv(path) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Return {N: (times, p_bus)} from a rabi_scaling traces CSV."""
-    ns, times, p_bus = _read_grid(path, ("n_participants", "time_ns", "p_bus"))
-    if not ((np.floor(ns) == ns) & (np.abs(ns) < 2**63)).all():  # before a cast, which warns
-        raise ValueError(f"{path}: n_participants must be whole numbers below 2**63")
+    ns, times, p_bus = _read_probability_grid(path, ("n_participants", "time_ns", "p_bus"))
+    if not ((np.floor(ns) == ns) & (ns >= 1) & (ns < 2**63)).all():  # before a cast, which warns
+        raise ValueError(f"{path}: n_participants must be whole numbers from 1 to below 2**63")
     return {n: (times, trace) for n, trace in zip(ns.astype(int).tolist(), p_bus)}
 
 
@@ -547,12 +588,12 @@ def _run_entangle(spec: ExperimentSpec, config: DeviceConfig, noise) -> dict[str
     return {"tomography.json": _json_text(record)}
 
 
-def _qst_with_metrics(state, qubits, shots, seed, metric_fn) -> dict:
+def _qst_with_metrics(state, qubits, shots, seed, metric_fn) -> TomographyRecord:
     record = simulate_tomography(state, qubits, shots, seed)
     record.rho_hat = reconstruct(record)
     record.metrics = metric_fn(record.rho_hat)
     record.metrics["max_abs_imag"] = max_abs_imag(record.rho_hat)
-    return record.to_dict()
+    return record
 
 
 def _run_shor(spec: ExperimentSpec, config: DeviceConfig, noise: NoiseParams | None) -> dict[str, str]:

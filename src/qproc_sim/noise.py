@@ -1,7 +1,8 @@
 """Open-system layer: amplitude damping (T1) and pure dephasing (T_phi).
 
 Noise is charged at gate granularity in density-matrix mode: each gate's
-unitary is followed by per-qubit Kraus maps for the gate's duration. The
+unitary is followed by per-qubit damping and dephasing for the gate's duration,
+each qubit's pair of Kraus maps composed into one cached superoperator. The
 default coherence times are invented placeholders (the device's values are
 not published) and are flagged as such wherever they are serialized.
 """
@@ -135,6 +136,17 @@ def _step_kraus(dt: float, t1: float, t_phi: float) -> tuple:
     return pairs
 
 
+@functools.lru_cache(maxsize=256)
+def _step_superoperator(dt: float, t1: float, t_phi: float) -> np.ndarray:
+    """One qubit's step, dephasing after damping, as a read-only 4x4 map on the row-major
+    (row, column) index pair of its factor: each channel is Σ K ⊗ K̄ over its Kraus pair."""
+    damping, dephasing = (sum(np.kron(K, K.conj()) for K in pair)
+                          for pair in _step_kraus(dt, t1, t_phi))
+    step = dephasing @ damping
+    step.setflags(write=False)
+    return step
+
+
 def apply_noise_step(
     rho: DensityMatrix,
     params: NoiseParams,
@@ -144,25 +156,22 @@ def apply_noise_step(
     """Damping then dephasing on each listed qubit factor for a duration dt.
 
     Trace-preserving and completely positive by construction (operator-sum
-    form with complete Kraus pairs). Each Kraus operator K acts on its qubit
-    factor only: K rho, then K (K rho)†, conjugate-transposed back.
+    form with complete Kraus pairs). Each qubit's step is one superoperator
+    product on that factor's (row, column) index pair of the flattened matrix.
     """
     if dt < 0:
         raise ValueError("dt must be >= 0")
     dims = rho.layout.dims
     if qubits is None:
         qubits = tuple(k for k, f in enumerate(rho.layout.factors) if f.kind == "qubit")
-    mat = rho.elements
+    n, flat = len(dims), rho.elements.reshape(-1)
     for q in qubits:
-        if not 0 <= q < len(dims):
-            raise ValueError(f"qubit index {q} outside 0..{len(dims) - 1}")
+        if not 0 <= q < n:
+            raise ValueError(f"qubit index {q} outside 0..{n - 1}")
         if rho.layout.factors[q].kind != "qubit":
             raise ValueError(f"factor {q} is not a qubit")
-        for kraus in _step_kraus(dt, params.t1[q], params.t_phi[q]):
-            out = np.zeros_like(mat)
-            for K in kraus:
-                half = apply_local(K, mat, dims, (q,))
-                out += apply_local(K, half.conj().T, dims, (q,)).conj().T
-            mat = out
+        step = _step_superoperator(dt, params.t1[q], params.t_phi[q])
+        flat = apply_local(step, flat, dims + dims, (q, n + q))
+    mat = flat.reshape(rho.elements.shape)
     mat = 0.5 * (mat + mat.conj().T)
     return DensityMatrix(rho.layout, mat)

@@ -38,6 +38,9 @@ ROTATION_KINDS = ("I", "X_half", "Y_half")
 _ROTATIONS = np.array([np.eye(2), SINGLE_QUBIT_GATES["X_half"], SINGLE_QUBIT_GATES["Y_half"]])
 # trailing qubits whose rotations vary within one batched forward product (27 settings)
 SETTING_BLOCK_QUBITS = 3
+# registers up to this size keep their setting stacks, 0.66 MB at 4 qubits; a larger one
+# (12x the memory per qubit) builds them block by block on each call
+CACHED_SETTING_QUBITS = 4
 
 # Pauli operator each pre-rotation maps onto the measured Z axis, and the sign
 # it picks up: measuring Z after X_half reads +Y, after Y_half reads -X
@@ -197,14 +200,29 @@ def _setting_unitaries(n: int, mats: np.ndarray | None = None) -> np.ndarray:
     return mats
 
 
+def _setting_blocks(n: int):
+    """The (U, U†) stacks of each block of settings, in ``all_settings(n)`` order: one block
+    per rotation combination of the leading qubits, U† a conjugate-transposed view."""
+    tail = min(n, SETTING_BLOCK_QUBITS)
+    for lead in _setting_unitaries(n - tail):
+        U = _setting_unitaries(tail, lead[None])
+        yield U, U.conj().transpose(0, 2, 1)
+
+
+@functools.cache
+def _cached_setting_blocks(n: int) -> tuple:
+    blocks = tuple(_setting_blocks(n))
+    for stack in itertools.chain.from_iterable(blocks):
+        stack.setflags(write=False)
+    return blocks
+
+
 def setting_probabilities(rho: DensityMatrix) -> np.ndarray:
     """Exact (3^n, 2^n) outcome distributions of every setting, in ``all_settings`` order."""
     n = rho.layout.n_factors
-    tail, blocks = min(n, SETTING_BLOCK_QUBITS), []
-    for lead in _setting_unitaries(n - tail):  # one block per leading-rotation combination
-        U = _setting_unitaries(tail, lead[None])
-        blocks.append(np.diagonal(U @ rho.elements @ U.conj().transpose(0, 2, 1), axis1=1, axis2=2))
-    return np.clip(np.concatenate(blocks).real, 0.0, None)
+    blocks = _cached_setting_blocks(n) if n <= CACHED_SETTING_QUBITS else _setting_blocks(n)
+    rotated = [np.diagonal(U @ rho.elements @ U_adj, axis1=1, axis2=2) for U, U_adj in blocks]
+    return np.clip(np.concatenate(rotated).real, 0.0, None)
 
 
 def simulate_tomography(state, qubits: Sequence[int], shots_per_setting: int,
@@ -386,6 +404,11 @@ def phase_gauged_fidelity(state, target: QuantumState, max_sweeps: int = 100) ->
     t = target.amplitudes
     n = target.layout.n_factors
     bits = _bit_table(n)
+    # each qubit's excited and ground masks and the block of rho that couples them
+    halves = []
+    for q in range(n):
+        hot = bits[:, q] == 1
+        halves.append((hot, ~hot, rho.elements[np.ix_(hot, ~hot)]))
 
     raw = state_fidelity(rho, target)
     phases = np.zeros(n)
@@ -397,11 +420,10 @@ def phase_gauged_fidelity(state, target: QuantumState, max_sweeps: int = 100) ->
     current = raw
     for _ in range(max_sweeps):
         previous = current
-        for q in range(n):
+        for q, (hot, cold, block) in enumerate(halves):
             v = phased_target()
             w = np.exp(1j * phases[q] * bits[:, q]) * v  # divide out qubit q's phase
-            hot = bits[:, q] == 1
-            cross = np.vdot(w[hot], rho.elements[np.ix_(hot, ~hot)] @ w[~hot])
+            cross = np.vdot(w[hot], block @ w[cold])
             if abs(cross) > 1e-300:
                 phases[q] = -np.angle(cross)
         v = phased_target()

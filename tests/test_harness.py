@@ -49,7 +49,7 @@ from qproc_sim.harness import (
     run_experiment,
     validate_config,
 )
-from qproc_sim.hilbert import InvariantError
+from qproc_sim.hilbert import DensityMatrix, InvariantError, SpaceLayout
 from qproc_sim.tomography import TomographyRecord
 
 
@@ -476,6 +476,7 @@ def test_small_w4_tomography_json_matches_reference(tmp_path):
 @pytest.mark.parametrize("variant, noisy, fixture", [
     ("three_qubit", True, "shor_three_qubit_noisy_small.json"),  # records at depth 2
     ("control", False, "shor_control_ideal_small.json"),  # "factors": null
+    ("four_qubit", True, "shor_four_qubit_noisy_small.json"),  # 4-qubit noise steps
 ])
 def test_small_factoring_json_matches_reference(tmp_path, variant, noisy, fixture):
     # reference written by json.dumps(indent=2, sort_keys=True) at the same options and seed
@@ -745,8 +746,8 @@ JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), JSON_FLOATS, J
 
 @st.composite
 def int_dict_lists(draw):
-    """Lists of int-valued objects as the writer's template path takes them, each object
-    possibly with its keys in another order, a key dropped or added, or a bool or float."""
+    """Lists of int-valued objects, each object possibly with its keys in another order, a
+    key dropped or added, or a bool or float."""
     keys = draw(st.lists(JSON_TEXTS, max_size=4, unique=True))
     rows = []
     for _ in range(draw(st.integers(0, 4))):
@@ -801,6 +802,48 @@ def test_json_writer_matches_json_dumps(doc):
 ])
 def test_json_writer_matches_json_dumps_on_edge_documents(doc):
     assert harness._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@st.composite
+def tomography_records(draw):
+    """Records of 1..4 qubits with or without ``rho_hat``, and metrics that hold NaN, ±inf,
+    -0.0 and a ``witness_passed`` flag."""
+    n = draw(st.integers(1, 4))
+    shots = draw(st.integers(1, 10 ** 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    rho = None
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            a = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
+            elements = a @ a.conj().T
+        else:  # real and diagonal, conjugated: every imaginary part is -0.0
+            elements = np.diag(rng.random(2 ** n)).astype(complex).conj()
+        rho = DensityMatrix(SpaceLayout.qubits(n), elements / np.trace(elements).real)
+    values = st.one_of(JSON_FLOATS, st.sampled_from([0.0, 1.0]))
+    metrics = draw(st.dictionaries(st.one_of(JSON_TEXTS, st.just("witness_passed")), values,
+                                   max_size=5))
+    return TomographyRecord(
+        qubits=sorted(draw(st.sets(st.integers(0, 9), min_size=n, max_size=n))),
+        shots_per_setting=shots, seed=draw(st.integers(0, 2 ** 64)),
+        counts=rng.multinomial(shots, np.full(2 ** n, 2.0 ** -n), size=3 ** n),
+        rho_hat=rho, metrics=metrics)
+
+
+def as_dicts(doc):
+    """The document with each TomographyRecord replaced by its ``to_dict()``."""
+    if isinstance(doc, TomographyRecord):
+        return doc.to_dict()
+    return {k: as_dicts(v) for k, v in doc.items()} if isinstance(doc, dict) else doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(record=tomography_records(), other=tomography_records(), depth=st.integers(0, 2))
+def test_json_writer_fills_records_as_json_dumps_writes_their_dicts(record, other, depth):
+    # entangle writes a record alone (depth 0); shor writes register_qst at depth 1 and each
+    # breakpoint record at depth 2
+    doc = [record, {"register_qst": record, "mode": "x"},
+           {"breakpoints": {"step1": record, "step2": other}, "register_qst": other}][depth]
+    assert harness._json_text(doc) == json.dumps(as_dicts(doc), indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("doc", [{"a": np.int64(1)}, [1.0, object()], {"a": [{1j}]}])
@@ -1048,6 +1091,11 @@ def test_grid_reader_inverts_the_grid_writer(tmp_path_factory, shape, data):
     "freq_ghz,tau_ns,p_e\n6.1,nan,1.0\n",                        # NaN delay
     # the 2x2 grid in column-major order
     "freq_ghz,tau_ns,p_e\n6.1,0.0,1.0\n6.2,0.0,0.5\n6.1,1.0,0.5\n6.2,1.0,0.5\n",
+    # probabilities outside [0, 1], and NaN
+    "freq_ghz,tau_ns,p_e\n6.1,0.0,7.5\n",
+    "freq_ghz,tau_ns,p_e\n6.1,0.0,-2\n",
+    "freq_ghz,tau_ns,p_e\n6.1,0.0,1.0000000000000002\n",
+    "freq_ghz,tau_ns,p_e\n6.1,0.0,-0.0\n6.1,0.5,nan\n",
 ])
 def test_spectroscopy_reader_rejects_bad_files(tmp_path, body):
     path = tmp_path / "spectroscopy.csv"
@@ -1094,6 +1142,13 @@ def test_csv_reader_rejects_bad_files(tmp_path, body):
     "n_participants,time_ns,p_bus\ninf,0.0,1.0\n",
     "n_participants,time_ns,p_bus\n1e300,0.0,1.0\n",
     "n_participants,time_ns,p_bus\n1,0.0,1.0\n1,0.5,0.5\n2,0.0,1.0\n",   # ragged traces
+    # the writer numbers N from 1
+    "n_participants,time_ns,p_bus\n0,0.0,1.0\n",
+    "n_participants,time_ns,p_bus\n-3,0.0,1.0\n1,0.0,1.0\n",
+    # probabilities outside [0, 1], and NaN
+    "n_participants,time_ns,p_bus\n1,0.0,1.5\n",
+    "n_participants,time_ns,p_bus\n1,0.0,1.0\n1,0.5,-1e-300\n",
+    "n_participants,time_ns,p_bus\n1,0.0,nan\n",
 ])
 def test_rabi_reader_rejects_bad_files(tmp_path, body):
     path = tmp_path / "rabi_traces.csv"

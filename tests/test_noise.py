@@ -18,6 +18,7 @@ from qproc_sim.hilbert import (
 from qproc_sim.noise import (
     NoiseParams,
     _step_kraus,
+    _step_superoperator,
     apply_noise_step,
     damping_kraus,
     dephasing_kraus,
@@ -252,6 +253,25 @@ def test_step_kraus_is_cached_read_only_and_equal_to_the_builders():
             assert np.array_equal(K, E)
             with pytest.raises(ValueError):
                 K[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("dt, t1, t_phi", [(10.0, 400.0, 200.0), (50.0, 400.0, 200.0),
+                                           (42.0, 300.0, math.inf), (0.0, 1.0, 1.0),
+                                           (7.5, math.inf, math.inf)])
+def test_step_superoperator_is_cached_read_only_and_composes_the_two_channels(dt, t1, t_phi):
+    step = _step_superoperator(dt, t1, t_phi)
+    assert _step_superoperator(dt, t1, t_phi) is step
+    with pytest.raises(ValueError):
+        step[0, 0] = 0.0
+    # Σ K ⊗ K̄ maps the row-major (row, column) pair of ρ as ρ ↦ Σ K ρ K†
+    damping, dephasing = (sum(np.kron(K, K.conj()) for K in builder(dt, t))
+                          for builder, t in ((damping_kraus, t1), (dephasing_kraus, t_phi)))
+    assert np.max(np.abs(step - dephasing @ damping)) <= 1e-15
+    rho = random_two_qubit_dm()
+    reduced = partial_trace(rho, {1}).elements
+    kraus = [D @ A for A in damping_kraus(dt, t1) for D in dephasing_kraus(dt, t_phi)]
+    expected = sum(K @ reduced @ K.conj().T for K in kraus)
+    assert np.max(np.abs((step @ reduced.reshape(-1)).reshape(2, 2) - expected)) <= 1e-15
 
 
 @pytest.mark.parametrize("t1, t_phi", [("1111", (200.0,) * 4), ((400.0,) * 4, "2222"),

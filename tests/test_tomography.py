@@ -32,6 +32,7 @@ from qproc_sim.tomography import (
     GaugeFidelity,
     _bit_table,
     _linear_inversion,
+    _cached_setting_blocks,
     _setting_unitaries,
     TomographyRecord,
     all_settings,
@@ -217,6 +218,26 @@ def register_density_matrices(draw):
     mat = (vecs * rng.uniform(0.1, 1.0, size=rank)) @ vecs.conj().T
     rho = DensityMatrix(SpaceLayout.qubits(n), mat / np.trace(mat).real)
     return fortran_ordered(rho) if draw(st.booleans()) else rho
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_setting_stacks_are_cached_read_only_up_to_four_qubits(n):
+    # above CACHED_SETTING_QUBITS the stacks are built per call and never cached
+    before = _cached_setting_blocks.cache_info().currsize
+    a = RNG.normal(size=(2 ** n, 2 ** n)) + 1j * RNG.normal(size=(2 ** n, 2 ** n))
+    rho = DensityMatrix(SpaceLayout.qubits(n), a @ a.conj().T / np.trace(a @ a.conj().T).real)
+    assert_matches_per_setting_oracle(rho)
+    if n > 4:
+        assert _cached_setting_blocks.cache_info().currsize == before
+        return
+    blocks = _cached_setting_blocks(n)
+    assert _cached_setting_blocks(n) is blocks and len(blocks) == 3 ** (n - 3)
+    for U, U_adj in blocks:
+        assert np.array_equal(U_adj, U.conj().transpose(0, 2, 1))
+        with pytest.raises(ValueError):
+            U[0, 0, 0] = 0.0
+        with pytest.raises(ValueError):
+            U_adj[0, 0, 0] = 0.0
 
 
 @hypothesis_settings(derandomize=True, deadline=None, max_examples=40)
