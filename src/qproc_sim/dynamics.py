@@ -361,8 +361,14 @@ def fit_oscillation_frequency(times: np.ndarray, values: np.ndarray) -> tuple[fl
     the log-magnitude peak; the reported uncertainty is the half-width of the
     -3 dB interval around the peak.
     """
+    return fit_oscillation_frequencies(times, [values])[0]
+
+
+def fit_oscillation_frequencies(times: np.ndarray, traces) -> list[tuple[float, float]]:
+    """``fit_oscillation_frequency`` of each of several equally long traces sampled on one
+    time grid, from one FFT of all of them: the same bits as one FFT per trace, with one
+    set of padded work arrays in place of one per trace."""
     times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
     if times.size < 8:
         raise ValueError("need at least 8 samples to fit a frequency")
     steps = np.diff(times)
@@ -370,11 +376,17 @@ def fit_oscillation_frequency(times: np.ndarray, values: np.ndarray) -> tuple[fl
     if not np.allclose(steps, dt, rtol=1e-9, atol=1e-12):
         raise ValueError("fit_oscillation_frequency needs a uniform time grid")
 
-    y = (values - values.mean()) * np.hanning(values.size)
-    n_pad = 1 << (int(np.ceil(np.log2(values.size))) + 5)
-    spectrum = np.abs(np.fft.rfft(y, n=n_pad))
-    freqs = np.fft.rfftfreq(n_pad, d=dt)
+    ys = [np.asarray(values, dtype=float) for values in traces]
+    ys = np.array([(y - y.mean()) * np.hanning(y.size) for y in ys])
+    n_pad = 1 << (int(np.ceil(np.log2(ys.shape[1]))) + 5)
+    spectra = np.abs(np.fft.rfft(ys, n=n_pad))
+    return [_spectral_peak(spectrum, n_pad * dt) for spectrum in spectra]
 
+
+def _spectral_peak(spectrum: np.ndarray, duration: float) -> tuple[float, float]:
+    """Peak frequency and -3 dB half-width of one magnitude spectrum of a trace zero-padded
+    to ``duration``; bin j lies at ``j * (1 / duration)``, as ``np.fft.rfftfreq`` puts it."""
+    spacing = 1.0 / duration
     k = int(np.argmax(spectrum[1:]) + 1)
     if 0 < k < spectrum.size - 1:
         lm, lc, lp = np.log(spectrum[k - 1:k + 2] + 1e-300)
@@ -382,7 +394,7 @@ def fit_oscillation_frequency(times: np.ndarray, values: np.ndarray) -> tuple[fl
         delta = 0.5 * (lm - lp) / denom if denom != 0 else 0.0
     else:
         delta = 0.0
-    freq = (k + delta) / (n_pad * dt)
+    freq = (k + delta) / duration
 
     half_power = spectrum[k] / math.sqrt(2.0)
 
@@ -393,7 +405,7 @@ def fit_oscillation_frequency(times: np.ndarray, values: np.ndarray) -> tuple[fl
         lo, hi = sorted((j, j - direction))
         span = spectrum[hi] - spectrum[lo]
         frac = (half_power - spectrum[lo]) / span if span != 0 else 0.0
-        return freqs[lo] + frac * (freqs[hi] - freqs[lo])
+        return lo * spacing + frac * (hi * spacing - lo * spacing)
 
     err = abs(crossing(+1) - crossing(-1)) / 2
     return float(freq), float(err)

@@ -42,7 +42,7 @@ from .dynamics import (
     ConfigError,
     DeviceConfig,
     effective_coupling,
-    fit_oscillation_frequency,
+    fit_oscillation_frequencies,
     prepare_shared_excitation,
     simultaneous_resonance,
     swap_spectroscopy,
@@ -532,24 +532,20 @@ def _run_rabi_scaling(spec: ExperimentSpec, config: DeviceConfig,
     dtau_max = float(_option(spec, "dtau_max"))
     sample_dt = float(_option(spec, "sample_dt"))
 
-    traces = []
-    fits = []
-    for n in range(1, len(pool) + 1):
-        participants = tuple(pool[:n])
-        trace = simultaneous_resonance(config, participants, dtau_max, sample_dt)
-        freq, err = fit_oscillation_frequency(trace.times, trace.p_bus)
-        traces.append(trace)
-        fits.append({
-            "n": n,
-            "participants": [q + 1 for q in participants],
-            "fitted_freq_ghz": freq,
-            "err_3db_ghz": err,
-            "effective_coupling_ghz": effective_coupling(config, participants),
-        })
-    # one time axis for every N: the CSV is the grid N x time
+    groups = [tuple(pool[:n]) for n in range(1, len(pool) + 1)]
+    traces = [simultaneous_resonance(config, group, dtau_max, sample_dt) for group in groups]
+    # one time axis for every N: the CSV is the grid N x time, and one FFT fits every trace
     times = traces[0].times
     if not all(np.array_equal(trace.times, times) for trace in traces):
         raise InvariantError("rabi_scaling traces do not share one time axis")
+    fits = [{
+        "n": len(group),
+        "participants": [q + 1 for q in group],
+        "fitted_freq_ghz": freq,
+        "err_3db_ghz": err,
+        "effective_coupling_ghz": effective_coupling(config, group),
+    } for group, (freq, err) in zip(
+        groups, fit_oscillation_frequencies(times, [trace.p_bus for trace in traces]))]
     p_bus = np.round([trace.p_bus for trace in traces], PROBABILITY_DECIMALS)
     return {
         "rabi_traces.csv": _csv_chunks(["n_participants", "time_ns", "p_bus"],

@@ -21,6 +21,7 @@ from qproc_sim.dynamics import (
     ConfigError,
     DeviceConfig,
     effective_coupling,
+    fit_oscillation_frequencies,
     fit_oscillation_frequency,
     mean_coupling,
     prepare_shared_excitation,
@@ -423,6 +424,19 @@ def test_fit_oscillation_on_synthetic_cosine():
     freq, err = fit_oscillation_frequency(t, y)
     assert freq == pytest.approx(0.0565, rel=2e-3)
     assert 0 < err < 0.05
+
+
+def test_batched_fits_are_the_fits_of_each_trace():
+    cfg = fitted_config(56.5)
+    traces = [simultaneous_resonance(cfg, tuple(range(n)), dtau_max=200.0, sample_dt=0.25)
+              for n in range(1, 5)]
+    t = traces[0].times
+    rows = [trace.p_bus for trace in traces]
+    rows += [0.5 + 0.5 * np.cos(2 * np.pi * 0.0565 * t + 0.3),
+             np.random.default_rng(7).random(t.size)]
+    fits = fit_oscillation_frequencies(t, rows)
+    assert fits == [fit_oscillation_frequency(t, row) for row in rows]  # bit for bit
+    assert all(type(v) is float for fit in fits for v in fit)
 
 
 def test_fit_requires_uniform_grid():
