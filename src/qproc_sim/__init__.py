@@ -29,7 +29,6 @@ from .hilbert import (
     hermitian_exponential,
     nearest_psd,
     partial_trace,
-    tensor_product,
 )
 from .noise import NoiseParams, apply_noise_step, damping_kraus, dephasing_kraus
 from .tomography import (
@@ -78,7 +77,6 @@ __all__ = [
     "simultaneous_resonance",
     "state_fidelity",
     "swap_spectroscopy",
-    "tensor_product",
     "uhlmann_fidelity",
     "witness_check",
 ]

@@ -99,6 +99,9 @@ class Circuit:
         for op in self.ops:
             if isinstance(op, Gate) and not all(0 <= t < self.n_qubits for t in op.targets):
                 raise ValueError(f"gate {op} targets a qubit outside 0..{self.n_qubits - 1}")
+        _check_register([b for b in self.output_bits if b is not None], self.n_qubits,
+                        "output_bits")
+        _check_register(self.analysis_qubits, self.n_qubits, "analysis_qubits")
         for name, pos in self.breakpoints.items():
             if not 0 <= pos <= len(self.ops):
                 raise ValueError(f"breakpoint {name!r} position {pos} outside the circuit")
@@ -106,6 +109,12 @@ class Circuit:
     @property
     def gates(self) -> tuple[Gate, ...]:
         return tuple(op for op in self.ops if isinstance(op, Gate))
+
+
+def _check_register(qubits: Sequence[int], n_qubits: int, name: str) -> None:
+    """Reject qubit indices that lie outside 0..n_qubits-1 or repeat, as gate targets are."""
+    if not all(0 <= q < n_qubits for q in qubits) or len(set(qubits)) != len(qubits):
+        raise ValueError(f"{name} {tuple(qubits)} must name distinct qubits in 0..{n_qubits - 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +176,9 @@ def run_circuit(circuit: Circuit, noise: NoiseParams | None = None,
     Without ``noise`` a state vector evolves; with it a density matrix does,
     every op (gates and idles) followed by per-qubit damping and dephasing
     for the op's duration. Each gate's 2x2 or 4x4 matrix acts on its target
-    factors only (``apply_local``): G ρ, then G (G ρ)†, conjugate-transposed
-    back.
+    qubits only (``apply_local``): G ρ, then G (G ρ)†, conjugate-transposed
+    back. With noise, that matrix goes to the noise step bare, which checks it
+    once as the step's density matrix.
     """
     state = initial_state if initial_state is not None else qubit_ket("g" * circuit.n_qubits)
     if noise is not None and isinstance(state, QuantumState):
@@ -181,17 +191,18 @@ def run_circuit(circuit: Circuit, noise: NoiseParams | None = None,
             if pos == position:
                 captures[name] = state
 
-    dims = state.layout.dims
+    layout = state.layout
+    dims = layout.dims
     capture(0)
     for k, op in enumerate(circuit.ops, start=1):
         if isinstance(op, Gate):
             G = GATE_MATRICES[op.kind]
             if isinstance(state, QuantumState):
-                state = QuantumState(state.layout, apply_local(G, state.amplitudes, dims, op.targets))
+                state = QuantumState(layout, apply_local(G, state.amplitudes, dims, op.targets))
             else:
                 half = apply_local(G, state.elements, dims, op.targets)
-                state = DensityMatrix(state.layout,
-                                      apply_local(G, half.conj().T, dims, op.targets).conj().T)
+                rho = apply_local(G, half.conj().T, dims, op.targets).conj().T
+                state = rho if noise is not None else DensityMatrix(layout, rho)
             duration_class = "2q" if op.kind in TWO_QUBIT_GATES else "1q"
         else:
             duration_class = op.duration_class
@@ -233,10 +244,11 @@ def output_distribution(state, register: Sequence) -> np.ndarray:
     register = tuple(register)
     if not register:
         raise ValueError("output register must be nonempty")
-    n = state.layout.n_factors
-    probs = state.probabilities().real.reshape((2,) * n)
+    n = state.layout.n_qubits
     real_bits = [b for b in register if b is not None]
-    keep_axes = tuple(sorted(set(real_bits)))
+    _check_register(real_bits, n, "output register")
+    probs = state.probabilities().real.reshape((2,) * n)
+    keep_axes = tuple(sorted(real_bits))
     drop = tuple(ax for ax in range(n) if ax not in keep_axes)
     marginal = probs.sum(axis=drop) if drop else probs
 

@@ -471,6 +471,10 @@ def _check_options(spec: ExperimentSpec, config: DeviceConfig) -> None:
     """Reject options the experiment cannot run with, before any file is written."""
     if spec.seed < 0:  # numpy seed sequences take non-negative integers only
         raise ConfigError(f"seed must be >= 0 (got {spec.seed})")
+    valid = list(_OPTION_DEFAULTS[spec.name])
+    unknown = sorted(set(spec.options) - set(valid))
+    if unknown:  # not echoed in the manifest as if they had acted
+        raise ConfigError(f"unknown option(s) {unknown} for {spec.name}; valid options: {valid}")
     for key, value in spec.options.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"option {key!r} must be a finite number (got {value})")

@@ -1,10 +1,12 @@
-"""Complex linear algebra over composite qubit/resonator Hilbert spaces.
+"""Complex linear algebra over qubit registers.
 
-States, operators and density matrices carry an explicit :class:`SpaceLayout`,
-so tensor structure (partial traces, per-factor occupations) never has to be
-guessed from array shapes. The composite basis index is row-major with the
-leftmost factor most significant: the qubit label ``"eg"`` means qubit 0
-excited and qubit 1 ground, and maps to index ``0b10``.
+States, operators and density matrices carry the :class:`SpaceLayout` of their
+register, so partial traces and per-qubit operations never guess the qubit
+count from array shapes. The basis index is row-major with the leftmost qubit
+most significant: the label ``"eg"`` means qubit 0 excited and qubit 1 ground,
+and maps to index ``0b10``. Resonators appear only in the full-space test
+oracle; ``apply_local`` stays generic over factor dimensions for it, and for
+the noise steps' doubled (row, column) dims.
 
 Everything is immutable after construction (arrays are frozen), so values can
 be shared freely across threads.
@@ -37,61 +39,26 @@ class InvariantError(ValueError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Subsystem:
-    """One tensor factor: a qubit (dim 2) or a resonator (dim n_max + 1)."""
-
-    kind: str
-    dim: int
-
-    def __post_init__(self):
-        if self.kind not in ("qubit", "resonator"):
-            raise ValueError(f"unknown subsystem kind {self.kind!r}")
-        if self.kind == "qubit" and self.dim != 2:
-            raise ValueError("qubit factors must have dimension 2")
-        if self.kind == "resonator" and self.dim < 2:
-            raise ValueError("resonator factors need dimension >= 2 (n_max >= 1)")
-
-
-def qubit() -> Subsystem:
-    return Subsystem("qubit", 2)
-
-
-def resonator(n_max: int) -> Subsystem:
-    """Resonator factor truncated at Fock level ``n_max`` (dimension n_max + 1)."""
-    return Subsystem("resonator", n_max + 1)
-
-
-@dataclass(frozen=True)
 class SpaceLayout:
-    """Ordered tensor factorization of a composite Hilbert space.
+    """A register of ``n_qubits`` qubits; qubit 0 is the most significant in the
+    basis index. Build one with :meth:`qubits`, which shares one layout per size."""
 
-    The leftmost factor is the most significant in the composite (row-major)
-    basis index.
-    """
-
-    factors: tuple[Subsystem, ...]
-    # derived from the factors once; equality, hash and repr read the factors only
+    n_qubits: int
+    # derived once, since every state check reads them; equality, hash and repr read
+    # the qubit count only
     dims: tuple[int, ...] = field(init=False, compare=False, repr=False)
     total_dim: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        if not self.factors:
-            raise ValueError("a layout needs at least one factor")
-        object.__setattr__(self, "dims", tuple(f.dim for f in self.factors))
-        object.__setattr__(self, "total_dim", math.prod(self.dims))
+        if self.n_qubits < 1:
+            raise ValueError("a layout needs at least one qubit")
+        object.__setattr__(self, "dims", (2,) * self.n_qubits)
+        object.__setattr__(self, "total_dim", 2 ** self.n_qubits)
 
     @classmethod
     @functools.cache
     def qubits(cls, n: int) -> "SpaceLayout":
-        return cls(tuple(qubit() for _ in range(n)))
-
-    @property
-    def n_factors(self) -> int:
-        return len(self.factors)
-
-    def extended(self, other: "SpaceLayout") -> "SpaceLayout":
-        return SpaceLayout(self.factors + other.factors)
+        return cls(n)
 
 
 def _frozen_array(values, shape_check) -> np.ndarray:
@@ -111,7 +78,7 @@ def _frozen_array(values, shape_check) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Pure state: complex amplitude vector over a composite layout."""
+    """Pure state: complex amplitude vector over a qubit register."""
 
     layout: SpaceLayout
     amplitudes: np.ndarray
@@ -159,7 +126,7 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class QuantumOperator:
-    """Linear operator on a composite layout, optionally checked against flags."""
+    """Linear operator on a qubit register, optionally checked against flags."""
 
     layout: SpaceLayout
     elements: np.ndarray
@@ -188,18 +155,6 @@ class QuantumOperator:
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |g><e|
-
-
-def destroy(dim: int) -> np.ndarray:
-    """Annihilation operator on a dim-level Fock space: a|n> = sqrt(n)|n-1>."""
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
-
-
-def basis_ket(layout: SpaceLayout, index: int) -> QuantumState:
-    amps = np.zeros(layout.total_dim, dtype=complex)
-    amps[index] = 1.0
-    return QuantumState(layout, amps)
 
 
 def qubit_ket(label: str) -> QuantumState:
@@ -209,7 +164,10 @@ def qubit_ket(label: str) -> QuantumState:
         if ch not in "ge":
             raise ValueError(f"qubit label may only contain 'g'/'e', got {label!r}")
         index = (index << 1) | (ch == "e")
-    return basis_ket(SpaceLayout.qubits(len(label)), index)
+    layout = SpaceLayout.qubits(len(label))
+    amps = np.zeros(layout.total_dim, dtype=complex)
+    amps[index] = 1.0
+    return QuantumState(layout, amps)
 
 
 def superposition_ket(terms: Sequence[tuple[str, complex]]) -> QuantumState:
@@ -224,23 +182,6 @@ def superposition_ket(terms: Sequence[tuple[str, complex]]) -> QuantumState:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def tensor_product(states: Sequence[QuantumState]) -> QuantumState:
-    """Kronecker product of pure states.
-
-    The result layout is the concatenation of the input layouts in the given
-    (most-significant-left) order.
-    """
-    states = list(states)
-    if not states:
-        raise ValueError("tensor_product of an empty list")
-    if any(not isinstance(it, QuantumState) for it in states):
-        raise ValueError("tensor_product takes pure states only")
-    layout, amps = states[0].layout, states[0].amplitudes
-    for it in states[1:]:
-        layout, amps = layout.extended(it.layout), np.kron(amps, it.amplitudes)
-    return QuantumState(layout, amps)
-
 
 def apply_local(op, array, dims: Sequence[int], axes: Sequence[int]) -> np.ndarray:
     """Apply ``op`` to the tensor factors ``axes`` of the row index of ``array``.
@@ -271,45 +212,19 @@ def _local_plan(dims: tuple, axes: tuple, array_shape: tuple) -> tuple:
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced density matrix on the ``keep`` factors (ascending original order)."""
+    """Reduced density matrix on the ``keep`` qubits (ascending original order)."""
     keep = sorted(set(keep))
-    n = rho.layout.n_factors
+    n = rho.layout.n_qubits
     if not keep:
         raise ValueError("keep set must be nonempty")
     if keep[0] < 0 or keep[-1] >= n:
-        raise ValueError(f"keep indices {keep} out of range for {n} factors")
+        raise ValueError(f"keep indices {keep} out of range for {n} qubits")
 
-    dims = list(rho.layout.dims)
-    tensor = rho.elements.reshape(dims + dims)
+    tensor = rho.elements.reshape((2,) * (2 * n))
     for idx in sorted(set(range(n)) - set(keep), reverse=True):
-        tensor = np.trace(tensor, axis1=idx, axis2=idx + len(dims))
-        dims.pop(idx)
-    d_kept = math.prod(dims)
-    kept_factors = tuple(rho.layout.factors[i] for i in keep)
-    return DensityMatrix(SpaceLayout(kept_factors), tensor.reshape(d_kept, d_kept))
-
-
-def permute_factors(value, order: Sequence[int]):
-    """Reorder tensor factors of a state, operator or density matrix.
-
-    ``order[k]`` is the input factor that becomes output factor k.
-    """
-    layout = value.layout
-    n = layout.n_factors
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"order {order} is not a permutation of 0..{n - 1}")
-    dims = layout.dims
-    new_layout = SpaceLayout(tuple(layout.factors[i] for i in order))
-
-    if isinstance(value, QuantumState):
-        amps = value.amplitudes.reshape(dims).transpose(order).reshape(-1)
-        return QuantumState(new_layout, amps)
-    perm = list(order) + [n + i for i in order]
-    mat = value.elements.reshape(dims + dims).transpose(perm)
-    mat = mat.reshape(new_layout.total_dim, new_layout.total_dim)
-    if isinstance(value, DensityMatrix):
-        return DensityMatrix(new_layout, mat)
-    return QuantumOperator(new_layout, mat, hermitian=value.hermitian, unitary=value.unitary)
+        tensor = np.trace(tensor, axis1=idx, axis2=idx + tensor.ndim // 2)
+    d_kept = 2 ** len(keep)
+    return DensityMatrix(SpaceLayout.qubits(len(keep)), tensor.reshape(d_kept, d_kept))
 
 
 def hermitian_exponential(H: QuantumOperator, t: float) -> QuantumOperator:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import DensityMatrix, apply_local
+from .hilbert import DM_HERM_TOL, DensityMatrix, InvariantError, SpaceLayout, apply_local
 
 DEFAULT_T1_NS = 400.0
 DEFAULT_TPHI_NS = 200.0
@@ -148,30 +148,36 @@ def _step_superoperator(dt: float, t1: float, t_phi: float) -> np.ndarray:
 
 
 def apply_noise_step(
-    rho: DensityMatrix,
+    rho,
     params: NoiseParams,
     dt: float,
     qubits: Sequence[int] | None = None,
 ) -> DensityMatrix:
-    """Damping then dephasing on each listed qubit factor for a duration dt.
+    """Damping then dephasing on each listed qubit (all by default) for a duration dt.
 
+    ``rho`` is a :class:`DensityMatrix`, or the bare matrix that a gate has just
+    made of one; its entries are checked finite and its Hermiticity against
+    ``DM_HERM_TOL`` before the step re-symmetrizes, and the result is checked
+    as a density matrix.
     Trace-preserving and completely positive by construction (operator-sum
     form with complete Kraus pairs). Each qubit's step is one superoperator
-    product on that factor's (row, column) index pair of the flattened matrix.
+    product on that qubit's (row, column) index pair of the flattened matrix.
     """
     if dt < 0:
         raise ValueError("dt must be >= 0")
-    dims = rho.layout.dims
-    if qubits is None:
-        qubits = tuple(k for k, f in enumerate(rho.layout.factors) if f.kind == "qubit")
-    n, flat = len(dims), rho.elements.reshape(-1)
-    for q in qubits:
+    mat = rho.elements if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    if not np.isfinite(mat).all():  # first, as in DensityMatrix: inf - inf would warn
+        raise InvariantError("state or operator holds entries that are not finite")
+    if not np.max(np.abs(mat - mat.conj().T)) <= DM_HERM_TOL:
+        raise InvariantError("density matrix is not Hermitian within tolerance")
+    n = mat.shape[0].bit_length() - 1
+    dims = (2,) * (2 * n)
+    flat = mat.reshape(-1)
+    for q in range(n) if qubits is None else qubits:
         if not 0 <= q < n:
             raise ValueError(f"qubit index {q} outside 0..{n - 1}")
-        if rho.layout.factors[q].kind != "qubit":
-            raise ValueError(f"factor {q} is not a qubit")
         step = _step_superoperator(dt, params.t1[q], params.t_phi[q])
-        flat = apply_local(step, flat, dims + dims, (q, n + q))
-    mat = flat.reshape(rho.elements.shape)
+        flat = apply_local(step, flat, dims, (q, n + q))
+    mat = flat.reshape(mat.shape)
     mat = 0.5 * (mat + mat.conj().T)
-    return DensityMatrix(rho.layout, mat)
+    return DensityMatrix(SpaceLayout.qubits(n), mat)

@@ -183,7 +183,7 @@ def register_density_matrix(state, qubits: Sequence[int]) -> DensityMatrix:
     if not qubits:
         raise ValueError("measured qubit set must be nonempty")
     rho = state.density_matrix() if isinstance(state, QuantumState) else state
-    if qubits == tuple(range(rho.layout.n_factors)):
+    if qubits == tuple(range(rho.layout.n_qubits)):
         return rho
     return partial_trace(rho, qubits)
 
@@ -219,7 +219,7 @@ def _cached_setting_blocks(n: int) -> tuple:
 
 def setting_probabilities(rho: DensityMatrix) -> np.ndarray:
     """Exact (3^n, 2^n) outcome distributions of every setting, in ``all_settings`` order."""
-    n = rho.layout.n_factors
+    n = rho.layout.n_qubits
     blocks = _cached_setting_blocks(n) if n <= CACHED_SETTING_QUBITS else _setting_blocks(n)
     rotated = [np.diagonal(U @ rho.elements @ U_adj, axis1=1, axis2=2) for U, U_adj in blocks]
     return np.clip(np.concatenate(rotated).real, 0.0, None)
@@ -401,8 +401,9 @@ def phase_gauged_fidelity(state, target: QuantumState, max_sweeps: int = 100) ->
     converges; for the Bell/W-class states it settles in one pass.
     """
     rho = state.density_matrix() if isinstance(state, QuantumState) else state
+    raw = state_fidelity(rho, target)  # first: it rejects a state of another dimension
     t = target.amplitudes
-    n = target.layout.n_factors
+    n = target.layout.n_qubits
     bits = _bit_table(n)
     # each qubit's excited and ground masks and the block of rho that couples them
     halves = []
@@ -410,7 +411,6 @@ def phase_gauged_fidelity(state, target: QuantumState, max_sweeps: int = 100) ->
         hot = bits[:, q] == 1
         halves.append((hot, ~hot, rho.elements[np.ix_(hot, ~hot)]))
 
-    raw = state_fidelity(rho, target)
     phases = np.zeros(n)
 
     def phased_target():

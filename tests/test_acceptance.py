@@ -92,7 +92,7 @@ def test_criterion_02_iswap_timing():
     tau = 1.0 / (2 * config.g_bus_ghz(0))
     # full-space oracle: Q1 -> bus
     state = pump_fock(config)
-    table = state.probabilities().reshape(-1, config.n_max + 1)
+    table = (np.abs(state) ** 2).reshape(-1, config.n_max + 1)
     p_bus = float(table[:, 1].sum())
     # shipped block solve: bus -> Q1
     trace = simultaneous_resonance(config, (0,), tau, tau)
@@ -215,7 +215,7 @@ def test_criterion_07_tomography_roundtrip():
     }
     checks = []
     for name, state in states.items():
-        n = state.layout.n_factors
+        n = state.layout.n_qubits
         record = simulate_tomography(state, tuple(range(n)), 10_000, seed=21)
         rho_hat = reconstruct(record)
         fid = state_fidelity(rho_hat, state)
@@ -247,20 +247,13 @@ def test_criterion_08_propagator_oracle():
         raw = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
         herm = (raw + raw.conj().T) / 2
         scale = float(RNG.uniform(0.02, 0.2)) / np.linalg.norm(herm, 2)
-        H = QuantumOperator(SpaceLayout((*_qubit_factors(dim),)), herm * scale, hermitian=True)
+        H = QuantumOperator(SpaceLayout.qubits(dim.bit_length() - 1), herm * scale, hermitian=True)
         t = float(RNG.uniform(0.5, 6.0))
         U = hermitian_exponential(H, t)
         diff = np.max(np.abs(U.elements - taylor_expm(H.elements, t)))
         worst = max(worst, diff)
     checks = [(worst <= 1e-9, f"max |U - Taylor40| = {worst:.2e}")]
     _finish(8, 10.0, t0, checks)
-
-
-def _qubit_factors(dim):
-    from qproc_sim.hilbert import qubit
-
-    n = int(math.log2(dim))
-    return tuple(qubit() for _ in range(n))
 
 
 def test_criterion_09_metric_identities():

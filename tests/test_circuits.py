@@ -156,6 +156,17 @@ def test_circuit_rejects_targets_outside_the_register(gate):
         Circuit(n_qubits=3, ops=(gate,))
 
 
+@pytest.mark.parametrize("registers", [
+    {"output_bits": (5, None)}, {"output_bits": (-1, 0)}, {"output_bits": (0, 0)},
+    {"output_bits": (1, None, 1)}, {"analysis_qubits": (0, 3)}, {"analysis_qubits": (-1,)},
+    {"analysis_qubits": (2, 2)},
+])
+def test_circuit_rejects_registers_outside_the_register_or_repeated(registers):
+    # checked like gate targets, at construction, not later in factor_fifteen
+    with pytest.raises(ValueError, match=r"distinct qubits in 0\.\.2"):
+        Circuit(n_qubits=3, ops=(Gate("H", (0,)),), **registers)
+
+
 # ---------------------------------------------------------------------------
 # compiled circuits
 # ---------------------------------------------------------------------------
@@ -343,6 +354,16 @@ def test_sample_output_rejects_empty_register():
     state = run_circuit(build_shor("three_qubit")).final
     with pytest.raises(ValueError):
         sample_output(state, (), 10, seed=0)
+
+
+@pytest.mark.parametrize("register", [(0, 0), (3,), (-1,), (None, 1, 1), (0, 5)])
+def test_output_registers_outside_the_state_or_repeated_are_rejected(register):
+    # (0, 0) used to give [0.5, 0.5, 0, 0] for |ggg>, and (3,) and (-1,) an IndexError
+    state = qubit_ket("ggg")
+    with pytest.raises(ValueError, match=r"distinct qubits in 0\.\.2"):
+        output_distribution(state, register)
+    with pytest.raises(ValueError, match=r"distinct qubits in 0\.\.2"):
+        sample_output(state, register, 10, seed=0)
 
 
 # ---------------------------------------------------------------------------

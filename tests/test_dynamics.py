@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from fullspace import (
     Segment,
+    basis_vector,
     build_jc_hamiltonian,
-    device_layout,
+    device_dims,
     full_space_resonance,
     full_space_shared_excitation,
     full_space_spectroscopy,
+    kron_states,
     propagate,
     pump_fock,
 )
@@ -29,17 +31,7 @@ from qproc_sim.dynamics import (
     swap_spectroscopy,
 )
 from qproc_sim.harness import read_spectroscopy_csv
-from qproc_sim.hilbert import (
-    NORM_TOL,
-    InvariantError,
-    QuantumOperator,
-    SpaceLayout,
-    apply_local,
-    basis_ket,
-    qubit_ket,
-    resonator,
-    tensor_product,
-)
+from qproc_sim.hilbert import NORM_TOL, InvariantError, apply_local, qubit_ket
 
 RNG = np.random.default_rng(42)
 
@@ -113,20 +105,20 @@ def test_single_qubit_resonant_block():
     d = cfg.n_max + 1
     idx_e0 = d      # qubit excited, vacuum
     idx_g1 = 1      # qubit ground, one photon
-    assert H.elements[idx_g1, idx_e0] == pytest.approx(0.0275)
-    assert H.elements[idx_e0, idx_g1] == pytest.approx(0.0275)
-    assert H.elements[idx_e0, idx_e0] == pytest.approx(0.0)
+    assert H[idx_g1, idx_e0] == pytest.approx(0.0275)
+    assert H[idx_e0, idx_g1] == pytest.approx(0.0275)
+    assert H[idx_e0, idx_e0] == pytest.approx(0.0)
 
 
-def excitation_number(layout: SpaceLayout) -> QuantumOperator:
+def excitation_number(dims) -> np.ndarray:
     """N_exc = Σ σ⁺σ⁻ over qubit factors + Σ a†a over resonator factors."""
-    eye = np.eye(layout.total_dim, dtype=complex)
+    eye = np.eye(math.prod(dims), dtype=complex)
     total = np.zeros_like(eye)
-    for k, factor in enumerate(layout.factors):
+    for k, dim in enumerate(dims):
         # σ⁺σ⁻ on a qubit and a†a on a resonator are both diag(0, 1, ..., dim - 1)
-        op = np.diag(np.arange(factor.dim, dtype=float)).astype(complex)
-        total += apply_local(op, eye, layout.dims, (k,))
-    return QuantumOperator(layout, total, hermitian=True)
+        op = np.diag(np.arange(dim, dtype=float)).astype(complex)
+        total += apply_local(op, eye, dims, (k,))
+    return total
 
 
 def test_hamiltonian_conserves_excitation_number():
@@ -134,8 +126,8 @@ def test_hamiltonian_conserves_excitation_number():
     for _ in range(5):
         freqs = tuple(6.1 + RNG.uniform(-0.5, 0.5, size=4))
         H = build_jc_hamiltonian(cfg, qubit_freqs=freqs)
-        N = excitation_number(H.layout)
-        comm = H.elements @ N.elements - N.elements @ H.elements
+        N = excitation_number(device_dims(cfg, cfg.n_qubits))
+        comm = H @ N - N @ H
         assert np.max(np.abs(comm)) < 1e-14
 
 
@@ -145,27 +137,25 @@ def test_hamiltonian_conserves_excitation_number():
 
 def test_zero_duration_schedule_identity():
     cfg = DeviceConfig.default()
-    layout = device_layout(cfg, (0,))
-    start = basis_ket(layout, 1)
+    start = basis_vector(device_dims(cfg, 1), 1)
     trace, _, final = propagate(start, (Segment(0.0, (cfg.f_bus,)),), cfg, sample_dt=1.0,
                                 qubits=(0,))
-    np.testing.assert_allclose(final.amplitudes, start.amplitudes)
+    np.testing.assert_allclose(final, start)
     assert trace.times.tolist() == [0.0]
 
 
 def test_resonant_bus_population_is_sinusoidal():
     # qubit starts excited, bus in vacuum: P_B(t) = sin²(π g t)
     cfg = fitted_config(56.5)
-    layout = device_layout(cfg, (0,))
-    start = tensor_product([qubit_ket("e"), basis_ket_res(cfg, 0)])
+    start = excited_qubit_and_empty_bus(cfg)
     trace, _, _ = propagate(start, (Segment(30.0, (cfg.f_bus,)),), cfg, sample_dt=0.1, qubits=(0,))
     expected = np.sin(np.pi * 0.0565 * trace.times) ** 2
     np.testing.assert_allclose(trace.p_bus, expected, atol=1e-9)
-    assert start.layout.dims == layout.dims
+    assert start.size == math.prod(device_dims(cfg, 1))
 
 
-def basis_ket_res(cfg, n):
-    return basis_ket(SpaceLayout((resonator(cfg.n_max),)), n)
+def excited_qubit_and_empty_bus(cfg):
+    return kron_states(qubit_ket("e").amplitudes, basis_vector((cfg.n_max + 1,), 0))
 
 
 def test_detuned_rabi_matches_analytic_formula():
@@ -173,7 +163,7 @@ def test_detuned_rabi_matches_analytic_formula():
     cfg = DeviceConfig.default()
     g = 0.055
     delta = 0.100
-    start = tensor_product([qubit_ket("e"), basis_ket_res(cfg, 0)])
+    start = excited_qubit_and_empty_bus(cfg)
     schedule = (Segment(50.0, (cfg.f_bus + delta,)),)
     trace, _, _ = propagate(start, schedule, cfg, sample_dt=0.1, qubits=(0,))
     amp = g**2 / (g**2 + delta**2)
@@ -196,20 +186,20 @@ def test_propagate_rejects_qubits_outside_the_device(qubit):
     # a negative index must not wrap around to the last qubit's coupling, or the oracle
     # would check a block solve against the wrong qubit
     cfg = DeviceConfig.default()
-    start = tensor_product([qubit_ket("e"), basis_ket_res(cfg, 0)])
+    start = excited_qubit_and_empty_bus(cfg)
     with pytest.raises(ValueError, match="outside"):
         propagate(start, (Segment(5.0, (cfg.f_bus,)),), cfg, sample_dt=1.0, qubits=(qubit,))
 
 
 def test_segment_shorter_than_sample_dt_contributes_one_sample():
     cfg = DeviceConfig.default()
-    start = tensor_product([qubit_ket("e"), basis_ket_res(cfg, 0)])
+    start = excited_qubit_and_empty_bus(cfg)
     trace, _, final = propagate(start, (Segment(1.2, (cfg.f_bus,)),), cfg, sample_dt=5.0,
                                 qubits=(0,))
     assert trace.times.tolist() == [0.0, 1.2]
     # final state is exact regardless of the sampling grid
     assert trace.p_bus[-1] == pytest.approx(math.sin(math.pi * 0.055 * 1.2) ** 2, abs=1e-12)
-    assert final.layout.dims == start.layout.dims
+    assert final.shape == start.shape
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +209,8 @@ def test_segment_shorter_than_sample_dt_contributes_one_sample():
 def test_pump_fock_full_transfer():
     cfg = DeviceConfig.default()
     state = pump_fock(cfg)
-    dims = state.layout.dims
-    table = state.probabilities().reshape(-1, dims[-1])
+    dims = device_dims(cfg, cfg.n_qubits)
+    table = (np.abs(state) ** 2).reshape(-1, dims[-1])
     p_bus = table[:, 1].sum()
     p_q1 = table[(np.arange(table.shape[0]) >> 3) & 1 == 1, :].sum()
     assert p_bus >= 1 - 1e-6
@@ -232,7 +222,7 @@ def test_pump_fock_halved_coupling_partial_transfer():
     halved = DeviceConfig(g_bus=(27.5, 55.0, 55.0, 55.0))
     duration = 1.0 / (2 * cfg.g_bus_ghz(0))
     state = pump_fock(halved, swap_duration=duration)
-    table = state.probabilities().reshape(-1, cfg.n_max + 1)
+    table = (np.abs(state) ** 2).reshape(-1, cfg.n_max + 1)
     assert table[:, 1].sum() == pytest.approx(0.5, abs=1e-9)
 
 
@@ -241,8 +231,8 @@ def test_pump_fock_truncation_independent():
     hi = DeviceConfig(n_max=3)
     state_lo = pump_fock(lo)
     state_hi = pump_fock(hi)
-    table_lo = state_lo.probabilities().reshape(-1, 2)
-    table_hi = state_hi.probabilities().reshape(-1, 4)
+    table_lo = (np.abs(state_lo) ** 2).reshape(-1, 2)
+    table_hi = (np.abs(state_hi) ** 2).reshape(-1, 4)
     np.testing.assert_allclose(table_lo[:, 1], table_hi[:, 1], atol=1e-10)
     np.testing.assert_allclose(table_lo[:, 0], table_hi[:, 0] + table_hi[:, 2:].sum(axis=1), atol=1e-10)
 
@@ -366,7 +356,7 @@ def test_on_resonance_first_minimum_at_iswap_time():
 def test_far_detuned_transfer_is_suppressed():
     # residual bus transfer at the idle point: amplitude g²/(g²+Δ²) ≈ 0.012
     cfg = DeviceConfig.default()
-    start = tensor_product([qubit_ket("e"), basis_ket_res(cfg, 0)])
+    start = excited_qubit_and_empty_bus(cfg)
     schedule = (Segment(80.0, (cfg.f_bus + 0.5,)),)
     trace, _, _ = propagate(start, schedule, cfg, sample_dt=0.25, qubits=(0,))
     assert trace.p_bus.max() <= 0.055**2 / (0.055**2 + 0.5**2) + 1e-3

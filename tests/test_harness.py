@@ -379,6 +379,24 @@ def test_bad_config_path_exits_one(tmp_path):
     assert run_experiment(spec, config_path=tmp_path / "nope.json") == 1
 
 
+def test_non_hermitian_gate_result_exits_two(tmp_path, capsys, monkeypatch):
+    # a noisy gate's bare matrix is checked once, in the noise step, before it is
+    # re-symmetrized: a defect above DM_HERM_TOL must not be hidden
+    def skewed(op, array, dims, axes):
+        out = circuits_apply_local(op, array, dims, axes)
+        return out + 1e-9 * np.triu(np.ones_like(out), 1) if out.ndim == 2 else out
+
+    circuits_apply_local = qproc_sim.circuits.apply_local
+    monkeypatch.setattr(qproc_sim.circuits, "apply_local", skewed)
+    path = write_config(tmp_path, dict(DeviceConfig.default().to_dict(), noise=NOISE_BLOCK))
+    out = tmp_path / "out"
+    spec = ExperimentSpec("shor", {"shots": 100, "qst_shots": 100}, out)
+    assert run_experiment(spec, config_path=path) == 2
+    assert not out.exists() or not any(out.iterdir())
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["numerical invariant violated: density matrix is not Hermitian within tolerance"]
+
+
 def test_invariant_violation_exits_two(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise InvariantError("synthetic violation")
@@ -578,6 +596,9 @@ def test_out_of_range_qubit_labels_exit_one(tmp_path, capsys, argv):
 # options the CLI's argument parser cannot pass, called through the library entry point
 LIBRARY_OPTION_ERRORS = {
     ("shor", "variant", "five_qubit"): "option 'variant' must be one of",
+    ("shor", "shotz", 5): "unknown option(s) ['shotz'] for shor; valid options: "
+                          "['variant', 'shots', 'qst_shots']",
+    ("spectroscopy", "qubits", 1): "unknown option(s) ['qubits'] for spectroscopy",
 }
 
 

@@ -12,16 +12,10 @@ from qproc_sim.hilbert import (
     QuantumState,
     SpaceLayout,
     apply_local,
-    basis_ket,
-    destroy,
     hermitian_exponential,
     nearest_psd,
     partial_trace,
-    permute_factors,
-    qubit,
     qubit_ket,
-    resonator,
-    tensor_product,
 )
 
 RNG = np.random.default_rng(1234)
@@ -34,14 +28,10 @@ def random_density_matrix(layout, rng=RNG):
     return DensityMatrix(layout, rho / np.trace(rho))
 
 
-def random_state(layout):
-    amps = RNG.normal(size=layout.total_dim) + 1j * RNG.normal(size=layout.total_dim)
-    return QuantumState(layout, amps / np.linalg.norm(amps))
-
-
 def kron_density_matrix(a, b):
     """The product state a ⊗ b of two density matrices."""
-    return DensityMatrix(a.layout.extended(b.layout), np.kron(a.elements, b.elements))
+    layout = SpaceLayout.qubits(a.layout.n_qubits + b.layout.n_qubits)
+    return DensityMatrix(layout, np.kron(a.elements, b.elements))
 
 
 def random_hermitian(dim, scale=1.0):
@@ -61,69 +51,28 @@ def taylor_expm(H, t, terms=40):
 
 
 # ---------------------------------------------------------------------------
-# tensor_product
+# layouts
 # ---------------------------------------------------------------------------
 
-def test_layout_equality_hash_and_repr_read_the_factors_only():
-    factors = (qubit(), resonator(2), qubit())
-    layout = SpaceLayout(list(factors))
-    assert layout == SpaceLayout(factors) and hash(layout) == hash(SpaceLayout(factors))
-    assert hash(layout) == hash((factors,))
-    assert repr(layout) == f"SpaceLayout(factors={factors!r})"
-    assert layout != SpaceLayout(factors[:2]) and layout != SpaceLayout.qubits(3)
-    assert layout.dims == (2, 3, 2) and layout.total_dim == 12
+def test_layout_equality_hash_and_repr_read_the_qubit_count_only():
+    layout = SpaceLayout(3)
+    assert layout == SpaceLayout.qubits(3) and hash(layout) == hash(SpaceLayout.qubits(3))
+    assert hash(layout) == hash((3,))
+    assert repr(layout) == "SpaceLayout(n_qubits=3)"
+    assert layout != SpaceLayout.qubits(2)
+    assert layout.dims == (2, 2, 2) and layout.total_dim == 8
     with pytest.raises(TypeError):
-        SpaceLayout(factors, dims=(2, 3, 2))
+        SpaceLayout(3, dims=(2, 2, 2))
     with pytest.raises(AttributeError):
         layout.total_dim = 4
 
 
 def test_qubit_layouts_are_shared():
     assert SpaceLayout.qubits(3) is SpaceLayout.qubits(3)
-    assert SpaceLayout.qubits(3) == SpaceLayout((qubit(),) * 3)
+    assert SpaceLayout.qubits(3) == SpaceLayout(3)
     assert SpaceLayout.qubits(2).dims == (2, 2)
     with pytest.raises(ValueError):
         SpaceLayout.qubits(0)
-
-
-def test_tensor_identity_case():
-    # a one-item product is the item itself
-    psi = random_state(SpaceLayout((resonator(2),)))
-    alone = tensor_product([psi])
-    assert alone.layout == psi.layout
-    np.testing.assert_array_equal(alone.amplitudes, psi.amplitudes)
-
-
-def test_tensor_basis_bookkeeping():
-    g = qubit_ket("g")
-    e = qubit_ket("e")
-    ge = tensor_product([g, e])
-    np.testing.assert_allclose(ge.amplitudes, [0, 1, 0, 0])
-    assert ge.amplitudes[0b01] == 1.0
-
-
-def test_tensor_kronecker_definition():
-    a = random_state(SpaceLayout.qubits(1))
-    b = random_state(SpaceLayout((resonator(2),)))
-    ab = tensor_product([a, b])
-    assert ab.layout.dims == (2, 3)
-    for i in range(2):
-        for j in range(3):
-            assert ab.amplitudes[i * 3 + j] == pytest.approx(a.amplitudes[i] * b.amplitudes[j])
-
-
-def test_tensor_associativity_up_to_flattening():
-    states = [random_state(SpaceLayout.qubits(1)) for _ in range(3)]
-    left = tensor_product([tensor_product(states[:2]), states[2]])
-    right = tensor_product([states[0], tensor_product(states[1:])])
-    np.testing.assert_allclose(left.amplitudes, right.amplitudes, atol=1e-14)
-
-
-def test_tensor_errors():
-    with pytest.raises(ValueError):
-        tensor_product([])
-    with pytest.raises(ValueError):
-        tensor_product([qubit_ket("g"), qubit_ket("g").density_matrix()])
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +81,10 @@ def test_tensor_errors():
 
 def test_partial_trace_product_state():
     rho_a = random_density_matrix(SpaceLayout.qubits(1))
-    rho_b = random_density_matrix(SpaceLayout((resonator(2),)))
+    rho_b = random_density_matrix(SpaceLayout.qubits(2))
     joint = kron_density_matrix(rho_a, rho_b)
     np.testing.assert_allclose(partial_trace(joint, {0}).elements, rho_a.elements, atol=1e-12)
-    np.testing.assert_allclose(partial_trace(joint, {1}).elements, rho_b.elements, atol=1e-12)
+    np.testing.assert_allclose(partial_trace(joint, {1, 2}).elements, rho_b.elements, atol=1e-12)
 
 
 def test_partial_trace_singlet_is_maximally_mixed():
@@ -162,13 +111,10 @@ def test_partial_trace_full_keep_is_identity_and_composes():
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
-@given(dims=st.lists(st.integers(2, 3), min_size=2, max_size=4), data=st.data(),
-       seed=st.integers(0, 2**32 - 1))
-def test_partial_trace_composes(dims, data, seed):
+@given(n=st.integers(2, 5), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_partial_trace_composes(n, data, seed):
     # tracing out A and then B equals tracing out A ∪ B in one call
-    n = len(dims)
-    layout = SpaceLayout(tuple(qubit() if d == 2 else resonator(d - 1) for d in dims))
-    rho = random_density_matrix(layout, np.random.default_rng(seed))
+    rho = random_density_matrix(SpaceLayout.qubits(n), np.random.default_rng(seed))
     traced = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True))
     first = data.draw(st.lists(st.sampled_from(traced), min_size=1, unique=True))
     kept_first = [k for k in range(n) if k not in first]
@@ -361,48 +307,16 @@ def test_nan_entries_fail_the_invariants(build):
         build(SpaceLayout.qubits(1))
 
 
-def test_destroy_and_fock():
-    a = destroy(3)
-    fock = SpaceLayout((resonator(2),))
-    lowered = a @ basis_ket(fock, 2).amplitudes
-    np.testing.assert_allclose(lowered, np.sqrt(2) * basis_ket(fock, 1).amplitudes)
-
-
 def test_qubit_ket_label_ordering():
     assert qubit_ket("eggg").amplitudes[0b1000] == 1.0
     with pytest.raises(ValueError):
         qubit_ket("gx")
 
 
-def test_permute_factors_roundtrip():
-    layout = SpaceLayout((qubit(), resonator(2), qubit()))
-    amps = RNG.normal(size=layout.total_dim) + 1j * RNG.normal(size=layout.total_dim)
-    state = QuantumState(layout, amps / np.linalg.norm(amps))
-    moved = permute_factors(state, [2, 0, 1])
-    back = permute_factors(moved, [1, 2, 0])
-    np.testing.assert_allclose(back.amplitudes, state.amplitudes)
-    assert moved.layout.dims == (2, 2, 3)
-
-
-def test_permute_factors_matches_tensor_reorder():
-    a = random_density_matrix(SpaceLayout.qubits(1))
-    b = random_density_matrix(SpaceLayout((resonator(1),)))
-    ab = kron_density_matrix(a, b)
-    ba = kron_density_matrix(b, a)
-    np.testing.assert_allclose(permute_factors(ab, [1, 0]).elements, ba.elements, atol=1e-14)
-
-
 def test_immutability():
     state = qubit_ket("g")
     with pytest.raises(ValueError):
         state.amplitudes[0] = 0.0
-
-
-def test_basis_ket_index():
-    layout = SpaceLayout((qubit(), resonator(3)))
-    ket = basis_ket(layout, 5)
-    assert ket.amplitudes[5] == 1.0
-    assert ket.layout.total_dim == 8
 
 
 # ---------------------------------------------------------------------------

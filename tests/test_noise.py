@@ -5,16 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fullspace import permute_factors
 from qproc_sim.circuits import build_shor, output_distribution, run_circuit
-from qproc_sim.hilbert import (
-    DensityMatrix,
-    SpaceLayout,
-    partial_trace,
-    permute_factors,
-    qubit,
-    qubit_ket,
-    resonator,
-)
+from qproc_sim.hilbert import DensityMatrix, InvariantError, SpaceLayout, partial_trace, qubit_ket
 from qproc_sim.noise import (
     NoiseParams,
     _step_kraus,
@@ -162,23 +155,24 @@ def dense_noise_step(rho, params, dt, qubits):
 
 
 def test_noise_step_matches_dense_kraus_form():
-    layout = SpaceLayout((qubit(), resonator(2), qubit(), qubit()))
+    layout = SpaceLayout.qubits(4)
     d = layout.total_dim
     a = RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d))
     rho = DensityMatrix(layout, a @ a.conj().T / np.trace(a @ a.conj().T))
     params = NoiseParams(t1=(300.0, 1.0, 450.0, 380.0), t_phi=(150.0, 1.0, 260.0, 210.0))
-    for qubits in (None, (3, 0)):
+    for qubits in (None, (3, 0), (2,)):
         after = apply_noise_step(rho, params, dt=42.0, qubits=qubits)
-        expected = dense_noise_step(rho, params, 42.0, (0, 2, 3) if qubits is None else qubits)
+        expected = dense_noise_step(rho, params, 42.0, range(4) if qubits is None else qubits)
         assert np.max(np.abs(after.elements - expected)) <= 1e-14
 
 
 def test_noise_commutes_with_relabeling_for_symmetric_params():
     rho = random_two_qubit_dm()
     params = NoiseParams.default(2)
-    swapped_first = apply_noise_step(permute_factors(rho, [1, 0]), params, dt=25.0)
-    noise_first = permute_factors(apply_noise_step(rho, params, dt=25.0), [1, 0])
-    np.testing.assert_allclose(swapped_first.elements, noise_first.elements, atol=1e-12)
+    swap = lambda mat: permute_factors(mat, (2, 2), [1, 0])
+    swapped_first = apply_noise_step(DensityMatrix(rho.layout, swap(rho.elements)), params, dt=25.0)
+    noise_first = swap(apply_noise_step(rho, params, dt=25.0).elements)
+    np.testing.assert_allclose(swapped_first.elements, noise_first, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +215,23 @@ def test_apply_noise_step_rejects_bad_input():
     params = NoiseParams.default(2)
     with pytest.raises(ValueError):
         apply_noise_step(rho, params, dt=-1.0)
+
+
+@pytest.mark.parametrize("bare, message", [
+    ([[0.5, 2e-10], [0, 0.5]], "not Hermitian"),
+    ([[np.inf, 0], [0, 1]], "not finite"),
+    ([[0.5, np.nan], [np.nan, 0.5]], "not finite"),
+])
+def test_noise_step_checks_a_bare_matrix_before_it_re_symmetrizes(bare, message):
+    # a gate's bare result is checked here once; the re-symmetrized output would hide the
+    # Hermiticity defect, and inf must fail before the check computes with it
+    with pytest.raises(InvariantError, match=message):
+        apply_noise_step(np.array(bare, dtype=complex), NoiseParams.default(1), dt=10.0)
+    rho = np.diag([0.25, 0.75]).astype(complex)
+    np.testing.assert_array_equal(
+        apply_noise_step(rho, NoiseParams.default(1), dt=10.0).elements,
+        apply_noise_step(DensityMatrix(SpaceLayout.qubits(1), rho), NoiseParams.default(1),
+                         dt=10.0).elements)
 
 
 @pytest.mark.parametrize("n, q", [(1, -1), (1, 1), (2, -1), (2, 2)])

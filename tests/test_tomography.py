@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
+from fullspace import permute_factors
 from qproc_sim.circuits import (
     SINGLE_QUBIT_GATES,
     build_shor,
@@ -22,7 +23,6 @@ from qproc_sim.hilbert import (
     DensityMatrix,
     QuantumState,
     SpaceLayout,
-    permute_factors,
     qubit_ket,
     superposition_ket,
 )
@@ -175,7 +175,7 @@ def per_setting_counts(state, qubits, shots, seed):
 
 def assert_matches_per_setting_oracle(rho):
     probs = setting_probabilities(rho)
-    settings = all_settings(rho.layout.n_factors)
+    settings = all_settings(rho.layout.n_qubits)
     assert probs.shape == (len(settings), rho.layout.total_dim)
     for row, setting in zip(probs, settings, strict=True):
         assert np.array_equal(row, per_setting_probabilities(rho, setting))
@@ -191,7 +191,7 @@ def named_register_states():
     return {
         "singlet": bell_singlet(), "triplet": bell_triplet(), "phi_plus": bell_phi_plus(),
         "W3": w_state(), "W4": w_state(4), "GHZ3": ghz_state(), "GHZ4": ghz_state(4),
-        "psi3": psi3_state(), "W4_permuted": permute_factors(w4, (3, 1, 0, 2)),
+        "psi3": psi3_state(), "W4_permuted": DensityMatrix(w4.layout, permute_factors(w4.elements, w4.layout.dims, (3, 1, 0, 2))),
         "W4_fortran": fortran_ordered(w4),
     }
 
@@ -249,19 +249,19 @@ def test_batched_probabilities_match_per_setting_oracle(rho):
 @pytest.mark.parametrize("name", list(named_register_states()))
 def test_batched_forward_model_matches_oracle_on_named_states(name):
     state = named_register_states()[name]
-    rho = register_density_matrix(state, range(state.layout.n_factors))
+    rho = register_density_matrix(state, range(state.layout.n_qubits))
     assert_matches_per_setting_oracle(rho)
     for seed in (3, 11):
-        record = simulate_tomography(state, range(state.layout.n_factors), 100, seed)
+        record = simulate_tomography(state, range(state.layout.n_qubits), 100, seed)
         assert np.array_equal(record.counts,
-                              per_setting_counts(state, range(state.layout.n_factors), 100, seed))
+                              per_setting_counts(state, range(state.layout.n_qubits), 100, seed))
 
 
 @hypothesis_settings(derandomize=True, deadline=None, max_examples=40)
 @given(rho=register_density_matrices(), shots=st.integers(1, 10 ** 6),
        seed=st.integers(0, 2 ** 140))
 def test_simulate_tomography_matches_per_setting_oracle(rho, shots, seed):
-    qubits = range(rho.layout.n_factors)
+    qubits = range(rho.layout.n_qubits)
     record = simulate_tomography(rho, qubits, shots, seed)
     assert np.array_equal(record.counts, per_setting_counts(rho, qubits, shots, seed))
 
@@ -291,7 +291,7 @@ def test_exact_probability_roundtrip_random_states():
 
 def test_sampled_roundtrip_named_states():
     for state in (bell_singlet(), w_state(), ghz_state(), psi3_state()):
-        n = state.layout.n_factors
+        n = state.layout.n_qubits
         record = simulate_tomography(state, tuple(range(n)), 10_000, seed=5)
         rho_hat = reconstruct(record)
         assert state_fidelity(rho_hat, state) >= 0.98
@@ -303,7 +303,7 @@ def test_sampled_roundtrip_named_states():
 def test_sampled_roundtrip_fidelity_holds_at_every_seed(name):
     # criterion 7's bound at 10k shots on a seed sweep, so it does not hold by one seed's luck
     state = {"Bell": bell_singlet(), "W": w_state(), "GHZ": ghz_state(), "psi3": psi3_state()}[name]
-    qubits = tuple(range(state.layout.n_factors))
+    qubits = tuple(range(state.layout.n_qubits))
     fidelities = [state_fidelity(reconstruct(simulate_tomography(state, qubits, 10_000, seed)),
                                  state) for seed in range(20)]
     assert min(fidelities) >= 0.98, fidelities
@@ -721,6 +721,14 @@ def test_gauge_never_below_raw():
         result = phase_gauged_fidelity(rho, target)
         assert result.gauged >= result.raw - 1e-12
         assert isinstance(result, GaugeFidelity)
+
+
+@pytest.mark.parametrize("state, target", [(qubit_ket("gg"), w_state(3)),
+                                           (w_state(3), qubit_ket("gg"))])
+def test_gauge_rejects_a_target_of_another_dimension_either_way(state, target):
+    # the state larger than the target used to fail inside the per-qubit blocks
+    with pytest.raises(ValueError, match="state and target dimensions differ"):
+        phase_gauged_fidelity(state, target)
 
 
 def test_gauge_fixed_point_for_exact_match():
