@@ -191,18 +191,17 @@ def run_circuit(circuit: Circuit, noise: NoiseParams | None = None,
             if pos == position:
                 captures[name] = state
 
-    layout = state.layout
-    dims = layout.dims
+    dims = (2,) * state.n_qubits
     capture(0)
     for k, op in enumerate(circuit.ops, start=1):
         if isinstance(op, Gate):
             G = GATE_MATRICES[op.kind]
             if isinstance(state, QuantumState):
-                state = QuantumState(layout, apply_local(G, state.amplitudes, dims, op.targets))
+                state = QuantumState(apply_local(G, state.amplitudes, dims, op.targets))
             else:
                 half = apply_local(G, state.elements, dims, op.targets)
                 rho = apply_local(G, half.conj().T, dims, op.targets).conj().T
-                state = rho if noise is not None else DensityMatrix(layout, rho)
+                state = rho if noise is not None else DensityMatrix(rho)
             duration_class = "2q" if op.kind in TWO_QUBIT_GATES else "1q"
         else:
             duration_class = op.duration_class
@@ -221,9 +220,7 @@ def sample_output(state, register: Sequence, shots: int, seed: int) -> dict[str,
     always-0 register qubit that the recompiled variants do not realize
     physically). Returns counts for every possible output string.
     """
-    register = tuple(register)
-    if not register:
-        raise ValueError("output register must be nonempty")
+    register = tuple(register)  # output_distribution checks it
     if shots < 1:
         raise ValueError("shots must be >= 1")
     draws = np.random.default_rng(seed).multinomial(
@@ -244,7 +241,7 @@ def output_distribution(state, register: Sequence) -> np.ndarray:
     register = tuple(register)
     if not register:
         raise ValueError("output register must be nonempty")
-    n = state.layout.n_qubits
+    n = state.n_qubits
     real_bits = [b for b in register if b is not None]
     _check_register(real_bits, n, "output register")
     probs = state.probabilities().real.reshape((2,) * n)
@@ -300,19 +297,26 @@ def classical_factors(a: int, r: int, N: int) -> tuple[int, int] | None:
 
 @dataclass(frozen=True)
 class FactoringResult:
+    """The output counts of a factoring run of N with co-prime a, and what they give, derived
+    once: ``shots`` is their sum, and ``period_r``, ``factors`` and ``success_probability``
+    are ``analyze_output_counts`` of them (the winning period, its factors, its frequency)."""
+
     composite_n: int
     coprime_a: int
-    shots: int
     output_counts: dict
-    period_r: int
-    factors: tuple[int, int] | None
-    success_probability: float
+    shots: int = field(init=False)
+    period_r: int = field(init=False)
+    factors: tuple[int, int] | None = field(init=False)
+    success_probability: float = field(init=False)
 
     def __post_init__(self):
-        if sum(self.output_counts.values()) != self.shots:
-            raise ValueError("output counts must sum to the shot count")
-        if self.factors is not None and self.factors[0] * self.factors[1] != self.composite_n:
-            raise ValueError("reported factors do not multiply to N")
+        shots = sum(self.output_counts.values())
+        if shots < 1:
+            raise ValueError("output counts must hold at least one shot")
+        derived = analyze_output_counts(self.output_counts, self.coprime_a, self.composite_n)
+        for name, value in zip(("shots", "period_r", "factors", "success_probability"),
+                               (shots, *derived)):
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         return {
@@ -327,10 +331,10 @@ class FactoringResult:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FactoringResult":
-        """Parse a ``to_dict`` document. A missing or unknown key, a number that is not a
-        non-negative JSON integer, no shots, an (N, a) pair ``classical_factors`` refuses,
-        outcome labels other than the 2^w strings of one width, or a period, factors or
-        success probability that the counts do not give raises ValueError naming the key."""
+        """Parse a ``to_dict`` document. A missing or unknown key, an N, a or count that is not
+        a non-negative JSON integer, no shots, an (N, a) pair ``classical_factors`` refuses,
+        outcome labels other than the 2^w strings of one width, or a shot count, period, factors
+        or success probability that the counts do not give raises ValueError naming the key."""
         if type(doc) is not dict:
             raise ValueError(f"a factoring result must be a JSON object, got {doc!r}")
         keys = {"composite_N", "coprime_a", "shots", "output_counts", "period_r", "factors",
@@ -344,26 +348,22 @@ class FactoringResult:
                 or sorted(counts) != [format(m, f"0{width}b") for m in range(2 ** width)]):
             raise ValueError(f"output_counts must hold exactly the 2^w outcome strings of one "
                              f"width w, got {counts!r}")
-        numbers = {key: [doc[key]] for key in ("composite_N", "coprime_a", "shots", "period_r")}
+        numbers = {key: [doc[key]] for key in ("composite_N", "coprime_a")}
         numbers["output_counts"] = counts.values()
         for key, values in numbers.items():
             if any(type(v) is not int or v < 0 for v in values):  # JSON true is an int too
                 raise ValueError(f"{key} must hold non-negative integers, got {doc[key]!r}")
-        if doc["shots"] < 1:
-            raise ValueError(f"shots must be >= 1, got {doc['shots']}")
         try:
             classical_factors(doc["coprime_a"], 0, doc["composite_N"])  # checks the pair only
         except ValueError as exc:
             raise ValueError(f"composite_N, coprime_a: {exc}") from None
-        period, factors, success = analyze_output_counts(counts, doc["coprime_a"],
-                                                         doc["composite_N"])
-        derived = {"period_r": period, "factors": list(factors) if factors else None,
-                   "success_probability": success}
-        for key, value in derived.items():
-            if repr(doc[key]) != repr(value):  # repr tells 2 from 2.0 and from true
-                raise ValueError(f"{key} is {doc[key]!r}, but the output counts give {value!r}")
-        return cls(doc["composite_N"], doc["coprime_a"], doc["shots"], dict(counts), period,
-                   factors, success)
+        result = cls(doc["composite_N"], doc["coprime_a"], dict(counts))
+        derived = result.to_dict()
+        for key in ("shots", "period_r", "factors", "success_probability"):
+            if repr(doc[key]) != repr(derived[key]):  # repr tells 2 from 2.0 and from true
+                raise ValueError(f"{key} is {doc[key]!r}, but the output counts give "
+                                 f"{derived[key]!r}")
+        return result
 
 
 def analyze_output_counts(counts: dict[str, int], a: int, N: int) -> tuple[int, tuple | None, float]:
@@ -392,14 +392,4 @@ def factor_fifteen(circuit: Circuit, shots: int, seed: int,
     postprocess."""
     run = run_circuit(circuit, noise=noise)
     counts = sample_output(run.final, circuit.output_bits, shots, seed)
-    period, factors, success = analyze_output_counts(counts, a=4, N=15)
-    result = FactoringResult(
-        composite_n=15,
-        coprime_a=4,
-        shots=shots,
-        output_counts=counts,
-        period_r=period,
-        factors=factors,
-        success_probability=success,
-    )
-    return result, run
+    return FactoringResult(composite_n=15, coprime_a=4, output_counts=counts), run

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import InvariantError, NORM_TOL, QuantumState, SpaceLayout
+from .hilbert import InvariantError, NORM_TOL, QuantumState
 
 MHZ = 1e-3  # MHz -> GHz
 
@@ -192,8 +192,10 @@ class OccupationTrace:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if not np.isfinite(self.times).all():
+            raise InvariantError("occupation trace times must be finite")
         probs = np.concatenate([self.p_qubit.ravel(), self.p_bus])
-        if probs.size and (probs.min() < -1e-9 or probs.max() > 1 + 1e-9):
+        if probs.size and not (-1e-9 <= probs.min() and probs.max() <= 1 + 1e-9):  # NaN fails
             raise InvariantError("occupation probabilities leave [0, 1] beyond 1e-9")
 
 
@@ -291,14 +293,14 @@ def prepare_shared_excitation(config: DeviceConfig, participants: Sequence[int])
     _check_qubits(config, participants, (config.f_bus,) * len(participants))
     tau = 1.0 / (2 * effective_coupling(config, participants))
     amps = _collective_amplitudes(config, participants, np.array([tau]))[:, 0]
-    if abs(amps[0]) > 1e-9:
+    if not abs(amps[0]) <= 1e-9:  # written so that NaN fails it
         raise InvariantError(f"resonator not in vacuum at stop time (weight {abs(amps[0]) ** 2})")
     n = len(participants)
     register = np.zeros(2 ** n, dtype=complex)
     # qubit k is bit n-1-k; the photon is taken as pumped from Q1 by a resonant iSWAP,
     # which leaves it as -i|g…g,1>
     register[1 << (n - 1 - np.arange(n))] = -1j * amps[1:]
-    return QuantumState(SpaceLayout.qubits(n), register / np.linalg.norm(register))
+    return QuantumState(register / np.linalg.norm(register))
 
 
 def swap_spectroscopy(
@@ -323,6 +325,8 @@ def swap_spectroscopy(
     tau_grid = np.asarray(tau_grid, dtype=float)
     if freq_grid.size == 0 or tau_grid.size == 0:
         raise ValueError("frequency and time grids must be nonempty")
+    if not (np.isfinite(freq_grid).all() and np.isfinite(tau_grid).all()):
+        raise ValueError("frequency and time grids must be finite")
     idle = config.f_idle[config.check_qubit(qubit_index)]
     if np.max(np.abs(freq_grid - idle)) > OPERATING_HALF_RANGE_GHZ + 1e-12:
         raise ValueError("frequency grid leaves the 2 GHz operating range")
@@ -369,6 +373,9 @@ def fit_oscillation_frequencies(times: np.ndarray, traces) -> list[tuple[float, 
     time grid, from one FFT of all of them: the same bits as one FFT per trace, with one
     set of padded work arrays in place of one per trace."""
     times = np.asarray(times, dtype=float)
+    ys = [np.asarray(values, dtype=float) for values in traces]
+    if not all(np.isfinite(a).all() for a in [times, *ys]):
+        raise ValueError("fit_oscillation_frequency needs finite times and values")
     if times.size < 8:
         raise ValueError("need at least 8 samples to fit a frequency")
     steps = np.diff(times)
@@ -376,7 +383,6 @@ def fit_oscillation_frequencies(times: np.ndarray, traces) -> list[tuple[float, 
     if not np.allclose(steps, dt, rtol=1e-9, atol=1e-12):
         raise ValueError("fit_oscillation_frequency needs a uniform time grid")
 
-    ys = [np.asarray(values, dtype=float) for values in traces]
     ys = np.array([(y - y.mean()) * np.hanning(y.size) for y in ys])
     n_pad = 1 << (int(np.ceil(np.log2(ys.shape[1]))) + 5)
     spectra = np.abs(np.fft.rfft(ys, n=n_pad))

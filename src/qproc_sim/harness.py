@@ -418,6 +418,8 @@ def _read_grid(path, columns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _read_probability_grid(path, columns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_read_grid`` of a grid of probabilities: each cell must lie in [0, 1]."""
     outer, inner, values = _read_grid(path, columns)
+    if not (np.isfinite(outer).all() and np.isfinite(inner).all()):
+        raise ValueError(f"{path}: every {columns[0]} and {columns[1]} must be finite")
     if not ((values >= 0) & (values <= 1)).all():  # NaN fails both comparisons
         raise ValueError(f"{path}: every {columns[2]} must be a probability in [0, 1]")
     return outer, inner, values
@@ -604,8 +606,8 @@ def _run_shor(spec: ExperimentSpec, config: DeviceConfig, noise: NoiseParams | N
     circuit = build_shor(variant)
     result, run = factor_fifteen(circuit, shots, spec.seed, noise)
     ghz = ghz_state()
-    psi3 = QuantumState(ghz.layout, apply_local(SINGLE_QUBIT_GATES["H"], ghz.amplitudes,
-                                                ghz.layout.dims, (0,)))
+    psi3 = QuantumState(apply_local(SINGLE_QUBIT_GATES["H"], ghz.amplitudes,
+                                    (2,) * ghz.n_qubits, (0,)))
     sigma_m = maximally_mixed_qubit()
 
     def step1_metrics(rho_hat):

@@ -1,12 +1,12 @@
 """Complex linear algebra over qubit registers.
 
-States, operators and density matrices carry the :class:`SpaceLayout` of their
-register, so partial traces and per-qubit operations never guess the qubit
-count from array shapes. The basis index is row-major with the leftmost qubit
-most significant: the label ``"eg"`` means qubit 0 excited and qubit 1 ground,
-and maps to index ``0b10``. Resonators appear only in the full-space test
-oracle; ``apply_local`` stays generic over factor dimensions for it, and for
-the noise steps' doubled (row, column) dims.
+A state is its array: a register of n qubits is a vector of 2^n amplitudes or a
+2^n x 2^n density matrix (n >= 1), and the array's length gives its qubit count.
+The basis index is row-major with the leftmost qubit most significant: the label
+``"eg"`` means qubit 0 excited and qubit 1 ground, and maps to index ``0b10``.
+Resonators appear only in the full-space test oracle; ``apply_local`` stays
+generic over factor dimensions for it, and for the noise steps' doubled
+(row, column) dims.
 
 Everything is immutable after construction (arrays are frozen), so values can
 be shared freely across threads.
@@ -40,19 +40,16 @@ class InvariantError(ValueError):
 
 @dataclass(frozen=True)
 class SpaceLayout:
-    """A register of ``n_qubits`` qubits; qubit 0 is the most significant in the
-    basis index. Build one with :meth:`qubits`, which shares one layout per size."""
+    """A register of ``n_qubits`` qubits, as a :class:`QuantumOperator` names it. Build one
+    with :meth:`qubits`, which shares one layout per size."""
 
     n_qubits: int
-    # derived once, since every state check reads them; equality, hash and repr read
-    # the qubit count only
-    dims: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    # derived once; equality, hash and repr read the qubit count only
     total_dim: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("a layout needs at least one qubit")
-        object.__setattr__(self, "dims", (2,) * self.n_qubits)
         object.__setattr__(self, "total_dim", 2 ** self.n_qubits)
 
     @classmethod
@@ -61,15 +58,23 @@ class SpaceLayout:
         return cls(n)
 
 
-def _frozen_array(values, shape_check) -> np.ndarray:
+def _frozen_array(values, ndim: int) -> np.ndarray:
+    """A read-only complex copy of ``values``: ``ndim`` axes of 2^n entries (n >= 1), all finite."""
     arr = np.array(values, dtype=np.complex128, copy=True)
-    if arr.shape != shape_check:
-        raise ValueError(f"expected array of shape {shape_check}, got {arr.shape}")
+    d = len(arr) if arr.ndim else 0
+    if arr.shape != (d,) * ndim or d < 2 or d & (d - 1):
+        raise ValueError(f"expected {ndim} axes of 2^n entries each (n >= 1), got {arr.shape}")
     # first, so that no invariant check below computes with inf or NaN
     if not np.isfinite(arr).all():
         raise InvariantError("state or operator holds entries that are not finite")
     arr.setflags(write=False)
     return arr
+
+
+def _check_hermitian(matrix: np.ndarray, tol: float, message: str) -> None:
+    """Raise ``InvariantError(message)`` unless max|A - A†| <= tol (NaN fails); A is finite."""
+    if not np.max(np.abs(matrix - matrix.conj().T)) <= tol:
+        raise InvariantError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -78,44 +83,48 @@ def _frozen_array(values, shape_check) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Pure state: complex amplitude vector over a qubit register."""
+    """Pure state: complex amplitude vector over a qubit register, 2^n long."""
 
-    layout: SpaceLayout
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.amplitudes, (self.layout.total_dim,))
+        arr = _frozen_array(self.amplitudes, 1)
         object.__setattr__(self, "amplitudes", arr)
         norm = np.linalg.norm(arr)
         if not abs(norm - 1.0) <= NORM_TOL:
             raise InvariantError(f"state norm {norm} differs from 1 beyond {NORM_TOL}")
 
+    @property
+    def n_qubits(self) -> int:
+        return len(self.amplitudes).bit_length() - 1
+
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
     def density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Mixed state: Hermitian, unit-trace, positive-semidefinite matrix."""
+    """Mixed state: Hermitian, unit-trace, positive-semidefinite 2^n x 2^n matrix."""
 
-    layout: SpaceLayout
     elements: np.ndarray
 
     def __post_init__(self):
-        d = self.layout.total_dim
-        arr = _frozen_array(self.elements, (d, d))
+        arr = _frozen_array(self.elements, 2)
         object.__setattr__(self, "elements", arr)
-        if not np.max(np.abs(arr - arr.conj().T)) <= DM_HERM_TOL:
-            raise InvariantError("density matrix is not Hermitian within tolerance")
+        _check_hermitian(arr, DM_HERM_TOL, "density matrix is not Hermitian within tolerance")
         tr = np.trace(arr).real
         if not abs(tr - 1.0) <= DM_HERM_TOL:
             raise InvariantError(f"density matrix trace {tr} differs from 1")
         evals = np.linalg.eigvalsh(arr)
         if not evals.min() >= DM_EIG_FLOOR:
             raise InvariantError(f"density matrix has eigenvalue {evals.min()} below {DM_EIG_FLOOR}")
+
+    @property
+    def n_qubits(self) -> int:
+        return len(self.elements).bit_length() - 1
 
     def probabilities(self) -> np.ndarray:
         return np.real(np.diag(self.elements))
@@ -135,17 +144,17 @@ class QuantumOperator:
 
     def __post_init__(self):
         d = self.layout.total_dim
-        arr = _frozen_array(self.elements, (d, d))
+        arr = _frozen_array(self.elements, 2)
+        if len(arr) != d:
+            raise ValueError(f"expected a {d}x{d} matrix for {self.layout}, got {arr.shape}")
         object.__setattr__(self, "elements", arr)
-        if self.hermitian and not np.max(np.abs(arr - arr.conj().T)) <= OP_HERM_TOL:
-            raise InvariantError("operator flagged hermitian is not Hermitian within 1e-12")
+        if self.hermitian:
+            _check_hermitian(arr, OP_HERM_TOL,
+                             "operator flagged hermitian is not Hermitian within 1e-12")
         if self.unitary:
             defect = np.max(np.abs(arr.conj().T @ arr - np.eye(d)))
             if not defect <= OP_UNITARY_TOL:
                 raise InvariantError(f"operator flagged unitary has U†U-I defect {defect}")
-
-    def apply(self, state: QuantumState) -> QuantumState:
-        return QuantumState(state.layout, self.elements @ state.amplitudes)
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +173,9 @@ def qubit_ket(label: str) -> QuantumState:
         if ch not in "ge":
             raise ValueError(f"qubit label may only contain 'g'/'e', got {label!r}")
         index = (index << 1) | (ch == "e")
-    layout = SpaceLayout.qubits(len(label))
-    amps = np.zeros(layout.total_dim, dtype=complex)
+    amps = np.zeros(2 ** len(label), dtype=complex)
     amps[index] = 1.0
-    return QuantumState(layout, amps)
+    return QuantumState(amps)
 
 
 def superposition_ket(terms: Sequence[tuple[str, complex]]) -> QuantumState:
@@ -176,7 +184,7 @@ def superposition_ket(terms: Sequence[tuple[str, complex]]) -> QuantumState:
     amps = np.zeros(2 ** n, dtype=complex)
     for label, coeff in terms:
         amps += coeff * qubit_ket(label).amplitudes
-    return QuantumState(SpaceLayout.qubits(n), amps / np.linalg.norm(amps))
+    return QuantumState(amps / np.linalg.norm(amps))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +222,7 @@ def _local_plan(dims: tuple, axes: tuple, array_shape: tuple) -> tuple:
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced density matrix on the ``keep`` qubits (ascending original order)."""
     keep = sorted(set(keep))
-    n = rho.layout.n_qubits
+    n = rho.n_qubits
     if not keep:
         raise ValueError("keep set must be nonempty")
     if keep[0] < 0 or keep[-1] >= n:
@@ -224,7 +232,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     for idx in sorted(set(range(n)) - set(keep), reverse=True):
         tensor = np.trace(tensor, axis1=idx, axis2=idx + tensor.ndim // 2)
     d_kept = 2 ** len(keep)
-    return DensityMatrix(SpaceLayout.qubits(len(keep)), tensor.reshape(d_kept, d_kept))
+    return DensityMatrix(tensor.reshape(d_kept, d_kept))
 
 
 def hermitian_exponential(H: QuantumOperator, t: float) -> QuantumOperator:
@@ -234,31 +242,24 @@ def hermitian_exponential(H: QuantumOperator, t: float) -> QuantumOperator:
     Spectral decomposition is exact for Hermitian input and cheap at the
     matrix sizes this package uses (<= 64x64).
     """
-    mat = H.elements
-    if np.max(np.abs(mat - mat.conj().T)) > DM_HERM_TOL:
-        raise InvariantError("hermitian_exponential needs a Hermitian operator")
-    evals, vecs = np.linalg.eigh(mat)
+    _check_hermitian(H.elements, DM_HERM_TOL, "hermitian_exponential needs a Hermitian operator")
+    evals, vecs = np.linalg.eigh(H.elements)
     phases = np.exp(-2j * np.pi * evals * t)
     U = (vecs * phases) @ vecs.conj().T
     return QuantumOperator(H.layout, U, unitary=True)
 
 
-def nearest_psd(matrix, layout: SpaceLayout | None = None) -> DensityMatrix:
-    """Project a Hermitian, trace-~1 matrix onto the density-matrix set.
+def nearest_psd(matrix) -> DensityMatrix:
+    """Project a Hermitian, trace-~1 matrix (a :class:`DensityMatrix`, or a bare 2^n x 2^n
+    matrix of finite entries) onto the density-matrix set.
 
     Policy: the nearest density matrix in Frobenius norm (Smolin, Gambetta and Smith,
     PRL 108, 070502): keep the eigenvectors and project the eigenvalues onto the
     probability simplex (Wang and Carreira-Perpiñán, arXiv:1309.1541), subtracting the one
     threshold that leaves the positive part summing to 1.
     """
-    if isinstance(matrix, DensityMatrix):
-        layout = matrix.layout
-        matrix = matrix.elements
-    if layout is None:
-        raise ValueError("nearest_psd needs a layout when given a bare matrix")
-    mat = np.asarray(matrix, dtype=complex)
-    if np.max(np.abs(mat - mat.conj().T)) > 1e-8:
-        raise InvariantError("nearest_psd input is not Hermitian")
+    mat = matrix.elements if isinstance(matrix, DensityMatrix) else _frozen_array(matrix, 2)
+    _check_hermitian(mat, 1e-8, "nearest_psd input is not Hermitian")
     evals, vecs = np.linalg.eigh(mat)
     # keep the k largest, for the largest k whose k-th largest stays positive after the
     # shift (s_k - 1)/k, s_k the sum of the k largest; those k form a prefix and k = 1 is one
@@ -269,4 +270,4 @@ def nearest_psd(matrix, layout: SpaceLayout | None = None) -> DensityMatrix:
     projected = (vecs * evals) @ vecs.conj().T
     # re-symmetrize rounding noise so the DensityMatrix invariants hold exactly
     projected = 0.5 * (projected + projected.conj().T)
-    return DensityMatrix(layout, projected)
+    return DensityMatrix(projected)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import DM_HERM_TOL, DensityMatrix, InvariantError, SpaceLayout, apply_local
+from .hilbert import DM_HERM_TOL, DensityMatrix, _check_hermitian, _frozen_array, apply_local
 
 DEFAULT_T1_NS = 400.0
 DEFAULT_TPHI_NS = 200.0
@@ -165,12 +165,9 @@ def apply_noise_step(
     """
     if dt < 0:
         raise ValueError("dt must be >= 0")
-    mat = rho.elements if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    if not np.isfinite(mat).all():  # first, as in DensityMatrix: inf - inf would warn
-        raise InvariantError("state or operator holds entries that are not finite")
-    if not np.max(np.abs(mat - mat.conj().T)) <= DM_HERM_TOL:
-        raise InvariantError("density matrix is not Hermitian within tolerance")
-    n = mat.shape[0].bit_length() - 1
+    mat = rho.elements if isinstance(rho, DensityMatrix) else _frozen_array(rho, 2)
+    _check_hermitian(mat, DM_HERM_TOL, "density matrix is not Hermitian within tolerance")
+    n = len(mat).bit_length() - 1
     dims = (2,) * (2 * n)
     flat = mat.reshape(-1)
     for q in range(n) if qubits is None else qubits:
@@ -180,4 +177,4 @@ def apply_noise_step(
         flat = apply_local(step, flat, dims, (q, n + q))
     mat = flat.reshape(mat.shape)
     mat = 0.5 * (mat + mat.conj().T)
-    return DensityMatrix(SpaceLayout.qubits(n), mat)
+    return DensityMatrix(mat)

@@ -27,7 +27,6 @@ from .hilbert import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    SpaceLayout,
     nearest_psd,
     partial_trace,
     superposition_ket,
@@ -41,6 +40,8 @@ SETTING_BLOCK_QUBITS = 3
 # registers up to this size keep their setting stacks, 0.66 MB at 4 qubits; a larger one
 # (12x the memory per qubit) builds them block by block on each call
 CACHED_SETTING_QUBITS = 4
+# sweeps of the phase gauge at most; each sweep updates every qubit's phase once
+MAX_GAUGE_SWEEPS = 100
 
 # Pauli operator each pre-rotation maps onto the measured Z axis, and the sign
 # it picks up: measuring Z after X_half reads +Y, after Y_half reads -X
@@ -148,7 +149,7 @@ class TomographyRecord:
             raise ValueError("counts must hold JSON integers")
         rho = None
         if doc.get("rho_hat") is not None:
-            rho = DensityMatrix(SpaceLayout.qubits(n), _complex_matrix(doc["rho_hat"], 2 ** n))
+            rho = DensityMatrix(_complex_matrix(doc["rho_hat"], 2 ** n))
         metrics = doc.get("metrics", {})
         if type(metrics) is not dict or any(type(k) is not str or type(v) not in (int, float)
                                             for k, v in metrics.items()):
@@ -183,7 +184,7 @@ def register_density_matrix(state, qubits: Sequence[int]) -> DensityMatrix:
     if not qubits:
         raise ValueError("measured qubit set must be nonempty")
     rho = state.density_matrix() if isinstance(state, QuantumState) else state
-    if qubits == tuple(range(rho.layout.n_qubits)):
+    if qubits == tuple(range(rho.n_qubits)):
         return rho
     return partial_trace(rho, qubits)
 
@@ -219,7 +220,7 @@ def _cached_setting_blocks(n: int) -> tuple:
 
 def setting_probabilities(rho: DensityMatrix) -> np.ndarray:
     """Exact (3^n, 2^n) outcome distributions of every setting, in ``all_settings`` order."""
-    n = rho.layout.n_qubits
+    n = rho.n_qubits
     blocks = _cached_setting_blocks(n) if n <= CACHED_SETTING_QUBITS else _setting_blocks(n)
     rotated = [np.diagonal(U @ rho.elements @ U_adj, axis1=1, axis2=2) for U, U_adj in blocks]
     return np.clip(np.concatenate(rotated).real, 0.0, None)
@@ -253,7 +254,9 @@ def reconstruct_from_frequencies(frequencies: np.ndarray) -> DensityMatrix:
     n = np.shape(frequencies)[-1].bit_length() - 1
     if np.shape(frequencies) != (3 ** n, 2 ** n):
         raise ValueError(f"need a (3^n, 2^n) frequency table, got shape {np.shape(frequencies)}")
-    return nearest_psd(_linear_inversion(frequencies, n), SpaceLayout.qubits(n))
+    if not np.isfinite(frequencies).all():  # before the inversion computes with inf or NaN
+        raise ValueError("frequencies must be finite")
+    return nearest_psd(_linear_inversion(frequencies, n))
 
 
 def _linear_inversion(frequencies: np.ndarray, n: int) -> np.ndarray:
@@ -283,12 +286,10 @@ def _linear_inversion(frequencies: np.ndarray, n: int) -> np.ndarray:
 
 def state_fidelity(rho, target: QuantumState) -> float:
     """Overlap <psi|rho|psi> with a pure target."""
-    if isinstance(rho, QuantumState):
-        if rho.layout.total_dim != target.layout.total_dim:
-            raise ValueError("state and target dimensions differ")
-        return float(abs(np.vdot(target.amplitudes, rho.amplitudes)) ** 2)
-    if rho.layout.total_dim != target.layout.total_dim:
+    if rho.n_qubits != target.n_qubits:
         raise ValueError("state and target dimensions differ")
+    if isinstance(rho, QuantumState):
+        return float(abs(np.vdot(target.amplitudes, rho.amplitudes)) ** 2)
     t = target.amplitudes
     return float(np.real(t.conj() @ rho.elements @ t))
 
@@ -303,7 +304,7 @@ def _clipped_sqrt_eigenvalues(evals: np.ndarray) -> np.ndarray:
 def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Tr sqrt(sqrt(rho) sigma sqrt(rho)); symmetric, reduces to sqrt(<psi|rho|psi>)
     when one argument is pure."""
-    if rho.layout.total_dim != sigma.layout.total_dim:
+    if rho.n_qubits != sigma.n_qubits:
         raise ValueError("density matrices have different dimensions")
     evals, vecs = np.linalg.eigh(rho.elements)
     sqrt_rho = (vecs * _clipped_sqrt_eigenvalues(evals)) @ vecs.conj().T
@@ -314,7 +315,7 @@ def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def concurrence_eof(rho: DensityMatrix) -> tuple[float, float]:
     """Two-qubit concurrence and entanglement of formation (spin-flip construction)."""
-    if rho.layout.total_dim != 4:
+    if rho.n_qubits != 2:
         raise ValueError("concurrence is defined for two-qubit density matrices")
     yy = np.kron(SIGMA_Y, SIGMA_Y)
     flipped = yy @ rho.elements.conj() @ yy
@@ -335,7 +336,7 @@ def linear_entropy(rho: DensityMatrix) -> float:
     dimension (for a qubit: 2[1 - Tr rho²]). Clipped to [0, 1], since
     rounding in Tr rho² can push a pure state's value to about -1e-15.
     """
-    d = rho.layout.total_dim
+    d = len(rho.elements)
     return float(np.clip(d / (d - 1) * (1.0 - rho.purity()), 0.0, 1.0))
 
 
@@ -360,7 +361,7 @@ def witness_check(rho: DensityMatrix, witness_class: str, target: QuantumState) 
     """Fidelity-threshold entanglement witness: F_W > 2/3, F_GHZ > 1/2."""
     if witness_class not in WITNESS_THRESHOLDS:
         raise ValueError(f"unknown witness class {witness_class!r}")
-    if rho.layout.total_dim != 8:
+    if rho.n_qubits != 3:
         raise ValueError("witness classes are defined for three-qubit states")
     fidelity = state_fidelity(rho, target)
     threshold = WITNESS_THRESHOLDS[witness_class]
@@ -392,7 +393,7 @@ def _bit_table(n: int) -> np.ndarray:
     return bits
 
 
-def phase_gauged_fidelity(state, target: QuantumState, max_sweeps: int = 100) -> GaugeFidelity:
+def phase_gauged_fidelity(state, target: QuantumState) -> GaugeFidelity:
     """Fidelity to a pure target maximized over one Z phase per qubit.
 
     Local Z frames are calibration conventions, so the gauged number is the
@@ -403,7 +404,7 @@ def phase_gauged_fidelity(state, target: QuantumState, max_sweeps: int = 100) ->
     rho = state.density_matrix() if isinstance(state, QuantumState) else state
     raw = state_fidelity(rho, target)  # first: it rejects a state of another dimension
     t = target.amplitudes
-    n = target.layout.n_qubits
+    n = target.n_qubits
     bits = _bit_table(n)
     # each qubit's excited and ground masks and the block of rho that couples them
     halves = []
@@ -418,7 +419,7 @@ def phase_gauged_fidelity(state, target: QuantumState, max_sweeps: int = 100) ->
         return np.exp(-1j * total) * t
 
     current = raw
-    for _ in range(max_sweeps):
+    for _ in range(MAX_GAUGE_SWEEPS):
         previous = current
         for q, (hot, cold, block) in enumerate(halves):
             v = phased_target()
@@ -464,4 +465,4 @@ def ghz_state(n: int = 3) -> QuantumState:
 @functools.cache
 def maximally_mixed_qubit() -> DensityMatrix:
     """The ideal output-register state (|g><g| + |e><e|)/2."""
-    return DensityMatrix(SpaceLayout.qubits(1), np.eye(2, dtype=complex) / 2)
+    return DensityMatrix(np.eye(2, dtype=complex) / 2)

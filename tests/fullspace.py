@@ -22,7 +22,6 @@ from qproc_sim.hilbert import (
     SIGMA_X,
     InvariantError,
     QuantumState,
-    SpaceLayout,
     apply_local,
 )
 
@@ -282,4 +281,4 @@ def full_space_shared_excitation(config, participants):
     tensor = final.reshape(device_dims(config, len(set(participants))))
     assert np.linalg.norm(tensor[..., 1:]) <= 1e-9, "resonator not in vacuum at stop time"
     register = tensor[..., 0].reshape(-1)
-    return QuantumState(SpaceLayout.qubits(len(set(participants))), register / np.linalg.norm(register))
+    return QuantumState(register / np.linalg.norm(register))

@@ -215,7 +215,7 @@ def test_criterion_07_tomography_roundtrip():
     }
     checks = []
     for name, state in states.items():
-        n = state.layout.n_qubits
+        n = state.n_qubits
         record = simulate_tomography(state, tuple(range(n)), 10_000, seed=21)
         rho_hat = reconstruct(record)
         fid = state_fidelity(rho_hat, state)
@@ -260,18 +260,16 @@ def test_criterion_09_metric_identities():
     t0 = time.perf_counter()
     _, eof = concurrence_eof(bell_singlet().density_matrix())
 
-    werner = DensityMatrix(
-        SpaceLayout.qubits(2),
-        0.5 * bell_singlet().density_matrix().elements + 0.5 * np.eye(4) / 4,
-    )
+    werner = DensityMatrix(0.5 * bell_singlet().density_matrix().elements
+                           + 0.5 * np.eye(4) / 4)
     c_werner, _ = concurrence_eof(werner)
 
-    s_l = linear_entropy(DensityMatrix(SpaceLayout.qubits(1), np.eye(2) / 2))
+    s_l = linear_entropy(DensityMatrix(np.eye(2) / 2))
 
     uhlmann_worst = 0.0
     for _ in range(5):
         a = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
-        rho = DensityMatrix(SpaceLayout.qubits(2), (a @ a.conj().T) / np.trace(a @ a.conj().T))
+        rho = DensityMatrix((a @ a.conj().T) / np.trace(a @ a.conj().T))
         amps = RNG.normal(size=4) + 1j * RNG.normal(size=4)
         psi = superposition_ket([("gg", amps[0]), ("ge", amps[1]), ("eg", amps[2]), ("ee", amps[3])])
         gap = abs(uhlmann_fidelity(rho, psi.density_matrix()) ** 2 - state_fidelity(rho, psi))

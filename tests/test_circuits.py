@@ -43,10 +43,9 @@ def ket(label):
 
 def gate_unitary(gate: Gate, n_qubits: int) -> QuantumOperator:
     """Full-register unitary for one gate, identity-padded onto n qubits."""
-    layout = SpaceLayout.qubits(n_qubits)
-    mat = apply_local(GATE_MATRICES[gate.kind], np.eye(layout.total_dim, dtype=complex),
-                      layout.dims, gate.targets)
-    return QuantumOperator(layout, mat, unitary=True)
+    mat = apply_local(GATE_MATRICES[gate.kind], np.eye(2 ** n_qubits, dtype=complex),
+                      (2,) * n_qubits, gate.targets)
+    return QuantumOperator(SpaceLayout.qubits(n_qubits), mat, unitary=True)
 
 
 def circuit_unitary(circuit: Circuit) -> QuantumOperator:
@@ -69,9 +68,9 @@ def full_register_run(circuit, noise=None, initial_state=None):
         if isinstance(op, Gate):
             U = gate_unitary(op, circuit.n_qubits).elements
             if isinstance(state, QuantumState):
-                state = QuantumState(state.layout, U @ state.amplitudes)
+                state = QuantumState(U @ state.amplitudes)
             else:
-                state = DensityMatrix(state.layout, U @ state.elements @ U.conj().T)
+                state = DensityMatrix(U @ state.elements @ U.conj().T)
             duration_class = "2q" if op.kind in TWO_QUBIT_GATES else "1q"
         else:
             duration_class = op.duration_class
@@ -116,13 +115,12 @@ def test_cnot_targets_are_control_first_across_the_register():
     # CNOT (2, 0): control is qubit 2, the target qubit 0 sits two factors away
     cnot = gate_unitary(Gate("CNOT", (2, 0)), 3)
     for label, flipped in (("gge", "ege"), ("ege", "gge"), ("egg", "egg"), ("gee", "eee")):
-        np.testing.assert_allclose(cnot.apply(qubit_ket(label)).amplitudes, ket(flipped),
-                                   atol=1e-12)
+        np.testing.assert_allclose(cnot.elements @ ket(label), ket(flipped), atol=1e-12)
 
 
 def test_x_flips_ground_state():
     X = gate_unitary(Gate("X", (0,)), 1)
-    np.testing.assert_allclose(X.apply(qubit_ket("g")).amplitudes, ket("e"))
+    np.testing.assert_allclose(X.elements @ ket("g"), ket("e"))
 
 
 def test_cz_matrix():
@@ -249,8 +247,8 @@ def test_circuit_equals_ordered_gate_product():
                 ops.append(Gate(kind, (int(pair[0]), int(pair[1]))))
         circuit = Circuit(n_qubits=n, ops=tuple(ops))
         run = run_circuit(circuit)
-        via_product = circuit_unitary(circuit).apply(qubit_ket("g" * n))
-        np.testing.assert_allclose(run.final.amplitudes, via_product.amplitudes, atol=1e-12)
+        via_product = circuit_unitary(circuit).elements @ ket("g" * n)
+        np.testing.assert_allclose(run.final.amplitudes, via_product, atol=1e-12)
 
 
 @pytest.mark.parametrize("noisy", [False, True])
@@ -286,14 +284,13 @@ def random_circuits(draw):
 def test_random_circuits_match_full_register_unitaries(circuit, noisy, seed):
     rng = np.random.default_rng(seed)
     d = 2 ** circuit.n_qubits
-    layout = SpaceLayout.qubits(circuit.n_qubits)
     if noisy:
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        start = DensityMatrix(layout, a @ a.conj().T / np.trace(a @ a.conj().T))
+        start = DensityMatrix(a @ a.conj().T / np.trace(a @ a.conj().T))
         noise = NoiseParams(t1=rng.uniform(50, 1000, 4), t_phi=rng.uniform(50, 1000, 4))
     else:
         v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        start, noise = QuantumState(layout, v / np.linalg.norm(v)), None
+        start, noise = QuantumState(v / np.linalg.norm(v)), None
     run = run_circuit(circuit, noise, initial_state=start)
     final, captures = full_register_run(circuit, noise, initial_state=start)
     for name, state in captures.items():
@@ -413,10 +410,23 @@ def test_period_success_probability_is_half():
 
 
 def test_factoring_result_invariants():
-    with pytest.raises(ValueError):
-        FactoringResult(15, 4, 10, {"00": 4, "10": 4}, 2, (3, 5), 0.4)
-    with pytest.raises(ValueError):
-        FactoringResult(15, 4, 8, {"00": 4, "10": 4}, 2, (2, 5), 0.5)
+    # the shot count is the counts' sum, and the period, factors and success frequency are
+    # what analyze_output_counts gives: a winning outcome, none, and a later winner
+    for counts in ({"00": 4, "01": 1, "10": 3, "11": 0}, {"00": 8, "01": 0, "10": 0, "11": 0},
+                   {"00": 1, "01": 5, "10": 2, "11": 5}):
+        result = FactoringResult(15, 4, counts)
+        assert result.shots == sum(counts.values())
+        assert ((result.period_r, result.factors, result.success_probability)
+                == analyze_output_counts(counts, 4, 15))
+    with pytest.raises(ValueError, match="at least one shot"):
+        FactoringResult(15, 4, {"0": 0, "1": 0})
+    # a document whose derived keys disagree with its counts
+    doc = FactoringResult(15, 4, {"00": 4, "01": 1, "10": 3, "11": 0}).to_dict()
+    assert (doc["shots"], doc["period_r"], doc["factors"]) == (8, 2, [3, 5])
+    for key, wrong in (("shots", 7), ("period_r", 4), ("factors", None),
+                       ("success_probability", 0.5)):
+        with pytest.raises(ValueError, match=f"^{key} is {wrong!r}, but the output counts give"):
+            FactoringResult.from_dict({**doc, key: wrong})
 
 
 def factoring_doc():

@@ -566,7 +566,7 @@ def test_block_resonance_matches_full_space_oracle(data, config, participants, s
 def test_block_shared_excitation_matches_full_space_oracle(config, participants):
     state = prepare_shared_excitation(config, participants)
     expected = full_space_shared_excitation(config, participants)
-    assert state.layout.dims == expected.layout.dims
+    assert state.n_qubits == expected.n_qubits
     np.testing.assert_allclose(state.amplitudes, expected.amplitudes, rtol=0, atol=1e-13)
 
 

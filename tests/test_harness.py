@@ -49,7 +49,7 @@ from qproc_sim.harness import (
     run_experiment,
     validate_config,
 )
-from qproc_sim.hilbert import DensityMatrix, InvariantError, SpaceLayout
+from qproc_sim.hilbert import DensityMatrix, InvariantError
 from qproc_sim.tomography import TomographyRecord
 
 
@@ -839,7 +839,7 @@ def tomography_records(draw):
             elements = a @ a.conj().T
         else:  # real and diagonal, conjugated: every imaginary part is -0.0
             elements = np.diag(rng.random(2 ** n)).astype(complex).conj()
-        rho = DensityMatrix(SpaceLayout.qubits(n), elements / np.trace(elements).real)
+        rho = DensityMatrix(elements / np.trace(elements).real)
     values = st.one_of(JSON_FLOATS, st.sampled_from([0.0, 1.0]))
     metrics = draw(st.dictionaries(st.one_of(JSON_TEXTS, st.just("witness_passed")), values,
                                    max_size=5))

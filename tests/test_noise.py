@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fullspace import permute_factors
 from qproc_sim.circuits import build_shor, output_distribution, run_circuit
-from qproc_sim.hilbert import DensityMatrix, InvariantError, SpaceLayout, partial_trace, qubit_ket
+from qproc_sim.hilbert import DensityMatrix, InvariantError, partial_trace, qubit_ket
 from qproc_sim.noise import (
     NoiseParams,
     _step_kraus,
@@ -27,7 +27,7 @@ def damping_only(t1, n=3):
 def random_two_qubit_dm():
     a = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
     rho = a @ a.conj().T
-    return DensityMatrix(SpaceLayout.qubits(2), rho / np.trace(rho))
+    return DensityMatrix(rho / np.trace(rho))
 
 
 def trace_distance(rho, sigma):
@@ -84,7 +84,7 @@ def test_dephasing_equator_coherence_decay():
 
 
 def test_dephasing_preserves_diagonal_states():
-    rho = DensityMatrix(SpaceLayout.qubits(1), np.diag([0.3, 0.7]).astype(complex))
+    rho = DensityMatrix(np.diag([0.3, 0.7]).astype(complex))
     params = NoiseParams(t1=(math.inf,), t_phi=(123.0,))
     after = apply_noise_step(rho, params, dt=57.0)
     np.testing.assert_allclose(after.elements, rho.elements, atol=1e-12)
@@ -103,7 +103,7 @@ def test_infinite_times_are_identity_channel():
 
 def test_damping_fixed_point_is_ground():
     ghz = (qubit_ket("ggg").amplitudes + qubit_ket("eee").amplitudes) / math.sqrt(2)
-    rho = DensityMatrix(SpaceLayout.qubits(3), np.outer(ghz, ghz.conj()))
+    rho = DensityMatrix(np.outer(ghz, ghz.conj()))
     after = apply_noise_step(rho, damping_only(1.0), dt=1e5)
     target = np.zeros((8, 8), dtype=complex)
     target[0, 0] = 1.0
@@ -133,14 +133,14 @@ def test_noise_step_is_trace_preserving_and_completely_positive(dt, t1, t_phi):
                                rtol=0, atol=1e-12)
     # J is the step apply_noise_step takes, run on the system half of |Φ⟩⟨Φ|/2
     params = NoiseParams(t1=(math.inf, t1), t_phi=(math.inf, t_phi))
-    rho = DensityMatrix(SpaceLayout.qubits(2), np.outer(phi, phi.conj()) / 2)
+    rho = DensityMatrix(np.outer(phi, phi.conj()) / 2)
     step = apply_noise_step(rho, params, dt, qubits=(1,))
     np.testing.assert_allclose(2 * step.elements, choi, rtol=0, atol=1e-12)
 
 
 def dense_noise_step(rho, params, dt, qubits):
     """Reference form: every Kraus operator as a dense full-space matrix."""
-    dims = rho.layout.dims
+    dims = (2,) * rho.n_qubits
     mat = rho.elements
     for q in qubits:
         for kraus in (damping_kraus(dt, params.t1[q]), dephasing_kraus(dt, params.t_phi[q])):
@@ -155,10 +155,9 @@ def dense_noise_step(rho, params, dt, qubits):
 
 
 def test_noise_step_matches_dense_kraus_form():
-    layout = SpaceLayout.qubits(4)
-    d = layout.total_dim
+    d = 16
     a = RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d))
-    rho = DensityMatrix(layout, a @ a.conj().T / np.trace(a @ a.conj().T))
+    rho = DensityMatrix(a @ a.conj().T / np.trace(a @ a.conj().T))
     params = NoiseParams(t1=(300.0, 1.0, 450.0, 380.0), t_phi=(150.0, 1.0, 260.0, 210.0))
     for qubits in (None, (3, 0), (2,)):
         after = apply_noise_step(rho, params, dt=42.0, qubits=qubits)
@@ -170,7 +169,7 @@ def test_noise_commutes_with_relabeling_for_symmetric_params():
     rho = random_two_qubit_dm()
     params = NoiseParams.default(2)
     swap = lambda mat: permute_factors(mat, (2, 2), [1, 0])
-    swapped_first = apply_noise_step(DensityMatrix(rho.layout, swap(rho.elements)), params, dt=25.0)
+    swapped_first = apply_noise_step(DensityMatrix(swap(rho.elements)), params, dt=25.0)
     noise_first = swap(apply_noise_step(rho, params, dt=25.0).elements)
     np.testing.assert_allclose(swapped_first.elements, noise_first, atol=1e-12)
 
@@ -230,7 +229,7 @@ def test_noise_step_checks_a_bare_matrix_before_it_re_symmetrizes(bare, message)
     rho = np.diag([0.25, 0.75]).astype(complex)
     np.testing.assert_array_equal(
         apply_noise_step(rho, NoiseParams.default(1), dt=10.0).elements,
-        apply_noise_step(DensityMatrix(SpaceLayout.qubits(1), rho), NoiseParams.default(1),
+        apply_noise_step(DensityMatrix(rho), NoiseParams.default(1),
                          dt=10.0).elements)
 
 
@@ -239,7 +238,7 @@ def test_apply_noise_step_rejects_qubits_outside_the_register(n, q):
     # -1 used to act on the last factor of one qubit, and ended in numpy's errors on more
     excited = np.zeros((2**n, 2**n), dtype=complex)
     excited[-1, -1] = 1.0
-    rho = DensityMatrix(SpaceLayout.qubits(n), excited)
+    rho = DensityMatrix(excited)
     with pytest.raises(ValueError, match=rf"qubit index {q} outside 0\.\.{n - 1}"):
         apply_noise_step(rho, NoiseParams.default(n), dt=10.0, qubits=(q,))
 

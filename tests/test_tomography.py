@@ -22,7 +22,6 @@ from qproc_sim.hilbert import (
     SIGMA_Z,
     DensityMatrix,
     QuantumState,
-    SpaceLayout,
     qubit_ket,
     superposition_ket,
 )
@@ -64,14 +63,14 @@ def bell_triplet():
 
 def random_pure(n):
     amps = RNG.normal(size=2 ** n) + 1j * RNG.normal(size=2 ** n)
-    return QuantumState(SpaceLayout.qubits(n), amps / np.linalg.norm(amps))
+    return QuantumState(amps / np.linalg.norm(amps))
 
 
 def random_dm(n):
     d = 2 ** n
     a = RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d))
     rho = a @ a.conj().T
-    return DensityMatrix(SpaceLayout.qubits(n), rho / np.trace(rho))
+    return DensityMatrix(rho / np.trace(rho))
 
 
 def haar_unitary_2():
@@ -175,15 +174,15 @@ def per_setting_counts(state, qubits, shots, seed):
 
 def assert_matches_per_setting_oracle(rho):
     probs = setting_probabilities(rho)
-    settings = all_settings(rho.layout.n_qubits)
-    assert probs.shape == (len(settings), rho.layout.total_dim)
+    settings = all_settings(rho.n_qubits)
+    assert probs.shape == (len(settings), len(rho.elements))
     for row, setting in zip(probs, settings, strict=True):
         assert np.array_equal(row, per_setting_probabilities(rho, setting))
 
 
 def fortran_ordered(rho):
     """The same state with column-major elements, as a transposed product leaves them."""
-    return DensityMatrix(rho.layout, np.asfortranarray(rho.elements))
+    return DensityMatrix(np.asfortranarray(rho.elements))
 
 
 def named_register_states():
@@ -191,7 +190,8 @@ def named_register_states():
     return {
         "singlet": bell_singlet(), "triplet": bell_triplet(), "phi_plus": bell_phi_plus(),
         "W3": w_state(), "W4": w_state(4), "GHZ3": ghz_state(), "GHZ4": ghz_state(4),
-        "psi3": psi3_state(), "W4_permuted": DensityMatrix(w4.layout, permute_factors(w4.elements, w4.layout.dims, (3, 1, 0, 2))),
+        "psi3": psi3_state(),
+        "W4_permuted": DensityMatrix(permute_factors(w4.elements, (2,) * 4, (3, 1, 0, 2))),
         "W4_fortran": fortran_ordered(w4),
     }
 
@@ -216,7 +216,7 @@ def register_density_matrices(draw):
     vecs = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     vecs[np.array(zeros)] = 0.0
     mat = (vecs * rng.uniform(0.1, 1.0, size=rank)) @ vecs.conj().T
-    rho = DensityMatrix(SpaceLayout.qubits(n), mat / np.trace(mat).real)
+    rho = DensityMatrix(mat / np.trace(mat).real)
     return fortran_ordered(rho) if draw(st.booleans()) else rho
 
 
@@ -225,7 +225,7 @@ def test_setting_stacks_are_cached_read_only_up_to_four_qubits(n):
     # above CACHED_SETTING_QUBITS the stacks are built per call and never cached
     before = _cached_setting_blocks.cache_info().currsize
     a = RNG.normal(size=(2 ** n, 2 ** n)) + 1j * RNG.normal(size=(2 ** n, 2 ** n))
-    rho = DensityMatrix(SpaceLayout.qubits(n), a @ a.conj().T / np.trace(a @ a.conj().T).real)
+    rho = DensityMatrix(a @ a.conj().T / np.trace(a @ a.conj().T).real)
     assert_matches_per_setting_oracle(rho)
     if n > 4:
         assert _cached_setting_blocks.cache_info().currsize == before
@@ -249,19 +249,19 @@ def test_batched_probabilities_match_per_setting_oracle(rho):
 @pytest.mark.parametrize("name", list(named_register_states()))
 def test_batched_forward_model_matches_oracle_on_named_states(name):
     state = named_register_states()[name]
-    rho = register_density_matrix(state, range(state.layout.n_qubits))
+    rho = register_density_matrix(state, range(state.n_qubits))
     assert_matches_per_setting_oracle(rho)
     for seed in (3, 11):
-        record = simulate_tomography(state, range(state.layout.n_qubits), 100, seed)
+        record = simulate_tomography(state, range(state.n_qubits), 100, seed)
         assert np.array_equal(record.counts,
-                              per_setting_counts(state, range(state.layout.n_qubits), 100, seed))
+                              per_setting_counts(state, range(state.n_qubits), 100, seed))
 
 
 @hypothesis_settings(derandomize=True, deadline=None, max_examples=40)
 @given(rho=register_density_matrices(), shots=st.integers(1, 10 ** 6),
        seed=st.integers(0, 2 ** 140))
 def test_simulate_tomography_matches_per_setting_oracle(rho, shots, seed):
-    qubits = range(rho.layout.n_qubits)
+    qubits = range(rho.n_qubits)
     record = simulate_tomography(rho, qubits, shots, seed)
     assert np.array_equal(record.counts, per_setting_counts(rho, qubits, shots, seed))
 
@@ -291,7 +291,7 @@ def test_exact_probability_roundtrip_random_states():
 
 def test_sampled_roundtrip_named_states():
     for state in (bell_singlet(), w_state(), ghz_state(), psi3_state()):
-        n = state.layout.n_qubits
+        n = state.n_qubits
         record = simulate_tomography(state, tuple(range(n)), 10_000, seed=5)
         rho_hat = reconstruct(record)
         assert state_fidelity(rho_hat, state) >= 0.98
@@ -303,14 +303,14 @@ def test_sampled_roundtrip_named_states():
 def test_sampled_roundtrip_fidelity_holds_at_every_seed(name):
     # criterion 7's bound at 10k shots on a seed sweep, so it does not hold by one seed's luck
     state = {"Bell": bell_singlet(), "W": w_state(), "GHZ": ghz_state(), "psi3": psi3_state()}[name]
-    qubits = tuple(range(state.layout.n_qubits))
+    qubits = tuple(range(state.n_qubits))
     fidelities = [state_fidelity(reconstruct(simulate_tomography(state, qubits, 10_000, seed)),
                                  state) for seed in range(20)]
     assert min(fidelities) >= 0.98, fidelities
 
 
 def test_maximally_mixed_reconstruction_converges():
-    mixed = DensityMatrix(SpaceLayout.qubits(1), np.eye(2) / 2)
+    mixed = DensityMatrix(np.eye(2) / 2)
     record = simulate_tomography(mixed, (0,), 100_000, seed=9)
     rho_hat = reconstruct(record)
     assert trace_distance(rho_hat.elements, np.eye(2) / 2) <= 0.02
@@ -556,16 +556,13 @@ def test_record_json_roundtrip_is_exact(record):
 def test_state_fidelity_trivials():
     psi = random_pure(2)
     assert state_fidelity(psi.density_matrix(), psi) == pytest.approx(1.0)
-    mixed = DensityMatrix(SpaceLayout.qubits(2), np.eye(4) / 4)
+    mixed = DensityMatrix(np.eye(4) / 4)
     assert state_fidelity(mixed, psi) == pytest.approx(0.25)
 
 
 def test_state_fidelity_linearity():
     psi = random_pure(2)
-    rho = DensityMatrix(
-        SpaceLayout.qubits(2),
-        0.75 * psi.density_matrix().elements + 0.25 * np.eye(4) / 4,
-    )
+    rho = DensityMatrix(0.75 * psi.density_matrix().elements + 0.25 * np.eye(4) / 4)
     assert state_fidelity(rho, psi) == pytest.approx(0.8125)
 
 
@@ -578,7 +575,7 @@ def test_uhlmann_identity_and_pure_mixed_value():
     rho = random_dm(2)
     assert uhlmann_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-9)
     ground = qubit_ket("g").density_matrix()
-    mixed = DensityMatrix(SpaceLayout.qubits(1), np.eye(2) / 2)
+    mixed = DensityMatrix(np.eye(2) / 2)
     assert uhlmann_fidelity(ground, mixed) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
 
@@ -607,10 +604,7 @@ def test_concurrence_extremes():
 
 def test_werner_state_concurrence():
     p = 0.5
-    rho = DensityMatrix(
-        SpaceLayout.qubits(2),
-        p * bell_singlet().density_matrix().elements + (1 - p) * np.eye(4) / 4,
-    )
+    rho = DensityMatrix(p * bell_singlet().density_matrix().elements + (1 - p) * np.eye(4) / 4)
     c, _ = concurrence_eof(rho)
     assert c == pytest.approx((3 * p - 1) / 2, abs=1e-9)
 
@@ -619,7 +613,7 @@ def test_concurrence_local_unitary_invariance():
     rho = random_dm(2)
     c0, _ = concurrence_eof(rho)
     u = np.kron(haar_unitary_2(), haar_unitary_2())
-    rotated = DensityMatrix(rho.layout, u @ rho.elements @ u.conj().T)
+    rotated = DensityMatrix(u @ rho.elements @ u.conj().T)
     c1, _ = concurrence_eof(rotated)
     assert c1 == pytest.approx(c0, abs=1e-9)
 
@@ -631,12 +625,12 @@ def test_concurrence_rejects_wrong_dimension():
 
 def test_linear_entropy_values():
     assert linear_entropy(random_pure(1).density_matrix()) == pytest.approx(0.0, abs=1e-9)
-    mixed = DensityMatrix(SpaceLayout.qubits(1), np.eye(2) / 2)
+    mixed = DensityMatrix(np.eye(2) / 2)
     assert linear_entropy(mixed) == pytest.approx(1.0, abs=1e-12)
     # purity 0.625 -> 2·(1 - 0.625) under the unit-normalized qubit convention
-    rho = DensityMatrix(SpaceLayout.qubits(1), np.diag([0.75, 0.25]).astype(complex))
+    rho = DensityMatrix(np.diag([0.75, 0.25]).astype(complex))
     assert linear_entropy(rho) == pytest.approx(0.75, abs=1e-12)
-    two_qubit_mixed = DensityMatrix(SpaceLayout.qubits(2), np.eye(4) / 4)
+    two_qubit_mixed = DensityMatrix(np.eye(4) / 4)
     assert linear_entropy(two_qubit_mixed) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -655,7 +649,7 @@ def test_linear_entropy_of_projected_hermitian_input():
         raw = RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2))
         raw = (raw + raw.conj().T) / 2
         raw = raw + (1 - np.trace(raw).real) * np.eye(2) / 2  # force trace 1
-        projected = nearest_psd(raw, SpaceLayout.qubits(1))
+        projected = nearest_psd(raw)
         assert 0.0 <= linear_entropy(projected) <= 1.0
 
 
@@ -670,7 +664,7 @@ def test_witness_perfect_w_state():
 
 
 def test_witness_maximally_mixed_fails_ghz():
-    mixed = DensityMatrix(SpaceLayout.qubits(3), np.eye(8) / 8)
+    mixed = DensityMatrix(np.eye(8) / 8)
     result = witness_check(mixed, "GHZ", ghz_state())
     assert not result.passed
     assert result.fidelity == pytest.approx(0.125)
@@ -679,7 +673,7 @@ def test_witness_maximally_mixed_fails_ghz():
 def test_witness_marginal_w_state():
     # fidelity exactly 0.69: mix the target with the orthogonal uniform rest
     w = w_state().density_matrix().elements
-    rho = DensityMatrix(SpaceLayout.qubits(3), 0.69 * w + 0.31 * (np.eye(8) - w) / 7)
+    rho = DensityMatrix(0.69 * w + 0.31 * (np.eye(8) - w) / 7)
     result = witness_check(rho, "W", w_state())
     assert result.passed
     assert result.margin == pytest.approx(0.69 - 2 / 3, abs=1e-9)
@@ -739,7 +733,7 @@ def test_gauge_fixed_point_for_exact_match():
 
 def test_max_abs_imag_metric():
     assert max_abs_imag(bell_singlet().density_matrix()) == pytest.approx(0.0, abs=1e-12)
-    y_state = QuantumState(SpaceLayout.qubits(1), np.array([1, 1j]) / math.sqrt(2))
+    y_state = QuantumState(np.array([1, 1j]) / math.sqrt(2))
     assert max_abs_imag(y_state.density_matrix()) == pytest.approx(0.5, abs=1e-12)
 
 
