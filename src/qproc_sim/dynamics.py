@@ -192,6 +192,12 @@ class OccupationTrace:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if (self.times.ndim != 1 or self.p_bus.shape != self.times.shape
+                or self.p_qubit.shape != (len(self.qubit_ids),) + self.times.shape):
+            raise ValueError(f"occupation trace needs 1-D times and one sample per time in p_bus "
+                             f"and in each qubit id's p_qubit row, got times {self.times.shape}, "
+                             f"qubit ids {self.qubit_ids}, p_qubit {self.p_qubit.shape}, "
+                             f"p_bus {self.p_bus.shape}")
         if not np.isfinite(self.times).all():
             raise InvariantError("occupation trace times must be finite")
         probs = np.concatenate([self.p_qubit.ravel(), self.p_bus])

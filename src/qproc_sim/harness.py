@@ -91,8 +91,8 @@ _HELP = {
 }
 
 # size budget, checked before any grid is built: rows of one output CSV (38x the
-# default chevron), and qubits in one QST register (3^n settings of 2^n x 2^n
-# matrices, so memory grows about 12x per qubit; 7 need about 0.6 GB)
+# default chevron), and qubits in one QST register (3^n settings of 2^n outcomes and a
+# 2^n x 2^n estimate; one 7-qubit entangle run takes about 0.4 s and 85 MB)
 MAX_CSV_ROWS = 2_000_000
 MAX_QST_QUBITS = 7
 # rows of one CSV formatted together; the writer holds one block's cell strings

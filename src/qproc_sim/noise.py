@@ -128,20 +128,11 @@ def dephasing_kraus(dt: float, t_phi: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=256)
-def _step_kraus(dt: float, t1: float, t_phi: float) -> tuple:
-    """The damping and dephasing pairs of one qubit's step, built once and read-only."""
-    pairs = (damping_kraus(dt, t1), dephasing_kraus(dt, t_phi))
-    for K in (K for pair in pairs for K in pair):
-        K.setflags(write=False)
-    return pairs
-
-
-@functools.lru_cache(maxsize=256)
 def _step_superoperator(dt: float, t1: float, t_phi: float) -> np.ndarray:
     """One qubit's step, dephasing after damping, as a read-only 4x4 map on the row-major
     (row, column) index pair of its factor: each channel is Σ K ⊗ K̄ over its Kraus pair."""
     damping, dephasing = (sum(np.kron(K, K.conj()) for K in pair)
-                          for pair in _step_kraus(dt, t1, t_phi))
+                          for pair in (damping_kraus(dt, t1), dephasing_kraus(dt, t_phi)))
     step = dephasing @ damping
     step.setflags(write=False)
     return step

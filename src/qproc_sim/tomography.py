@@ -3,11 +3,12 @@
 Measurement model: each qubit of the register is pre-rotated by one of
 {I, X_half, Y_half} and read out in the computational basis, so the 3^n
 product settings estimate every Pauli-string expectation (I/X_half/Y_half
-map the measured axis to Z/Y/-X respectively). The forward model is one
-batched U ρ U† over all 3^n pre-rotation unitaries, bit-identical to the
-per-setting Kronecker form. Reconstruction is linear inversion over the
-full Pauli basis followed by the nearest density matrix (``nearest_psd``);
-deterministic given the counts.
+map the measured axis to Z/Y/-X respectively). Setting r, outcome b projects
+onto Π_{r,b} = ⊗_q (I + sign·(-1)^b_q·P_{r_q})/2, so the forward model
+p[r, b] = Tr(Π_{r,b} ρ) (the per-setting U ρ U† to rounding) and the linear
+inversion over the Pauli basis are one per-qubit kernel contraction, run each
+way. Reconstruction is that inversion followed by the nearest density matrix
+(``nearest_psd``); deterministic given the counts.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import SINGLE_QUBIT_GATES, sampling_distribution
+from .circuits import sampling_distribution
 from .hilbert import (
     DensityMatrix,
     QuantumState,
@@ -33,13 +34,6 @@ from .hilbert import (
 )
 
 ROTATION_KINDS = ("I", "X_half", "Y_half")
-# pre-rotation matrices, in ROTATION_KINDS order
-_ROTATIONS = np.array([np.eye(2), SINGLE_QUBIT_GATES["X_half"], SINGLE_QUBIT_GATES["Y_half"]])
-# trailing qubits whose rotations vary within one batched forward product (27 settings)
-SETTING_BLOCK_QUBITS = 3
-# registers up to this size keep their setting stacks, 0.66 MB at 4 qubits; a larger one
-# (12x the memory per qubit) builds them block by block on each call
-CACHED_SETTING_QUBITS = 4
 # sweeps of the phase gauge at most; each sweep updates every qubit's phase once
 MAX_GAUGE_SWEEPS = 100
 
@@ -47,10 +41,16 @@ MAX_GAUGE_SWEEPS = 100
 # it picks up: measuring Z after X_half reads +Y, after Y_half reads -X
 _MEASURED_PAULI = {"I": (SIGMA_Z, 1.0), "X_half": (SIGMA_Y, 1.0), "Y_half": (SIGMA_X, -1.0)}
 
-# per-qubit linear-inversion kernel, indexed [rotation, outcome bit, row, col]:
-# I/6 + sign·(-1)^b·P/2. The I/6 term is the identity's share of each of the
-# three rotations; the Pauli term is read by one rotation only. Stored as the
-# (6, 4) matrix [(rotation, bit), (row, col)] that a contraction multiplies by.
+# per-qubit forward kernel [(row, col), (rotation, bit)] of the outcome projectors
+# Π = (I + sign·(-1)^b·P)/2: Tr(Π ρ) sums ρ[i, j]·Π[j, i], and Π[j, i] = conj(Π[i, j])
+_FORWARD_KERNEL = np.array([
+    [(np.eye(2) + sign * (-1) ** b * pauli).conj() / 2 for b in (0, 1)]
+    for pauli, sign in (_MEASURED_PAULI[r] for r in ROTATION_KINDS)
+]).reshape(6, 4).T.copy()
+
+# per-qubit linear-inversion kernel [(rotation, bit), (row, col)]: I/6 + sign·(-1)^b·P/2,
+# which is Π − I/3. The I/6 term is the identity's share of each of the three
+# rotations; the Pauli term is read by one rotation only.
 _INVERSION_KERNEL = np.array([
     [np.eye(2) / 6 + sign * (-1) ** b * pauli / 2 for b in (0, 1)]
     for pauli, sign in (_MEASURED_PAULI[r] for r in ROTATION_KINDS)
@@ -85,6 +85,10 @@ class TomographyRecord:
 
     def __post_init__(self):
         self.qubits = tuple(self.qubits)
+        if (not self.qubits or len(set(self.qubits)) != len(self.qubits) or min(self.qubits) < 0
+                or self.shots_per_setting < 1 or self.seed < 0):
+            raise ValueError(f"a tomography record needs distinct qubits >= 0, shots >= 1 and a "
+                             f"seed >= 0, got {self.qubits}, {self.shots_per_setting}, {self.seed}")
         counts = np.asarray(self.counts)
         n = self.n_qubits
         if counts.shape != (3 ** n, 2 ** n):
@@ -119,8 +123,8 @@ class TomographyRecord:
     @classmethod
     def from_dict(cls, doc: dict) -> "TomographyRecord":
         """Parse a ``to_dict`` document; a missing or unknown key, a value of another JSON
-        type than the writer's, a number that is not a non-negative JSON integer, a repeated
-        qubit, or any other settings order or outcome label set raises ValueError."""
+        type than the writer's, a number that is not a JSON integer, a record the constructor
+        rejects, or any other settings order or outcome label set raises ValueError."""
         if type(doc) is not dict:
             raise ValueError(f"a tomography record must be a JSON object, got {doc!r}")
         required = ("qubits", "settings", "shots_per_setting", "seed", "counts")
@@ -134,10 +138,8 @@ class TomographyRecord:
                 raise ValueError(f"{key} must be a JSON list, got {doc[key]!r}")
         for key, values in [("shots_per_setting", [doc["shots_per_setting"]]),
                             ("seed", [doc["seed"]]), ("qubits", doc["qubits"])]:
-            if any(type(v) is not int or v < 0 for v in values):  # JSON true is an int too
-                raise ValueError(f"{key} must hold non-negative integers, got {doc[key]!r}")
-        if len(set(doc["qubits"])) != len(doc["qubits"]):
-            raise ValueError(f"qubits must be distinct, got {doc['qubits']}")
+            if any(type(v) is not int for v in values):  # JSON true is an int too
+                raise ValueError(f"{key} must hold JSON integers, got {doc[key]!r}")
         n = len(doc["qubits"])
         if doc["settings"] != [list(s) for s in all_settings(n)]:
             raise ValueError(f"settings must be the 3^{n} product settings in all_settings order")
@@ -189,41 +191,11 @@ def register_density_matrix(state, qubits: Sequence[int]) -> DensityMatrix:
     return partial_trace(rho, qubits)
 
 
-def _setting_unitaries(n: int, mats: np.ndarray | None = None) -> np.ndarray:
-    """The (3^n, 2^n, 2^n) pre-rotation unitaries in ``all_settings(n)`` order, each after one
-    of ``mats`` (leading qubits' unitaries) if given: ``np.kron`` broadcast over the stack,
-    so each equals its setting's Kronecker chain bit for bit."""
-    mats = np.ones((1, 1, 1), dtype=complex) if mats is None else mats
-    for _ in range(n):
-        k, d = mats.shape[:2]
-        mats = (mats[:, None, :, None, :, None] * _ROTATIONS[None, :, None, :, None, :]
-                ).reshape(3 * k, 2 * d, 2 * d)
-    return mats
-
-
-def _setting_blocks(n: int):
-    """The (U, U†) stacks of each block of settings, in ``all_settings(n)`` order: one block
-    per rotation combination of the leading qubits, U† a conjugate-transposed view."""
-    tail = min(n, SETTING_BLOCK_QUBITS)
-    for lead in _setting_unitaries(n - tail):
-        U = _setting_unitaries(tail, lead[None])
-        yield U, U.conj().transpose(0, 2, 1)
-
-
-@functools.cache
-def _cached_setting_blocks(n: int) -> tuple:
-    blocks = tuple(_setting_blocks(n))
-    for stack in itertools.chain.from_iterable(blocks):
-        stack.setflags(write=False)
-    return blocks
-
-
 def setting_probabilities(rho: DensityMatrix) -> np.ndarray:
     """Exact (3^n, 2^n) outcome distributions of every setting, in ``all_settings`` order."""
-    n = rho.n_qubits
-    blocks = _cached_setting_blocks(n) if n <= CACHED_SETTING_QUBITS else _setting_blocks(n)
-    rotated = [np.diagonal(U @ rho.elements @ U_adj, axis1=1, axis2=2) for U, U_adj in blocks]
-    return np.clip(np.concatenate(rotated).real, 0.0, None)
+    table = rho.elements.reshape((2,) * 2 * rho.n_qubits)  # indexed [rows, columns]
+    probs = _contract_qubits(table, _FORWARD_KERNEL, (3, 2))
+    return np.clip(probs.real, 0.0, None)
 
 
 def simulate_tomography(state, qubits: Sequence[int], shots_per_setting: int,
@@ -268,16 +240,27 @@ def _linear_inversion(frequencies: np.ndarray, n: int) -> np.ndarray:
     """
     # indexed [r_1..r_n, b_1..b_n]: all_settings order varies the first qubit's rotation
     # slowest, and the first qubit is the most significant outcome bit
-    table = np.reshape(frequencies, (3,) * n + (2,) * n)
-    # contract qubit q's (r_q, b_q) axes, leaving its (row, col) pair at the end: the
+    return _contract_qubits(np.reshape(frequencies, (3,) * n + (2,) * n), _INVERSION_KERNEL,
+                            (2, 2))
+
+
+def _contract_qubits(table: np.ndarray, kernel: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
+    """Contract each qubit's pair of axes of ``table`` with ``kernel``.
+
+    ``table`` is indexed [a_1..a_n, b_1..b_n]; ``kernel`` is the matrix from one qubit's
+    flattened (a, b) index pair to its flattened (c, d) pair, of shape ``pair``. Returns the
+    (c^n, d^n) matrix indexed [c_1..c_n, d_1..d_n], the first qubit most significant.
+    """
+    n = table.ndim // 2
+    # contract qubit q's (a_q, b_q) axes, leaving its (c, d) pair at the end: the
     # transpose, reshape and np.dot of np.tensordot(table, kernel, ([0, n - q], [0, 1]))
     for q in range(n):
         rest = [a for a in range(table.ndim) if a not in (0, n - q)]
-        shape = [table.shape[a] for a in rest] + [2, 2]
-        table = np.dot(table.transpose(rest + [0, n - q]).reshape(-1, 6), _INVERSION_KERNEL)
+        shape = [table.shape[a] for a in rest] + list(pair)
+        table = np.dot(table.transpose(rest + [0, n - q]).reshape(-1, len(kernel)), kernel)
         table = table.reshape(shape)
     order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    return table.transpose(order).reshape(2 ** n, 2 ** n)
+    return table.transpose(order).reshape(pair[0] ** n, pair[1] ** n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Print the sha256 of every output file of the byte-identity comparison set.
 
     PYTHONPATH=src python tests/output_digests.py > digests.json
+    PYTHONPATH=src python tests/output_digests.py --against digests.json
 
 Runs each argv of ``RUNS`` through ``harness.main`` in a temporary directory and
 prints one JSON object of {"<argv>/<file name>": sha256}. Two source trees write
@@ -9,6 +10,10 @@ experiment at its defaults (spectroscopy on each qubit; entangle on five
 participant sets; every shor variant, ideal and noisy) at seeds 5, 11 and 901,
 plus ``test_harness.KERNEL_RUNS``. Noisy runs read the README's noise block,
 which this script writes next to its working directory as ``noisy.json``.
+
+With ``--against FILE`` it compares the set with a printed object instead: it
+prints each key whose digest differs from FILE's or is missing on either side,
+and exits 1 if there is one.
 """
 
 import hashlib
@@ -57,6 +62,20 @@ def digests(runs) -> dict[str, str]:
     return out
 
 
+def against(path, runs) -> int:
+    """Print each key whose digest differs between ``runs`` and the object that ``path``
+    holds, or that one side lacks; return 1 if there is one, else 0."""
+    expected, actual = json.loads(Path(path).read_text()), digests(runs)
+    differing = sorted(k for k in expected.keys() | actual.keys()
+                       if expected.get(k) != actual.get(k))
+    print("\n".join(differing) or f"all {len(actual)} files byte-identical")
+    return 1 if differing else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--against"] and len(sys.argv) == 3:
+        sys.exit(against(sys.argv[2], RUNS))
+    if sys.argv[1:]:
+        sys.exit(f"usage: {sys.argv[0]} [--against DIGESTS_JSON]")
     json.dump(digests(RUNS), sys.stdout, indent=1, sort_keys=True)
     print()

@@ -22,6 +22,7 @@ from qproc_sim.dynamics import (
     SPECTROSCOPY_BLOCK_CELLS,
     ConfigError,
     DeviceConfig,
+    OccupationTrace,
     effective_coupling,
     fit_oscillation_frequencies,
     fit_oscillation_frequency,
@@ -290,6 +291,22 @@ def test_bus_revival():
 def test_simultaneous_resonance_requires_participants():
     with pytest.raises(ValueError):
         simultaneous_resonance(DeviceConfig.default(), (), 10.0, 0.5)
+
+
+@pytest.mark.parametrize("times, qubit_ids, p_qubit, p_bus", [
+    ([0.0, 1.0, 2.0], (0, 3), [[0.5]], [0.5]),  # every array of another length
+    ([0.0, 1.0], (0, 3), [[0.5, 0.5]], [0.5, 0.5]),  # one row for two qubit ids
+    ([0.0, 1.0], (0,), [[0.5, 0.5]], [0.5]),  # one bus sample for two times
+    ([0.0, 1.0], (0,), [[0.5], [0.5]], [0.5, 0.5]),  # p_qubit transposed
+    ([[0.0, 1.0]], (0,), [[0.5, 0.5]], [0.5, 0.5]),  # 2-D times
+    ([0.0, 1.0], (0,), [0.5, 0.5], [0.5, 0.5]),  # 1-D p_qubit
+], ids=["all", "rows", "bus", "transposed", "times_2d", "p_qubit_1d"])
+def test_occupation_trace_rejects_arrays_that_disagree_in_shape(times, qubit_ids, p_qubit,
+                                                                  p_bus):
+    OccupationTrace(times=[0.0, 1.0], qubit_ids=(0, 3), p_qubit=[[0.5, 0.5], [0.0, 0.5]],
+                    p_bus=[0.5, 0.5])
+    with pytest.raises(ValueError, match="occupation trace needs 1-D times"):
+        OccupationTrace(times=times, qubit_ids=qubit_ids, p_qubit=p_qubit, p_bus=p_bus)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from qproc_sim.circuits import build_shor, output_distribution, run_circuit
 from qproc_sim.hilbert import DensityMatrix, InvariantError, partial_trace, qubit_ket
 from qproc_sim.noise import (
     NoiseParams,
-    _step_kraus,
     _step_superoperator,
     apply_noise_step,
     damping_kraus,
@@ -253,16 +252,6 @@ def test_noise_params_validation_and_roundtrip():
     no_dephasing = NoiseParams.from_dict({"t1_ns": [300, 300], "t_phi_ns": ["inf", "inf"]},
                                          n_qubits=2)
     assert math.isinf(no_dephasing.t_phi[0])
-
-
-def test_step_kraus_is_cached_read_only_and_equal_to_the_builders():
-    pairs = _step_kraus(10.0, 400.0, 200.0)
-    assert _step_kraus(10.0, 400.0, 200.0) is pairs
-    for got, expected in zip(pairs, (damping_kraus(10.0, 400.0), dephasing_kraus(10.0, 200.0))):
-        for K, E in zip(got, expected, strict=True):
-            assert np.array_equal(K, E)
-            with pytest.raises(ValueError):
-                K[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("dt, t1, t_phi", [(10.0, 400.0, 200.0), (50.0, 400.0, 200.0),

@@ -1,6 +1,15 @@
-from output_digests import NOISY, RUNS, digests
+import json
+
+from output_digests import NOISY, RUNS, against, digests
 from qproc_sim.harness import build_parser
 from test_harness import KERNEL_RUNS
+
+
+def small_slice():
+    """One noisy shor run and the four-qubit entangle run, at small shot counts."""
+    small = [next(argv for argv in KERNEL_RUNS if argv[-2:] == NOISY), KERNEL_RUNS[-1]]
+    assert all(argv in RUNS for argv in small)
+    return small
 
 
 def test_every_run_of_the_digest_set_parses():
@@ -9,9 +18,22 @@ def test_every_run_of_the_digest_set_parses():
 
 
 def test_two_digest_runs_of_a_slice_agree():
-    # one noisy shor run and the four-qubit entangle run, at small shot counts
-    small = [next(argv for argv in KERNEL_RUNS if argv[-2:] == NOISY), KERNEL_RUNS[-1]]
-    assert all(argv in RUNS for argv in small)
+    small = small_slice()
     first = digests(small)
     assert len(first) == 4  # each run's output file and manifest
     assert digests(small) == first
+
+
+def test_against_prints_each_differing_or_missing_key(tmp_path, capsys):
+    small = small_slice()
+    first = digests(small)
+    path = tmp_path / "digests.json"
+    path.write_text(json.dumps(first))
+    assert against(path, small) == 0
+    assert capsys.readouterr().out == "all 4 files byte-identical\n"
+    changed, dropped = sorted(first)[:2]
+    expected = dict(first, **{changed: "0" * 64, "extra/file": "0" * 64})
+    del expected[dropped]
+    path.write_text(json.dumps(expected))
+    assert against(path, small) == 1
+    assert capsys.readouterr().out.splitlines() == sorted([changed, dropped, "extra/file"])
