@@ -23,10 +23,7 @@ from .dynamics import (
 )
 from .hilbert import (
     DensityMatrix,
-    QuantumOperator,
     QuantumState,
-    SpaceLayout,
-    hermitian_exponential,
     nearest_psd,
     partial_trace,
 )
@@ -51,9 +48,7 @@ __all__ = [
     "Gate",
     "NoiseParams",
     "OccupationTrace",
-    "QuantumOperator",
     "QuantumState",
-    "SpaceLayout",
     "TomographyRecord",
     "apply_noise_step",
     "build_shor",
@@ -64,7 +59,6 @@ __all__ = [
     "extract_period",
     "factor_fifteen",
     "fit_oscillation_frequency",
-    "hermitian_exponential",
     "linear_entropy",
     "nearest_psd",
     "partial_trace",

@@ -245,20 +245,12 @@ def output_distribution(state, register: Sequence) -> np.ndarray:
     real_bits = [b for b in register if b is not None]
     _check_register(real_bits, n, "output register")
     probs = state.probabilities().real.reshape((2,) * n)
-    keep_axes = tuple(sorted(real_bits))
-    drop = tuple(ax for ax in range(n) if ax not in keep_axes)
-    marginal = probs.sum(axis=drop) if drop else probs
-
-    out = np.zeros(2 ** len(register))
-    for m in range(2 ** len(register)):
-        bits = [(m >> (len(register) - 1 - k)) & 1 for k in range(len(register))]
-        if any(b == 1 for b, src in zip(bits, register) if src is None):
-            continue
-        idx = tuple(bits[k] for k, src in enumerate(register) if src is not None)
-        # reorder to the marginal's ascending-axis order
-        ordered = tuple(idx[real_bits.index(ax)] for ax in keep_axes)
-        out[m] = marginal[ordered]
-    return out / out.sum()
+    marginal = probs.sum(axis=tuple(ax for ax in range(n) if ax not in real_bits))
+    # the marginal's axes ascend; a None bit always reads 0
+    out = np.zeros((2,) * len(register))
+    out[tuple(0 if src is None else slice(None) for src in register)] = marginal.transpose(
+        np.argsort(np.argsort(real_bits)))
+    return out.ravel() / out.sum()
 
 
 # ---------------------------------------------------------------------------

@@ -228,14 +228,15 @@ def _check_qubits(config: DeviceConfig, qubits: Sequence[int], freqs: Sequence[f
                              f"idle {config.f_idle[q]} GHz for qubit {q}")
 
 
-def _sample_amplitudes(vecs, rotated, coeffs, dts) -> np.ndarray:
-    """Amplitudes after each step in ``dts`` from eigenbasis coefficients ``coeffs`` (one
-    column per step, one matrix product); ``rotated`` is -2πi·eigenvalues. Norms are checked."""
-    amps = vecs @ (np.exp(np.multiply.outer(rotated, dts)) * coeffs[:, None])
-    defect = np.max(np.abs(np.sqrt((np.abs(amps) ** 2).sum(axis=0)) - 1.0))
-    if not defect <= NORM_TOL:  # written so that NaN fails it
-        raise InvariantError(f"sampled state norm differs from 1 by {defect} beyond {NORM_TOL}")
-    return amps
+def _block_amplitudes(H: np.ndarray, times: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """<row|exp(-2πi H t)|0> for each of ``rows`` and each t in ``times``, shape
+    ``(..., rows, times)``: the one propagator of every protocol. ``H`` is one real
+    symmetric block or a stack of them, diagonalized in one call."""
+    evals, vecs = np.linalg.eigh(H)
+    # Σ_k V_rk V_0k exp(-2πi λ_k t)
+    phases = -2j * np.pi * evals[..., :, None] * times
+    return np.einsum("...rk,...k,...kt->...rt", vecs[..., rows, :], vecs[..., 0, :],
+                     np.exp(phases, out=phases))
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +258,15 @@ def _collective_amplitudes(config: DeviceConfig, participants: tuple[int, ...],
                            times: np.ndarray) -> np.ndarray:
     """Amplitudes over {|g…g,1>, |e_k,0>} at each time (one column per time) after tuning the
     checked participants onto a bus holding one photon. Exact: this is the one-excitation block
-    of the exchange Hamiltonian, H[0, k] = g_k/2, diagonal (detuning from the bus) zero."""
+    of the exchange Hamiltonian, H[0, k] = g_k/2, diagonal (detuning from the bus) zero.
+    Each column's norm is checked."""
     H = np.zeros((len(participants) + 1,) * 2)
     H[0, 1:] = H[1:, 0] = [config.g_bus_ghz(q) / 2 for q in participants]
-    evals, vecs = np.linalg.eigh(H)
-    return _sample_amplitudes(vecs, -2j * np.pi * evals, vecs[0], times)
+    amps = _block_amplitudes(H, times)
+    defect = np.max(np.abs(np.sqrt((np.abs(amps) ** 2).sum(axis=0)) - 1.0))
+    if not defect <= NORM_TOL:  # written so that NaN fails it
+        raise InvariantError(f"sampled state norm differs from 1 by {defect} beyond {NORM_TOL}")
+    return amps
 
 
 def simultaneous_resonance(
@@ -346,11 +351,7 @@ def swap_spectroscopy(
     probs = np.empty((freq_grid.size, tau_grid.size))
     rows = max(1, SPECTROSCOPY_BLOCK_CELLS // tau_grid.size)
     for block in (slice(start, start + rows) for start in range(0, freq_grid.size, rows)):
-        evals, vecs = np.linalg.eigh(H[block])
-        # <e00|U(τ)|e00> = Σ_k V_0k² exp(-2πi λ_k τ)
-        phases = -2j * np.pi * evals[:, :, None] * tau_grid
-        amps = np.einsum("fk,fkt->ft", vecs[:, 0, :] ** 2, np.exp(phases, out=phases))
-        np.abs(amps, out=probs[block])
+        np.abs(_block_amplitudes(H[block], tau_grid, slice(0, 1))[:, 0], out=probs[block])
     np.square(probs, out=probs)
     # the clip below would pass NaN and hide a probability above 1
     defect = np.max(probs) - 1.0

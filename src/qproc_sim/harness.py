@@ -462,7 +462,7 @@ def _spectroscopy_grids(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
     if n_f < 1 or n_tau < 1:
         raise ConfigError("spectroscopy grid is empty (need f_min <= f_max and tau_max >= 0)")
     if n_f * n_tau > MAX_CSV_ROWS:
-        raise ConfigError(f"spectroscopy grid has {n_f:.0f} x {n_tau:.0f} cells, more than "
+        raise ConfigError(f"spectroscopy grid has {n_f:.4g} x {n_tau:.4g} cells, more than "
                           f"the {MAX_CSV_ROWS} rows one output CSV may hold")
     freqs = np.round(np.arange(f_min, f_max + f_step / 2, f_step), 9)
     taus = np.round(np.arange(0.0, tau_max + tau_step / 2, tau_step), 9)
@@ -512,7 +512,7 @@ def _check_options(spec: ExperimentSpec, config: DeviceConfig) -> None:
                 f"dtau_max ({dtau_max} ns) must be a whole number of at least 7 sample_dt "
                 f"steps ({sample_dt} ns): the frequency fit needs 8 evenly spaced samples")
         if len(labels) * (n_steps + 1) > MAX_CSV_ROWS:
-            raise ConfigError(f"rabi_scaling traces have {len(labels)} x {n_steps + 1:.0f} "
+            raise ConfigError(f"rabi_scaling traces have {len(labels)} x {n_steps + 1:.4g} "
                               f"samples, more than the {MAX_CSV_ROWS} rows one output CSV may hold")
     elif spec.name == "entangle" and len(labels) < 2:
         raise ConfigError("option 'participants' must name at least 2 qubits")

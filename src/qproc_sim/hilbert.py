@@ -8,6 +8,10 @@ Resonators appear only in the full-space test oracle; ``apply_local`` stays
 generic over factor dimensions for it, and for the noise steps' doubled
 (row, column) dims.
 
+The operator API (``SpaceLayout``, ``QuantumOperator``, ``hermitian_exponential``) has
+no caller in the package or its test oracles, which propagate through
+``dynamics._block_amplitudes``; it is kept only for ``perfbench``, which uses it.
+
 Everything is immutable after construction (arrays are frozen), so values can
 be shared freely across threads.
 """

@@ -84,13 +84,26 @@ class TomographyRecord:
     metrics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.qubits = tuple(self.qubits)
-        if (not self.qubits or len(set(self.qubits)) != len(self.qubits) or min(self.qubits) < 0
-                or self.shots_per_setting < 1 or self.seed < 0):
-            raise ValueError(f"a tomography record needs distinct qubits >= 0, shots >= 1 and a "
-                             f"seed >= 0, got {self.qubits}, {self.shots_per_setting}, {self.seed}")
-        counts = np.asarray(self.counts)
+        # integers as from_dict reads them: no bool or float, and stored as int
+        *qubits, shots, seed = values = (*self.qubits, self.shots_per_setting, self.seed)
+        whole = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values)
+        if (not whole or not qubits or len(set(qubits)) != len(qubits) or min(qubits) < 0
+                or shots < 1 or seed < 0):
+            raise ValueError(f"a tomography record needs distinct whole-number qubits >= 0, "
+                             f"shots >= 1 and a seed >= 0, got {qubits}, {shots!r}, {seed!r}")
+        *qubits, self.shots_per_setting, self.seed = map(int, values)
+        self.qubits = tuple(qubits)
         n = self.n_qubits
+        if self.rho_hat is not None and not (isinstance(self.rho_hat, DensityMatrix)
+                                             and self.rho_hat.n_qubits == n):
+            raise ValueError(f"rho_hat must be None or a {n}-qubit DensityMatrix")
+        if type(self.metrics) is not dict or not all(
+                type(k) is str and isinstance(v, (int, float, np.integer, np.floating))
+                and not isinstance(v, bool) for k, v in self.metrics.items()):
+            raise ValueError(f"metrics must map names to real numbers, got {self.metrics!r}")
+        self.metrics = {k: v.item() if isinstance(v, np.generic) else v
+                        for k, v in self.metrics.items()}
+        counts = np.asarray(self.counts)
         if counts.shape != (3 ** n, 2 ** n):
             raise ValueError(f"counts must have shape {(3 ** n, 2 ** n)}, got {counts.shape}")
         if counts.dtype.kind not in "iu" or (counts < 0).any():
@@ -136,10 +149,6 @@ class TomographyRecord:
         for key in ("qubits", "counts"):
             if type(doc[key]) is not list:
                 raise ValueError(f"{key} must be a JSON list, got {doc[key]!r}")
-        for key, values in [("shots_per_setting", [doc["shots_per_setting"]]),
-                            ("seed", [doc["seed"]]), ("qubits", doc["qubits"])]:
-            if any(type(v) is not int for v in values):  # JSON true is an int too
-                raise ValueError(f"{key} must hold JSON integers, got {doc[key]!r}")
         n = len(doc["qubits"])
         if doc["settings"] != [list(s) for s in all_settings(n)]:
             raise ValueError(f"settings must be the 3^{n} product settings in all_settings order")
@@ -152,17 +161,13 @@ class TomographyRecord:
         rho = None
         if doc.get("rho_hat") is not None:
             rho = DensityMatrix(_complex_matrix(doc["rho_hat"], 2 ** n))
-        metrics = doc.get("metrics", {})
-        if type(metrics) is not dict or any(type(k) is not str or type(v) not in (int, float)
-                                            for k, v in metrics.items()):
-            raise ValueError(f"metrics must map names to JSON numbers, got {metrics!r}")
         return cls(
             qubits=tuple(doc["qubits"]),
             shots_per_setting=doc["shots_per_setting"],
             seed=doc["seed"],
             counts=counts,
             rho_hat=rho,
-            metrics=dict(metrics),
+            metrics=doc.get("metrics", {}),
         )
 
 

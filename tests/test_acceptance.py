@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from fullspace import pump_fock
+from fullspace import build_jc_hamiltonian, build_spectroscopy_hamiltonian, expm, pump_fock
 from qproc_sim.circuits import (
     build_shor,
     classical_factors,
@@ -21,6 +21,9 @@ from qproc_sim.circuits import (
 )
 from qproc_sim.dynamics import (
     DeviceConfig,
+    _block_amplitudes,
+    _collective_amplitudes,
+    effective_coupling,
     fit_oscillation_frequency,
     prepare_shared_excitation,
     simultaneous_resonance,
@@ -29,9 +32,6 @@ from qproc_sim.dynamics import (
 from qproc_sim.harness import main
 from qproc_sim.hilbert import (
     DensityMatrix,
-    QuantumOperator,
-    SpaceLayout,
-    hermitian_exponential,
     partial_trace,
     superposition_ket,
 )
@@ -230,29 +230,44 @@ def test_criterion_07_tomography_roundtrip():
 
 
 def test_criterion_08_propagator_oracle():
+    # the one propagator of the chevron and the collective protocols, against a 40-term
+    # Taylor series with scaling and squaring of each protocol's full Fock-space Hamiltonian
     t0 = time.perf_counter()
+    config = DeviceConfig.default()
+    res_dim = config.n_max + 1
 
-    def taylor_expm(H, t, terms=40):
-        A = -2j * np.pi * t * H
-        out = np.eye(H.shape[0], dtype=complex)
-        term = np.eye(H.shape[0], dtype=complex)
-        for k in range(1, terms + 1):
-            term = term @ A / k
-            out = out + term
-        return out
-
-    worst = 0.0
+    blocks = 0.0
     for _ in range(50):
-        dim = int(RNG.choice([2, 4, 8, 16, 32]))
-        raw = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
-        herm = (raw + raw.conj().T) / 2
-        scale = float(RNG.uniform(0.02, 0.2)) / np.linalg.norm(herm, 2)
-        H = QuantumOperator(SpaceLayout.qubits(dim.bit_length() - 1), herm * scale, hermitian=True)
-        t = float(RNG.uniform(0.5, 6.0))
-        U = hermitian_exponential(H, t)
-        diff = np.max(np.abs(U.elements - taylor_expm(H.elements, t)))
-        worst = max(worst, diff)
-    checks = [(worst <= 1e-9, f"max |U - Taylor40| = {worst:.2e}")]
+        dim = int(RNG.integers(2, 33))
+        raw = RNG.normal(size=(dim, dim))
+        H = (raw + raw.T) / 2
+        H *= float(RNG.uniform(0.02, 0.2)) / np.linalg.norm(H, 2)  # GHz
+        times = RNG.uniform(0.5, 6.0, size=3)
+        oracle = np.array([expm(-2j * np.pi * t * H)[:, 0] for t in times]).T
+        blocks = max(blocks, np.max(np.abs(_block_amplitudes(H, times) - oracle)))
+
+    # chevron: P_e of |e00> over the qubit's excited half of [qubit, bus, memory]
+    freqs, taus = np.linspace(5.9, 7.3, 11), np.linspace(0.0, 60.0, 7)
+    excited = slice(res_dim * res_dim, None)
+    oracle = np.array([[np.sum(np.abs(expm(-2j * np.pi * tau * H)[excited, res_dim * res_dim])
+                               ** 2) for tau in taus]
+                       for H in (build_spectroscopy_hamiltonian(config, 0, f) for f in freqs)])
+    chevron = np.max(np.abs(swap_spectroscopy(config, 0, freqs, taus) - oracle))
+
+    # collective: amplitudes of |g…g,1> and each |e_k,0> over [participants, bus]
+    collective = 0.0
+    for participants in ((0,), (0, 1), (1, 3), (0, 1, 2), (0, 1, 2, 3)):
+        n = len(participants)
+        times = np.linspace(0.0, 1.0 / effective_coupling(config, participants), 9)
+        H = build_jc_hamiltonian(config, (config.f_bus,) * n, participants)
+        rows = [1] + [res_dim << (n - 1 - k) for k in range(n)]
+        oracle = np.array([expm(-2j * np.pi * t * H)[rows, 1] for t in times]).T
+        amps = _collective_amplitudes(config, participants, times)
+        collective = max(collective, np.max(np.abs(amps - oracle)))
+
+    checks = [(worst <= 1e-9, f"{name}: max |U - Taylor40| = {worst:.2e}")
+              for name, worst in (("blocks", blocks), ("chevron", chevron),
+                                  ("collective", collective))]
     _finish(8, 10.0, t0, checks)
 
 

@@ -26,9 +26,7 @@ from qproc_sim.circuits import (
 )
 from qproc_sim.hilbert import (
     DensityMatrix,
-    QuantumOperator,
     QuantumState,
-    SpaceLayout,
     apply_local,
     qubit_ket,
 )
@@ -41,19 +39,25 @@ def ket(label):
     return qubit_ket(label).amplitudes
 
 
-def gate_unitary(gate: Gate, n_qubits: int) -> QuantumOperator:
+def unitary(mat: np.ndarray) -> np.ndarray:
+    """``mat``, after a check that U†U - I is within 1e-10 of zero."""
+    defect = np.max(np.abs(mat.conj().T @ mat - np.eye(len(mat))))
+    assert defect <= 1e-10, f"U†U - I defect {defect}"
+    return mat
+
+
+def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
     """Full-register unitary for one gate, identity-padded onto n qubits."""
-    mat = apply_local(GATE_MATRICES[gate.kind], np.eye(2 ** n_qubits, dtype=complex),
-                      (2,) * n_qubits, gate.targets)
-    return QuantumOperator(SpaceLayout.qubits(n_qubits), mat, unitary=True)
+    return unitary(apply_local(GATE_MATRICES[gate.kind], np.eye(2 ** n_qubits, dtype=complex),
+                               (2,) * n_qubits, gate.targets))
 
 
-def circuit_unitary(circuit: Circuit) -> QuantumOperator:
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Ordered product of the circuit's gate unitaries (idles are identity)."""
     mat = np.eye(2 ** circuit.n_qubits, dtype=complex)
     for gate in circuit.gates:
-        mat = gate_unitary(gate, circuit.n_qubits).elements @ mat
-    return QuantumOperator(SpaceLayout.qubits(circuit.n_qubits), mat, unitary=True)
+        mat = gate_unitary(gate, circuit.n_qubits) @ mat
+    return unitary(mat)
 
 
 def full_register_run(circuit, noise=None, initial_state=None):
@@ -66,7 +70,7 @@ def full_register_run(circuit, noise=None, initial_state=None):
     captures = {name: state for name, pos in circuit.breakpoints.items() if pos == 0}
     for k, op in enumerate(circuit.ops, start=1):
         if isinstance(op, Gate):
-            U = gate_unitary(op, circuit.n_qubits).elements
+            U = gate_unitary(op, circuit.n_qubits)
             if isinstance(state, QuantumState):
                 state = QuantumState(U @ state.amplitudes)
             else:
@@ -90,12 +94,12 @@ def values(state):
 # ---------------------------------------------------------------------------
 
 def test_hadamard_squares_to_identity():
-    H = gate_unitary(Gate("H", (1,)), 3).elements
+    H = gate_unitary(Gate("H", (1,)), 3)
     np.testing.assert_allclose(H @ H, np.eye(8), atol=1e-14)
 
 
 def test_cnot_expansion_is_canonical_permutation():
-    cnot = gate_unitary(Gate("CNOT", (0, 1)), 2).elements
+    cnot = gate_unitary(Gate("CNOT", (0, 1)), 2)
     expected = np.array(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
     )
@@ -103,7 +107,7 @@ def test_cnot_expansion_is_canonical_permutation():
 
 
 def test_cnot_reversed_control_target():
-    cnot = gate_unitary(Gate("CNOT", (1, 0)), 2).elements
+    cnot = gate_unitary(Gate("CNOT", (1, 0)), 2)
     # control is qubit 1 (least significant), target qubit 0
     expected = np.array(
         [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
@@ -115,16 +119,16 @@ def test_cnot_targets_are_control_first_across_the_register():
     # CNOT (2, 0): control is qubit 2, the target qubit 0 sits two factors away
     cnot = gate_unitary(Gate("CNOT", (2, 0)), 3)
     for label, flipped in (("gge", "ege"), ("ege", "gge"), ("egg", "egg"), ("gee", "eee")):
-        np.testing.assert_allclose(cnot.elements @ ket(label), ket(flipped), atol=1e-12)
+        np.testing.assert_allclose(cnot @ ket(label), ket(flipped), atol=1e-12)
 
 
 def test_x_flips_ground_state():
     X = gate_unitary(Gate("X", (0,)), 1)
-    np.testing.assert_allclose(X.elements @ ket("g"), ket("e"))
+    np.testing.assert_allclose(X @ ket("g"), ket("e"))
 
 
 def test_cz_matrix():
-    cz = gate_unitary(Gate("CZ", (0, 1)), 2).elements
+    cz = gate_unitary(Gate("CZ", (0, 1)), 2)
     np.testing.assert_allclose(cz, np.diag([1, 1, 1, -1]))
 
 
@@ -133,7 +137,7 @@ def test_cz_matrix():
 def test_every_gate_is_unitary_on_every_target_tuple(kind, n):
     arity = 2 if kind in TWO_QUBIT_GATES else 1
     for targets in itertools.permutations(range(n), arity):
-        U = gate_unitary(Gate(kind, targets), n).elements
+        U = gate_unitary(Gate(kind, targets), n)
         assert np.max(np.abs(U.conj().T @ U - np.eye(2 ** n))) <= 1e-12, targets
 
 
@@ -247,7 +251,7 @@ def test_circuit_equals_ordered_gate_product():
                 ops.append(Gate(kind, (int(pair[0]), int(pair[1]))))
         circuit = Circuit(n_qubits=n, ops=tuple(ops))
         run = run_circuit(circuit)
-        via_product = circuit_unitary(circuit).elements @ ket("g" * n)
+        via_product = circuit_unitary(circuit) @ ket("g" * n)
         np.testing.assert_allclose(run.final.amplitudes, via_product, atol=1e-12)
 
 

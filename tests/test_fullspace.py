@@ -1,5 +1,6 @@
 """The full-space oracle's qubit⊗resonator toolkit: Fock operators, basis vectors,
-Kronecker products, factor permutations and the per-sample norm check."""
+Kronecker products, factor permutations, the matrix exponential and the per-sample norm
+check."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fullspace import (
     checked_state,
     destroy,
     device_dims,
+    expm,
     kron_states,
     permute_factors,
     propagate,
@@ -127,6 +129,27 @@ def test_permute_factors_matches_tensor_reorder():
 def test_permute_factors_rejects_a_non_permutation():
     with pytest.raises(ValueError):
         permute_factors(random_vector(4), (2, 2), [0, 0])
+
+
+# ---------------------------------------------------------------------------
+# expm
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 16, 32])
+@pytest.mark.parametrize("norm", [0.0, 0.3, 7.0, 400.0])
+def test_expm_matches_the_spectral_exponential(dim, norm):
+    # A = -iH with ||A||_1 = norm; 400 is the size of 2πHτ on detuned chevron rows
+    a = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
+    H = (a + a.conj().T) / 2
+    H *= norm / np.abs(H).sum(axis=0).max()
+    evals, vecs = np.linalg.eigh(H)
+    spectral = (vecs * np.exp(-1j * evals)) @ vecs.conj().T
+    np.testing.assert_allclose(expm(-1j * H), spectral, rtol=0, atol=1e-12)
+
+
+def test_expm_of_a_nilpotent_matrix_is_its_finite_series():
+    # not Hermitian: exp([[0, x], [0, 0]]) = [[1, x], [0, 1]]
+    np.testing.assert_array_equal(expm([[0.0, 3.0], [0.0, 0.0]]), [[1, 3], [0, 1]])
 
 
 # ---------------------------------------------------------------------------

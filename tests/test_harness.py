@@ -426,7 +426,7 @@ DEFAULT_CSV_SHA256 = {
     ("spectroscopy", 2): "83ac9d0979439e2420fb25c6da20004cacbd2e216a69cc05b5e6645e09a520e6",
     ("spectroscopy", 3): "84a48e380e430ceefe5697562192398b7ee51f1f2e229e89a5c45104c01868ef",
     ("spectroscopy", 4): "44b6695deaac9147fa3215503fa67cf4ca8ff6b51bfc60c7c503aab5709d6d13",
-    ("rabi_scaling", None): "0acc5b9a0a96ee73f1816a2495f8679503c345c7d551517531657a5bb790a094",
+    ("rabi_scaling", None): "d9442b443f84ef3e6a47a9e585c80f7e2f9d800a66a2bd5c1b303333bab559c7",
 }
 
 
@@ -578,6 +578,8 @@ OPTION_ERRORS = {
     ("spectroscopy", "--tau-step", "1e-9"): "rows one output CSV may hold",
     ("rabi_scaling", "--sample-dt", "1e-9"): "rows one output CSV may hold",
     ("rabi_scaling", "--dtau-max", "1e300", "--sample-dt", "1e-300"): "rows one output CSV may hold",
+    ("spectroscopy", "--tau-step", "1e-300"): "261 x 1e+302 cells",
+    ("rabi_scaling", "--qubits", "1", "--dtau-max", "1e300"): "1 x 4e+300 samples",
     ("entangle", "--seed", "-1"): "seed must be >= 0",
     ("shor", "--seed", "-1"): "seed must be >= 0",
 }
@@ -589,7 +591,8 @@ def test_out_of_range_qubit_labels_exit_one(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 1
     assert not any(tmp_path.iterdir())
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("config error:")
+    # one readable line: a count of 300 digits would not be
+    assert len(err) == 1 and err[0].startswith("config error:") and len(err[0]) < 200
     assert OPTION_ERRORS[tuple(argv)] in err[0]
 
 

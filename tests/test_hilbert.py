@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fullspace import expm
 from qproc_sim.dynamics import (
     DeviceConfig,
     OccupationTrace,
@@ -45,17 +46,6 @@ def kron_density_matrix(a, b):
 def random_hermitian(dim, scale=1.0):
     a = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
     return scale * (a + a.conj().T) / 2
-
-
-def taylor_expm(H, t, terms=40):
-    """Independent propagator oracle: truncated Taylor series of exp(-i 2π H t)."""
-    A = -2j * np.pi * t * H
-    out = np.eye(H.shape[0], dtype=complex)
-    term = np.eye(H.shape[0], dtype=complex)
-    for k in range(1, terms + 1):
-        term = term @ A / k
-        out = out + term
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +149,7 @@ def test_exponential_full_population_transfer():
     t = 1 / (2 * g)  # ~9.09 ns
     U = hermitian_exponential(H, t)
     assert abs(U.elements[0, 1]) == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(U.elements, taylor_expm(H.elements, t), atol=1e-9)
+    np.testing.assert_allclose(U.elements, expm(-2j * np.pi * t * H.elements), atol=1e-9)
 
 
 def test_exponential_matches_taylor_oracle():
@@ -168,7 +158,7 @@ def test_exponential_matches_taylor_oracle():
     )
     t = 3.7
     U = hermitian_exponential(H, t)
-    np.testing.assert_allclose(U.elements, taylor_expm(H.elements, t), atol=1e-9)
+    np.testing.assert_allclose(U.elements, expm(-2j * np.pi * t * H.elements), atol=1e-9)
 
 
 def test_exponential_group_property():

@@ -351,6 +351,46 @@ def test_record_rejects_what_its_reader_rejects(qubits, shots, seed):
         TomographyRecord(qubits=qubits, shots_per_setting=shots, seed=seed, counts=counts)
 
 
+# constructor fields of a one-qubit record in its ground state: True if the record
+# constructs and survives from_dict(record.to_dict()), False if construction raises
+GROUND = np.array([[1, 0], [0, 0]], dtype=complex)
+RECORD_CASES = {
+    "plain": ({}, True),
+    "numpy_integers": ({"qubits": (np.int64(2),), "shots_per_setting": np.int32(100),
+                        "seed": np.uint64(7)}, True),
+    "reconstruction": ({"rho_hat": DensityMatrix(GROUND),
+                        "metrics": {"a": 1, "b": 0.5, "c": np.float64(0.25), "d": np.int64(3)}},
+                       True),
+    "bool_shots": ({"shots_per_setting": True}, False),
+    "float_seed": ({"seed": 2.5}, False),
+    "integral_float_seed": ({"seed": 2.0}, False),
+    "bool_qubit": ({"qubits": (True,)}, False),
+    "numpy_bool_qubit": ({"qubits": (np.True_,)}, False),
+    "rho_hat_of_two_qubits": ({"rho_hat": DensityMatrix(np.eye(4) / 4)}, False),
+    "rho_hat_as_array": ({"rho_hat": GROUND}, False),
+    "bool_metric": ({"metrics": {"x": True}}, False),
+    "string_metric": ({"metrics": {"x": "a"}}, False),
+    "complex_metric": ({"metrics": {"x": 1j}}, False),
+    "number_as_metric_name": ({"metrics": {1: 0.5}}, False),
+}
+
+
+@pytest.mark.parametrize("case", list(RECORD_CASES))
+def test_record_accepts_exactly_what_from_dict_reads(case):
+    fields, accepted = RECORD_CASES[case]
+    fields = {"qubits": (0,), "shots_per_setting": 100, "seed": 0, **fields}
+    shots = fields["shots_per_setting"]
+    fields["counts"] = [[shots, 0]] * 3 if type(shots) is not bool else [[1, 0]] * 3
+    if not accepted:
+        with pytest.raises(ValueError):
+            TomographyRecord(**fields)
+        return
+    record = TomographyRecord(**fields)
+    doc = record.to_dict()
+    assert TomographyRecord.from_dict(doc).to_dict() == doc
+    assert json.loads(json.dumps(doc)) == doc
+
+
 def ground_doc():
     return simulate_tomography(qubit_ket("g"), (0,), 100, seed=0).to_dict()
 
