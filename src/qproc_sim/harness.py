@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import functools
 import json
 import math
@@ -116,15 +117,6 @@ class ExperimentSpec:
     seed: int = 0
 
 
-@dataclass
-class ValidationReport:
-    violations: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 # ---------------------------------------------------------------------------
 # config loading
 # ---------------------------------------------------------------------------
@@ -168,13 +160,13 @@ def _parse_device_document(path: Path, text: str) -> tuple[DeviceConfig, NoisePa
     return config, noise
 
 
-def validate_config(config_path) -> ValidationReport:
-    """Collect every device/noise invariant violation in the given file."""
+def validate_config(config_path) -> list[str]:
+    """Every device/noise invariant violation in the given file; none if it is valid."""
     try:
         load_device_document(config_path)
     except ConfigError as exc:
-        return ValidationReport(list(exc.violations))
-    return ValidationReport([])
+        return list(exc.violations)
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -442,76 +434,87 @@ def read_rabi_traces_csv(path) -> dict[int, tuple[np.ndarray, np.ndarray]]:
 # experiments
 # ---------------------------------------------------------------------------
 
-def _option(spec: ExperimentSpec, key: str):
-    return spec.options.get(key, _OPTION_DEFAULTS[spec.name][key])
-
-
-def _qubit_labels(spec: ExperimentSpec) -> list[int]:
-    """The 1-based qubit labels the experiment's options name, defaults included."""
-    raw = _option(spec, _LABEL_OPTIONS[spec.name])
-    return [int(q) for q in (raw if isinstance(raw, (list, tuple)) else [raw])]
-
-
-def _spectroscopy_grids(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
-    f_min, f_max, f_step, tau_max, tau_step = (
-        float(_option(spec, key)) for key in ("f_min", "f_max", "f_step", "tau_max", "tau_step"))
-    # the lengths np.arange will give, checked before either grid is built; floats,
-    # since a ratio may overflow to inf
-    n_f = np.ceil((f_max + f_step / 2 - f_min) / f_step)
-    n_tau = np.ceil((tau_max + tau_step / 2) / tau_step)
-    if n_f < 1 or n_tau < 1:
-        raise ConfigError("spectroscopy grid is empty (need f_min <= f_max and tau_max >= 0)")
-    if n_f * n_tau > MAX_CSV_ROWS:
-        raise ConfigError(f"spectroscopy grid has {n_f:.4g} x {n_tau:.4g} cells, more than "
-                          f"the {MAX_CSV_ROWS} rows one output CSV may hold")
-    freqs = np.round(np.arange(f_min, f_max + f_step / 2, f_step), 9)
-    taus = np.round(np.arange(0.0, tau_max + tau_step / 2, tau_step), 9)
-    return freqs, taus
-
-
-def _check_options(spec: ExperimentSpec, config: DeviceConfig) -> None:
-    """Reject options the experiment cannot run with, before any file is written."""
-    if spec.seed < 0:  # numpy seed sequences take non-negative integers only
-        raise ConfigError(f"seed must be >= 0 (got {spec.seed})")
-    valid = list(_OPTION_DEFAULTS[spec.name])
-    unknown = sorted(set(spec.options) - set(valid))
-    if unknown:  # not echoed in the manifest as if they had acted
-        raise ConfigError(f"unknown option(s) {unknown} for {spec.name}; valid options: {valid}")
-    for key, value in spec.options.items():
-        if isinstance(value, float) and not math.isfinite(value):
+def _typed(key: str, value, default):
+    """``value`` as the type of ``default``: a float takes a finite int or float, an int a
+    Python int (not a bool, nor a numpy integer, which the manifest cannot echo), a list a
+    list or tuple of such ints, a str a str."""
+    whole = lambda v: type(v) is int
+    if isinstance(default, list) and isinstance(value, (list, tuple)) and all(map(whole, value)):
+        return list(value)
+    if isinstance(default, float) and (whole(value) or isinstance(value, float)):
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond the float range
+            value = math.inf if value > 0 else -math.inf
+        if not math.isfinite(value):
             raise ConfigError(f"option {key!r} must be a finite number (got {value})")
+        return value
+    if type(value) is type(default) and isinstance(default, (int, str)):
+        return value
+    kind = {list: "a list of ints", float: "a number", int: "an int", str: "a str"}
+    raise ConfigError(f"option {key!r} must be {kind[type(default)]} (got {value!r})")
+
+
+def _checked_options(spec: ExperimentSpec, config: DeviceConfig) -> dict:
+    """The experiment's options, defaults included, each of its default's type, checked
+    before any file is written; with the 0-based ``qubits`` its labels name and, for
+    ``spectroscopy``, the ``freqs`` and ``taus`` grids."""
+    if type(spec.seed) is not int:  # numpy seed sequences take non-negative integers only
+        raise ConfigError(f"seed must be an int (got {spec.seed!r})")
+    if spec.seed < 0:
+        raise ConfigError(f"seed must be >= 0 (got {spec.seed})")
+    if type(spec.options) is not dict:
+        raise ConfigError(f"options must be a dict (got {type(spec.options).__name__})")
+    defaults = _OPTION_DEFAULTS[spec.name]
+    unknown = sorted(set(spec.options) - set(defaults), key=str)
+    if unknown:  # not echoed in the manifest as if they had acted
+        raise ConfigError(f"unknown option(s) {unknown} for {spec.name}; "
+                          f"valid options: {list(defaults)}")
+    opts = {key: _typed(key, spec.options.get(key, default), default)
+            for key, default in defaults.items()}
     if spec.name in _LABEL_OPTIONS:
-        key, labels = _LABEL_OPTIONS[spec.name], _qubit_labels(spec)
+        key = _LABEL_OPTIONS[spec.name]
+        labels = opts[key] if isinstance(opts[key], list) else [opts[key]]
         bad = [q for q in labels if not 1 <= q <= config.n_qubits]
         if bad:
             raise ConfigError(f"option {key!r} names qubit(s) {bad} outside "
                               f"Q1..Q{config.n_qubits} (labels are 1-based)")
         if not labels or len(set(labels)) != len(labels):
             raise ConfigError(f"option {key!r} must name distinct qubits (got {labels})")
+        opts["qubits"] = [q - 1 for q in labels]
     for key in ("f_step", "tau_step", "sample_dt", "shots", "qst_shots"):
-        if key not in _OPTION_DEFAULTS[spec.name]:
-            continue
-        value = _option(spec, key)
-        if not float(value) > 0:
+        if key in opts and not opts[key] > 0:
             raise ConfigError(f"option {key!r} must be > 0")
-        if key.endswith("shots") and value > 2**63 - 1:  # multinomial draws take int64 counts
-            raise ConfigError(f"option {key!r} must be at most 2**63 - 1 (got {value})")
+        if key in opts and key.endswith("shots") and opts[key] > 2**63 - 1:  # int64 draws
+            raise ConfigError(f"option {key!r} must be at most 2**63 - 1 (got {opts[key]})")
 
     if spec.name == "spectroscopy":
-        freqs = _spectroscopy_grids(spec)[0]
+        f_min, f_max, f_step, tau_max, tau_step = (
+            opts[key] for key in ("f_min", "f_max", "f_step", "tau_max", "tau_step"))
+        # the lengths np.arange will give, checked before either grid is built; floats,
+        # since a ratio may overflow to inf, and compared by a quotient, as a product may
+        n_f = np.ceil((f_max + f_step / 2 - f_min) / f_step)
+        n_tau = np.ceil((tau_max + tau_step / 2) / tau_step)
+        if n_f < 1 or n_tau < 1:
+            raise ConfigError("spectroscopy grid is empty (need f_min <= f_max and tau_max >= 0)")
+        if n_tau > MAX_CSV_ROWS / n_f:
+            raise ConfigError(f"spectroscopy grid has {n_f:.4g} x {n_tau:.4g} cells, more than "
+                              f"the {MAX_CSV_ROWS} rows one output CSV may hold")
+        freqs = opts["freqs"] = np.round(np.arange(f_min, f_max + f_step / 2, f_step), 9)
+        opts["taus"] = np.round(np.arange(0.0, tau_max + tau_step / 2, tau_step), 9)
         idle = config.f_idle[labels[0] - 1]
         if np.max(np.abs(freqs - idle)) > OPERATING_HALF_RANGE_GHZ + 1e-12:
             raise ConfigError(
                 f"frequency grid {freqs[0]}..{freqs[-1]} GHz leaves the operating range "
                 f"{idle} ± {OPERATING_HALF_RANGE_GHZ} GHz of Q{labels[0]}")
     elif spec.name == "rabi_scaling":
-        dtau_max, sample_dt = float(_option(spec, "dtau_max")), float(_option(spec, "sample_dt"))
+        dtau_max, sample_dt = opts["dtau_max"], opts["sample_dt"]
         n_steps = np.floor(dtau_max / sample_dt + 1e-12)  # a float: the ratio may be inf
         if n_steps < 7 or n_steps * sample_dt < dtau_max - 1e-12:
             raise ConfigError(
                 f"dtau_max ({dtau_max} ns) must be a whole number of at least 7 sample_dt "
                 f"steps ({sample_dt} ns): the frequency fit needs 8 evenly spaced samples")
-        if len(labels) * (n_steps + 1) > MAX_CSV_ROWS:
+        if n_steps + 1 > MAX_CSV_ROWS / len(labels):
             raise ConfigError(f"rabi_scaling traces have {len(labels)} x {n_steps + 1:.4g} "
                               f"samples, more than the {MAX_CSV_ROWS} rows one output CSV may hold")
     elif spec.name == "entangle" and len(labels) < 2:
@@ -519,27 +522,26 @@ def _check_options(spec: ExperimentSpec, config: DeviceConfig) -> None:
     elif spec.name == "entangle" and len(labels) > MAX_QST_QUBITS:
         raise ConfigError(f"option 'participants' names {len(labels)} qubits; QST takes at most "
                           f"{MAX_QST_QUBITS}")
-    elif spec.name == "shor" and _option(spec, "variant") not in SHOR_VARIANTS:
+    elif spec.name == "shor" and opts["variant"] not in SHOR_VARIANTS:
         raise ConfigError(f"option 'variant' must be one of {SHOR_VARIANTS} "
-                          f"(got {_option(spec, 'variant')!r})")
+                          f"(got {opts['variant']!r})")
+    return opts
 
 
-def _run_spectroscopy(spec: ExperimentSpec, config: DeviceConfig,
+def _run_spectroscopy(opts: dict, seed: int, config: DeviceConfig,
                       noise) -> dict[str, Iterator[str]]:
-    freqs, taus = _spectroscopy_grids(spec)
-    grid = swap_spectroscopy(config, _qubit_labels(spec)[0] - 1, freqs, taus)
+    freqs, taus = opts["freqs"], opts["taus"]
+    grid = swap_spectroscopy(config, opts["qubits"][0], freqs, taus)
     np.round(grid, PROBABILITY_DECIMALS, out=grid)  # in place: a rounded copy costs RSS
     return {"spectroscopy.csv": _csv_chunks(["freq_ghz", "tau_ns", "p_e"], freqs, taus, grid)}
 
 
-def _run_rabi_scaling(spec: ExperimentSpec, config: DeviceConfig,
+def _run_rabi_scaling(opts: dict, seed: int, config: DeviceConfig,
                       noise) -> dict[str, str | Iterator[str]]:
-    pool = [q - 1 for q in _qubit_labels(spec)]
-    dtau_max = float(_option(spec, "dtau_max"))
-    sample_dt = float(_option(spec, "sample_dt"))
-
+    pool = opts["qubits"]
     groups = [tuple(pool[:n]) for n in range(1, len(pool) + 1)]
-    traces = [simultaneous_resonance(config, group, dtau_max, sample_dt) for group in groups]
+    traces = [simultaneous_resonance(config, group, opts["dtau_max"], opts["sample_dt"])
+              for group in groups]
     # one time axis for every N: the CSV is the grid N x time, and one FFT fits every trace
     times = traces[0].times
     if not all(np.array_equal(trace.times, times) for trace in traces):
@@ -560,8 +562,8 @@ def _run_rabi_scaling(spec: ExperimentSpec, config: DeviceConfig,
     }
 
 
-def _run_entangle(spec: ExperimentSpec, config: DeviceConfig, noise) -> dict[str, str]:
-    participants = tuple(sorted(q - 1 for q in _qubit_labels(spec)))
+def _run_entangle(opts: dict, seed: int, config: DeviceConfig, noise) -> dict[str, str]:
+    participants = tuple(sorted(opts["qubits"]))
     n = len(participants)
     state = prepare_shared_excitation(config, participants)
     target = bell_singlet() if n == 2 else w_state(n)
@@ -585,26 +587,23 @@ def _run_entangle(spec: ExperimentSpec, config: DeviceConfig, noise) -> dict[str
             out["witness_passed"] = float(witness.passed)
         return out
 
-    record = _qst_with_metrics(state, tuple(range(n)), int(_option(spec, "qst_shots")),
-                               spec.seed, metrics)
+    record = _qst_with_metrics(state, tuple(range(n)), opts["qst_shots"], seed, metrics)
     return {"tomography.json": _json_text(record)}
 
 
 def _qst_with_metrics(state, qubits, shots, seed, metric_fn) -> TomographyRecord:
     record = simulate_tomography(state, qubits, shots, seed)
-    record.rho_hat = reconstruct(record)
-    record.metrics = metric_fn(record.rho_hat)
-    record.metrics["max_abs_imag"] = max_abs_imag(record.rho_hat)
-    return record
+    rho_hat = reconstruct(record)
+    metrics = metric_fn(rho_hat)
+    metrics["max_abs_imag"] = max_abs_imag(rho_hat)
+    return dataclasses.replace(record, rho_hat=rho_hat, metrics=metrics)
 
 
-def _run_shor(spec: ExperimentSpec, config: DeviceConfig, noise: NoiseParams | None) -> dict[str, str]:
-    variant = str(_option(spec, "variant"))
-    shots = int(_option(spec, "shots"))
-    qst_shots = int(_option(spec, "qst_shots"))
-
+def _run_shor(opts: dict, seed: int, config: DeviceConfig,
+             noise: NoiseParams | None) -> dict[str, str]:
+    variant, qst_shots = opts["variant"], opts["qst_shots"]
     circuit = build_shor(variant)
-    result, run = factor_fifteen(circuit, shots, spec.seed, noise)
+    result, run = factor_fifteen(circuit, opts["shots"], seed, noise)
     ghz = ghz_state()
     psi3 = QuantumState(apply_local(SINGLE_QUBIT_GATES["H"], ghz.amplitudes,
                                     (2,) * ghz.n_qubits, (0,)))
@@ -645,7 +644,7 @@ def _run_shor(spec: ExperimentSpec, config: DeviceConfig, noise: NoiseParams | N
     for k, name in enumerate(sorted(circuit.breakpoints)):
         breakpoints[name] = _qst_with_metrics(
             run.breakpoint_states[name], circuit.analysis_qubits,
-            qst_shots, spec.seed + 1 + k, metric_fns[name],
+            qst_shots, seed + 1 + k, metric_fns[name],
         )
 
     def register_metrics(rho_hat):
@@ -656,7 +655,7 @@ def _run_shor(spec: ExperimentSpec, config: DeviceConfig, noise: NoiseParams | N
         }
 
     register_qst = _qst_with_metrics(
-        run.final, (circuit.analysis_qubits[0],), qst_shots, spec.seed + 100,
+        run.final, (circuit.analysis_qubits[0],), qst_shots, seed + 100,
         register_metrics,
     )
 
@@ -680,13 +679,12 @@ _RUNNERS = {"spectroscopy": _run_spectroscopy, "rabi_scaling": _run_rabi_scaling
 def run_experiment(spec: ExperimentSpec, config_path=None) -> int:
     """Run one named experiment; returns the process exit code."""
     try:
-        if spec.name not in _RUNNERS:
+        if spec.name not in EXPERIMENTS:  # compared, not hashed
             raise ConfigError(f"unknown experiment {spec.name!r}; choose from {EXPERIMENTS}")
         config, noise = load_device_document(config_path)
         if noise is not None and spec.name != "shor":  # not echoed as if it had acted
             raise ConfigError("the noise block is used only by shor")
-        _check_options(spec, config)
-        files = _RUNNERS[spec.name](spec, config, noise)
+        files = _RUNNERS[spec.name](_checked_options(spec, config), spec.seed, config, noise)
         # written last: a manifest marks a finished run
         files["manifest.json"] = _json_text(_manifest(spec, config, noise))
         out = Path(spec.output_dir)
@@ -751,11 +749,11 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
 
     if args.command == "validate":
-        report = validate_config(args.config)
-        for violation in report.violations:
+        violations = validate_config(args.config)
+        for violation in violations:
             print(f"violation: {violation}", file=sys.stderr)
-        print("config ok" if report.ok else f"{len(report.violations)} violation(s)")
-        return 0 if report.ok else 1
+        print(f"{len(violations)} violation(s)" if violations else "config ok")
+        return 1 if violations else 0
 
     options = {k: getattr(args, k) for k in _OPTION_DEFAULTS[args.command]}
     spec = ExperimentSpec(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,12 +38,20 @@ class NoiseParams:
     invented_default: bool = False
 
     def __post_init__(self):
+        def number(name, value) -> float:  # float() reads a bool as 1 or 0, a str as a number
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                # named by the noise block's key, which from_dict passes on unconverted
+                raise ValueError(f"{name}_ns must hold numbers (got {value!r})")
+            return float(value)
+
         for name in ("t1", "t_phi"):
             values = getattr(self, name)
             # a list, not a string, whose characters would pass as one value per qubit
             if not isinstance(values, (list, tuple, np.ndarray)):
                 raise ValueError(f"{name} must list one value per qubit, got {values!r}")
-            object.__setattr__(self, name, tuple(float(v) for v in values))
+            object.__setattr__(self, name, tuple(number(name, v) for v in values))
+        for name in ("gate_time_1q", "gate_time_2q"):
+            object.__setattr__(self, name, number(name, getattr(self, name)))
         if len(self.t1) != len(self.t_phi):
             raise ValueError("t1 and t_phi must list the same number of qubits")
         for name in ("t1", "t_phi"):
@@ -71,11 +80,6 @@ class NoiseParams:
         if not isinstance(doc.get("invented_default", False), bool):
             raise ValueError("invented_default must be true or false")
 
-        def number(key, value):
-            if isinstance(value, bool):  # float() would read true/false as 1/0
-                raise ValueError(f"{key} must hold numbers, not true or false")
-            return float(value)
-
         def times(key, fallback):
             raw = doc.get(key)
             if raw is None:
@@ -84,15 +88,13 @@ class NoiseParams:
                 raise ValueError(f"{key} must be a JSON list of one value per qubit (got {raw!r})")
             if len(raw) != n_qubits:
                 raise ValueError(f"{key} must list one value per qubit ({n_qubits}), got {len(raw)}")
-            return tuple(math.inf if v in (None, "inf") else number(key, v) for v in raw)
+            return tuple(math.inf if v in (None, "inf") else v for v in raw)
 
         return cls(
             t1=times("t1_ns", DEFAULT_T1_NS),
             t_phi=times("t_phi_ns", DEFAULT_TPHI_NS),
-            gate_time_1q=number("gate_time_1q_ns",
-                                doc.get("gate_time_1q_ns", DEFAULT_GATE_TIME_1Q_NS)),
-            gate_time_2q=number("gate_time_2q_ns",
-                                doc.get("gate_time_2q_ns", DEFAULT_GATE_TIME_2Q_NS)),
+            gate_time_1q=doc.get("gate_time_1q_ns", DEFAULT_GATE_TIME_1Q_NS),
+            gate_time_2q=doc.get("gate_time_2q_ns", DEFAULT_GATE_TIME_2Q_NS),
             invented_default=bool(doc.get("invented_default", False)),
         )
 

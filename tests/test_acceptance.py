@@ -51,9 +51,6 @@ from qproc_sim.tomography import (
     witness_check,
 )
 
-RNG = np.random.default_rng(20120815)
-
-
 def _finish(num, limit_s, t0, checks):
     elapsed = time.perf_counter() - t0
     ok = all(passed for passed, _ in checks)
@@ -233,16 +230,17 @@ def test_criterion_08_propagator_oracle():
     # the one propagator of the chevron and the collective protocols, against a 40-term
     # Taylor series with scaling and squaring of each protocol's full Fock-space Hamiltonian
     t0 = time.perf_counter()
+    rng = np.random.default_rng(20120815)
     config = DeviceConfig.default()
     res_dim = config.n_max + 1
 
     blocks = 0.0
     for _ in range(50):
-        dim = int(RNG.integers(2, 33))
-        raw = RNG.normal(size=(dim, dim))
+        dim = int(rng.integers(2, 33))
+        raw = rng.normal(size=(dim, dim))
         H = (raw + raw.T) / 2
-        H *= float(RNG.uniform(0.02, 0.2)) / np.linalg.norm(H, 2)  # GHz
-        times = RNG.uniform(0.5, 6.0, size=3)
+        H *= float(rng.uniform(0.02, 0.2)) / np.linalg.norm(H, 2)  # GHz
+        times = rng.uniform(0.5, 6.0, size=3)
         oracle = np.array([expm(-2j * np.pi * t * H)[:, 0] for t in times]).T
         blocks = max(blocks, np.max(np.abs(_block_amplitudes(H, times) - oracle)))
 
@@ -273,6 +271,7 @@ def test_criterion_08_propagator_oracle():
 
 def test_criterion_09_metric_identities():
     t0 = time.perf_counter()
+    rng = np.random.default_rng(20120909)
     _, eof = concurrence_eof(bell_singlet().density_matrix())
 
     werner = DensityMatrix(0.5 * bell_singlet().density_matrix().elements
@@ -283,9 +282,9 @@ def test_criterion_09_metric_identities():
 
     uhlmann_worst = 0.0
     for _ in range(5):
-        a = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = DensityMatrix((a @ a.conj().T) / np.trace(a @ a.conj().T))
-        amps = RNG.normal(size=4) + 1j * RNG.normal(size=4)
+        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi = superposition_ket([("gg", amps[0]), ("ge", amps[1]), ("eg", amps[2]), ("ee", amps[3])])
         gap = abs(uhlmann_fidelity(rho, psi.density_matrix()) ** 2 - state_fidelity(rho, psi))
         uhlmann_worst = max(uhlmann_worst, gap)

@@ -1,5 +1,6 @@
-"""``main(argv)`` over mutated options and config files: every input ends in exit 0, 1 or 2,
-with no traceback, and a run that exits non-zero leaves no file behind."""
+"""``main(argv)`` over mutated options and config files, and ``run_experiment`` over mutated
+options and seeds: every input ends in exit 0, 1 or 2, with no traceback, and a run that exits
+non-zero leaves no file behind."""
 
 import contextlib
 import io
@@ -8,11 +9,12 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qproc_sim.dynamics import DeviceConfig
-from qproc_sim.harness import main
+from qproc_sim.harness import _OPTION_DEFAULTS, ExperimentSpec, main, run_experiment
 
 NOISE_BLOCK = {"t1_ns": [400] * 4, "t_phi_ns": [200] * 4, "gate_time_1q_ns": 10,
                "gate_time_2q_ns": 50, "invented_default": True}
@@ -125,3 +127,74 @@ def noisy(**change):
 @example(case=(["shor", "--seed", "-1"] + BASE_ARGV["shor"], changed()))
 def test_main_exit_code_contract(case):
     check_main(*case)
+
+
+# a small valid run of each experiment through the library entry point
+BASE_OPTIONS = {
+    "spectroscopy": {"f_min": 6.05, "f_max": 6.1, "f_step": 0.01, "tau_max": 10.0,
+                     "tau_step": 1.0},
+    "rabi_scaling": {"qubits": [1, 2], "dtau_max": 100.0, "sample_dt": 1.0},
+    "entangle": {"participants": [1, 2, 3], "qst_shots": 100},
+    "shor": {"shots": 100, "qst_shots": 100},
+}
+OPTION_VALUES = VALUES + ["1,2", 1.5, [1, "2"], np.int64(1)]
+
+
+def typed_like(value, default) -> bool:
+    """Whether ``value`` may stand for an option whose default is ``default``: a float option
+    takes an int or a float, an int option a Python int, a list option a list or tuple of
+    them, and ``variant`` a str."""
+    if isinstance(default, list):
+        return isinstance(value, (list, tuple)) and all(type(v) is int for v in value)
+    if isinstance(default, float):
+        return type(value) is int or isinstance(value, float)
+    return type(value) is type(default)
+
+
+@st.composite
+def library_inputs(draw):
+    """A small run of one experiment with one option, or the seed, replaced."""
+    name = draw(st.sampled_from(sorted(BASE_OPTIONS)))
+    options, seed = dict(BASE_OPTIONS[name]), 0
+    key = draw(st.sampled_from(list(_OPTION_DEFAULTS[name]) + ["seed"]))
+    value = draw(st.sampled_from(OPTION_VALUES))
+    if key == "seed":
+        seed = value
+    else:
+        options[key] = value
+    return name, options, seed
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(case=library_inputs())
+# each input that raised or ran with a value other than the one given, each now exit 1
+@example(case=("shor", {"shots": "abc", "qst_shots": 100}, 0))
+@example(case=("entangle", {"participants": [1, 2], "qst_shots": None}, 0))
+@example(case=("entangle", {"participants": "1,2", "qst_shots": 100}, 0))
+@example(case=("shor", {"shots": np.int64(100), "qst_shots": 100}, 0))
+@example(case=("shor", BASE_OPTIONS["shor"], "3"))
+@example(case=("shor", BASE_OPTIONS["shor"], 1.5))
+@example(case=("shor", BASE_OPTIONS["shor"], True))
+@example(case=("shor", BASE_OPTIONS["shor"], None))
+@example(case=("spectroscopy", dict(BASE_OPTIONS["spectroscopy"], qubit=1.5), 0))
+@example(case=("shor", {"shots": 10.7, "qst_shots": 100}, 0))
+@example(case=("shor", {"shots": True, "qst_shots": 100}, 0))
+@example(case=("spectroscopy", dict(BASE_OPTIONS["spectroscopy"], f_step="0.01"), 0))
+# a row count whose product overflowed, which numpy reported as a warning
+@example(case=("rabi_scaling", dict(BASE_OPTIONS["rabi_scaling"], dtau_max=1e308), 0))
+def test_run_experiment_exit_code_contract(case):
+    name, options, seed = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = Path(tmp) / "out", io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_experiment(ExperimentSpec(name, options, out, seed))
+        assert code in (0, 1, 2)
+        if code != 0:
+            assert not out.exists() or not any(out.iterdir()), err.getvalue()
+        else:  # a run that exits 0 ran with every value as given
+            assert type(seed) is int and all(typed_like(value, _OPTION_DEFAULTS[name][key])
+                                             for key, value in options.items())
+            assert (out / "manifest.json").exists()
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("config error:"), lines

@@ -37,9 +37,8 @@ from qproc_sim.harness import (
     MAX_QST_QUBITS,
     PROBABILITY_DECIMALS,
     ExperimentSpec,
-    _check_options,
+    _checked_options,
     _csv_chunks,
-    _spectroscopy_grids,
     build_parser,
     default_config_path,
     load_device_document,
@@ -50,7 +49,7 @@ from qproc_sim.harness import (
     validate_config,
 )
 from qproc_sim.hilbert import DensityMatrix, InvariantError
-from qproc_sim.tomography import TomographyRecord
+from qproc_sim.tomography import TomographyRecord, bell_singlet, max_abs_imag
 
 
 def test_package_export_list_resolves():
@@ -77,8 +76,7 @@ def fitted_config_doc():
 # ---------------------------------------------------------------------------
 
 def test_shipped_default_config_is_valid():
-    report = validate_config(default_config_path())
-    assert report.ok
+    assert validate_config(default_config_path()) == []
     config, noise = load_device_document(None)
     assert config == DeviceConfig.default()
     assert noise is None
@@ -87,29 +85,26 @@ def test_shipped_default_config_is_valid():
 def test_negative_coupling_violation_names_field(tmp_path):
     doc = DeviceConfig.default().to_dict()
     doc["g_mem_mhz"][2] = -5.0
-    report = validate_config(write_config(tmp_path, doc))
-    assert not report.ok
-    assert any("g_mem[2]" in v for v in report.violations)
+    violations = validate_config(write_config(tmp_path, doc))
+    assert any("g_mem[2]" in v for v in violations)
 
 
 def test_idle_near_bus_reports_coupling_off_violation(tmp_path):
     doc = DeviceConfig.default().to_dict()
     doc["f_idle_ghz"] = [6.2, 6.6, 6.6, 6.6]  # within ~2x coupling of the bus
-    report = validate_config(write_config(tmp_path, doc))
-    assert any("coupling-off regime violated" in v for v in report.violations)
+    violations = validate_config(write_config(tmp_path, doc))
+    assert any("coupling-off regime violated" in v for v in violations)
 
 
 def test_parse_failure_reports_line_context(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "n_qubits": 4,\n}')
-    report = validate_config(path)
-    assert not report.ok
-    assert any("line" in v for v in report.violations)
+    violations = validate_config(path)
+    assert any("line" in v for v in violations)
 
 
 def test_missing_file_is_config_error(tmp_path):
-    report = validate_config(tmp_path / "absent.json")
-    assert not report.ok
+    assert validate_config(tmp_path / "absent.json") != []
 
 
 def test_noise_block_roundtrip(tmp_path):
@@ -241,7 +236,7 @@ def test_unparseable_config_files_exit_one(tmp_path, capsys, raw, fragment):
 
 def test_benchmark_noise_block_is_valid(tmp_path):
     doc = dict(DeviceConfig.default().to_dict(), noise=NOISE_BLOCK)
-    assert validate_config(write_config(tmp_path, doc)).ok
+    assert validate_config(write_config(tmp_path, doc)) == []
 
 
 @pytest.mark.parametrize("argv", [["spectroscopy"], ["rabi_scaling"], ["entangle"]],
@@ -439,6 +434,12 @@ def test_default_size_csvs_match_their_pinned_digests(tmp_path, name, qubit):
     assert digest == DEFAULT_CSV_SHA256[name, qubit]
 
 
+def spectroscopy_grids(spec):
+    """The frequency and delay axes that a spectroscopy run of ``spec`` scans."""
+    opts = _checked_options(spec, DeviceConfig.default())
+    return opts["freqs"], opts["taus"]
+
+
 def last_column_decimals(path):
     """The most digits after the point of any last-column cell of a CSV, exponent included."""
     lines = Path(path).read_text().splitlines()[1:]
@@ -449,7 +450,7 @@ def test_spectroscopy_csv_holds_the_grid_rounded_to_probability_decimals(tmp_pat
     spec = ExperimentSpec("spectroscopy", {"qubit": 2, "f_min": 6.0, "f_max": 6.3,
                                            "tau_max": 40.0}, tmp_path, 0)
     assert run_experiment(spec) == 0
-    freqs, taus = _spectroscopy_grids(spec)
+    freqs, taus = spectroscopy_grids(spec)
     exact = swap_spectroscopy(DeviceConfig.default(), 1, freqs, taus)
     got_freqs, got_taus, grid = read_spectroscopy_csv(tmp_path / "spectroscopy.csv")
     np.testing.assert_array_equal(got_freqs, freqs)
@@ -580,6 +581,8 @@ OPTION_ERRORS = {
     ("rabi_scaling", "--dtau-max", "1e300", "--sample-dt", "1e-300"): "rows one output CSV may hold",
     ("spectroscopy", "--tau-step", "1e-300"): "261 x 1e+302 cells",
     ("rabi_scaling", "--qubits", "1", "--dtau-max", "1e300"): "1 x 4e+300 samples",
+    ("spectroscopy", "--tau-max", "1e308", "--tau-step", "1"): "261 x 1e+308 cells",
+    ("rabi_scaling", "--dtau-max", "1e308", "--sample-dt", "1"): "4 x 1e+308 samples",
     ("entangle", "--seed", "-1"): "seed must be >= 0",
     ("shor", "--seed", "-1"): "seed must be >= 0",
 }
@@ -602,6 +605,10 @@ LIBRARY_OPTION_ERRORS = {
     ("shor", "shotz", 5): "unknown option(s) ['shotz'] for shor; valid options: "
                           "['variant', 'shots', 'qst_shots']",
     ("spectroscopy", "qubits", 1): "unknown option(s) ['qubits'] for spectroscopy",
+    # a bare label is not a list of them; it used to run as [2]
+    ("rabi_scaling", "qubits", 2): "option 'qubits' must be a list of ints (got 2)",
+    ("shor", "shots", 1.5): "option 'shots' must be an int (got 1.5)",
+    ("spectroscopy", "tau_max", 10**400): "option 'tau_max' must be a finite number (got inf)",
 }
 
 
@@ -615,6 +622,18 @@ def test_library_option_errors_exit_one(tmp_path, capsys, case):
     assert LIBRARY_OPTION_ERRORS[case] in err[0]
 
 
+@pytest.mark.parametrize("name, options, message", [
+    (["shor"], {}, "unknown experiment ['shor']"),
+    ("shor", None, "options must be a dict (got NoneType)"),
+    ("shor", [("shots", 5)], "options must be a dict (got list)"),
+])
+def test_malformed_spec_exits_one(tmp_path, capsys, name, options, message):
+    assert run_experiment(ExperimentSpec(name, options, tmp_path)) == 1
+    assert not any(tmp_path.iterdir())
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and message in err[0]
+
+
 @pytest.mark.parametrize("name", EXPERIMENTS)
 def test_negative_seed_exits_one(tmp_path, capsys, name):
     # numpy's seed sequences would raise on it mid-run; every experiment rejects it first
@@ -622,6 +641,17 @@ def test_negative_seed_exits_one(tmp_path, capsys, name):
     assert not any(tmp_path.iterdir())
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["config error: seed must be >= 0 (got -1)"]
+
+
+def test_qst_records_are_built_through_their_constructor():
+    # metrics and the estimate reach the record through its checks, not by assignment
+    state = bell_singlet()
+    with pytest.raises(ValueError, match="metrics must map names to real numbers"):
+        harness._qst_with_metrics(state, (0, 1), 100, 0, lambda rho: {"passed": True})
+    record = harness._qst_with_metrics(state, (0, 1), 100, 0,
+                                       lambda rho: {"f": np.float64(0.5)})
+    assert record.metrics == {"f": 0.5, "max_abs_imag": max_abs_imag(record.rho_hat)}
+    assert all(type(v) is float for v in record.metrics.values())
 
 
 def test_non_finite_chevron_exits_two(tmp_path, capsys, monkeypatch):
@@ -683,10 +713,10 @@ def test_sampled_norm_defect_exits_two(tmp_path, capsys, monkeypatch):
 def test_csv_row_budget_boundary(name, options, fits):
     spec = ExperimentSpec(name, options)
     if fits:
-        _check_options(spec, DeviceConfig.default())
+        _checked_options(spec, DeviceConfig.default())
     else:
         with pytest.raises(ConfigError, match="rows one output CSV may hold"):
-            _check_options(spec, DeviceConfig.default())
+            _checked_options(spec, DeviceConfig.default())
 
 
 def test_qst_register_budget_exits_one(tmp_path, capsys):
@@ -732,7 +762,7 @@ def test_csv_chunks_that_fail_leave_no_file(tmp_path, monkeypatch, name):
 def test_large_chevron_run_holds_its_grid_and_one_block(tmp_path):
     # 1,301 x 201 cells: the grid itself is 2.1 MB, its CSV about 7.5 MB of text
     spec = ExperimentSpec("spectroscopy", {"f_step": 0.001}, tmp_path, 0)
-    freqs, taus = _spectroscopy_grids(spec)
+    freqs, taus = spectroscopy_grids(spec)
     grid_bytes = freqs.size * taus.size * 8
     tracemalloc.start()
     try:
@@ -1010,7 +1040,7 @@ def test_digit_quad_table_is_the_padded_and_stripped_triples():
 
 def default_chevron_grid(rounded):
     """The default Q1 map's axes and grid, raw or as ``_run_spectroscopy`` writes them."""
-    freqs, taus = _spectroscopy_grids(ExperimentSpec("spectroscopy", {"qubit": 1}))
+    freqs, taus = spectroscopy_grids(ExperimentSpec("spectroscopy", {"qubit": 1}))
     grid = swap_spectroscopy(DeviceConfig.default(), 0, freqs, taus)
     if rounded:
         np.round(grid, PROBABILITY_DECIMALS, out=grid)

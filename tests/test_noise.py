@@ -279,3 +279,22 @@ def test_noise_params_reject_a_non_list_per_qubit_value(t1, t_phi):
     # a string used to be read one qubit per character
     with pytest.raises(ValueError, match="must list one value per qubit"):
         NoiseParams(t1=t1, t_phi=t_phi)
+
+
+@pytest.mark.parametrize("change", [
+    {"t1": (True,) * 4}, {"t_phi": (200.0, 200.0, "200", 200.0)}, {"t1": np.array([True] * 4)},
+    {"t_phi": (200.0, None, 200.0, 200.0)}, {"gate_time_1q": True}, {"gate_time_1q": "10"},
+    {"gate_time_2q": None}, {"gate_time_2q": np.False_},
+])
+def test_noise_params_reject_a_bool_or_non_number(change):
+    # float() read True as 1 ns; a bool gate time was stored as is, and a str one raised TypeError
+    with pytest.raises(ValueError, match="must hold numbers"):
+        NoiseParams(**dict(t1=(400.0,) * 4, t_phi=(200.0,) * 4) | change)
+
+
+def test_noise_params_store_every_time_as_a_float():
+    params = NoiseParams(t1=(400,) * 4, t_phi=(np.float32(200.0),) * 4, gate_time_1q=10,
+                         gate_time_2q=np.int64(50))
+    times = (*params.t1, *params.t_phi, params.gate_time_1q, params.gate_time_2q)
+    assert all(type(t) is float for t in times)
+    assert NoiseParams.from_dict(params.to_dict()) == params

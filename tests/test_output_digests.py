@@ -1,7 +1,16 @@
 import json
 
+import pytest
+
 from output_digests import NOISY, RUNS, against, digests
-from qproc_sim.harness import build_parser
+from qproc_sim.dynamics import DeviceConfig
+from qproc_sim.harness import (
+    _LABEL_OPTIONS,
+    _OPTION_DEFAULTS,
+    ExperimentSpec,
+    _checked_options,
+    build_parser,
+)
 from test_harness import KERNEL_RUNS
 
 
@@ -15,6 +24,21 @@ def small_slice():
 def test_every_run_of_the_digest_set_parses():
     for argv in RUNS:
         build_parser().parse_args(argv + ["--out", "out"])
+
+
+@pytest.mark.parametrize("argv", RUNS, ids=" ".join)
+def test_the_option_reader_keeps_each_value_the_parser_gives(argv):
+    # argparse types each flag by its default, as the reader types each library option;
+    # a value and its type (seen in its repr: 1 is not 1.0) come back unchanged
+    args = build_parser().parse_args(argv)
+    options = {key: getattr(args, key) for key in _OPTION_DEFAULTS[args.command]}
+    expected = dict(options)
+    if args.command in _LABEL_OPTIONS:
+        labels = options[_LABEL_OPTIONS[args.command]]
+        expected["qubits"] = [q - 1 for q in (labels if isinstance(labels, list) else [labels])]
+    opts = _checked_options(ExperimentSpec(args.command, options, seed=args.seed),
+                            DeviceConfig.default())
+    assert repr({key: opts[key] for key in expected}) == repr(expected)
 
 
 def test_two_digest_runs_of_a_slice_agree():
