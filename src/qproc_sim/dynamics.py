@@ -22,6 +22,7 @@ Conventions (fixed across the package):
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,6 +56,18 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float, if it is a real number: float() would read a bool as 1 or 0 and
+    a string as the number it spells. An int beyond the float range is ±inf, as
+    ``json.loads`` reads ``1e400``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must hold numbers (got {value!r})")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 # ---------------------------------------------------------------------------
 # device configuration
 # ---------------------------------------------------------------------------
@@ -77,12 +90,6 @@ class DeviceConfig:
     n_max: int = 3
 
     def __post_init__(self):
-        # float() would read JSON true/false as 1/0
-        flagged = [
-            name for name in ("f_bus", "f_memory", "f_idle", "g_bus", "g_mem")
-            if any(isinstance(v, bool) for v in np.array(getattr(self, name), dtype=object).flat)]
-        if flagged:
-            raise ConfigError([f"{name} must hold numbers, not true or false" for name in flagged])
         for name in ("f_bus", "f_memory", "f_idle", "g_bus", "g_mem"):
             values = getattr(self, name)
             # a list, not a string, whose characters would pass as one value per qubit
@@ -90,10 +97,8 @@ class DeviceConfig:
                                     or len(values) != self.n_qubits):
                 raise ConfigError(f"{name} must list one value per qubit ({self.n_qubits}), "
                                   f"got {values!r}")
-            try:
-                values = float(values) if name == "f_bus" else tuple(float(v) for v in values)
-            except (TypeError, ValueError):
-                raise ConfigError(f"{name} must hold numbers (got {values!r})") from None
+            values = _real(name, values) if name == "f_bus" else tuple(
+                _real(name, v) for v in values)
             object.__setattr__(self, name, values)
         violations = self.validate()
         if violations:

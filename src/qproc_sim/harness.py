@@ -30,7 +30,6 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator
 
@@ -42,6 +41,7 @@ from .dynamics import (
     OPERATING_HALF_RANGE_GHZ,
     ConfigError,
     DeviceConfig,
+    _real,
     effective_coupling,
     fit_oscillation_frequencies,
     prepare_shared_excitation,
@@ -175,53 +175,27 @@ def validate_config(config_path) -> list[str]:
 
 def _json_text(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte, for a document
-    whose keys are strings, with each ``TomographyRecord`` written as its ``to_dict()``. The
-    pure-Python encoder that ``indent`` selects costs about a microsecond per value; here
-    only containers recurse, and a record is filled from its arrays into one cached
-    %-template."""
+    whose keys are strings, with each ``TomographyRecord`` (alone, or a value of a dict or
+    of a nested dict) written as its ``to_dict()``. A record's arrays, most of an output's
+    values, fill a cached %-template: json's ``indent`` encoder costs ~1 µs per value."""
     return _json_value(doc, "\n") + "\n"
 
 
 def _json_value(value, nl: str) -> str:
-    """The JSON text of ``value``, nested so that its line breaks are ``nl``."""
+    """The JSON text of ``value``, nested so that its line breaks are ``nl``. Indentation is
+    additive and a JSON string holds no raw line break, so json's text of a value nested
+    deeper is its own text with every line break replaced by ``nl``."""
     if isinstance(value, TomographyRecord):
         return _record_text(value, nl)
-    if isinstance(value, dict):
-        keys = sorted(value)
-        values = list(map(value.__getitem__, keys))
-        texts = _json_leaves(values) or [_json_value(v, nl + "  ") for v in values]
-        return _json_container("{}", [f"{encode_basestring_ascii(k)}: {text}"
-                                      for k, text in zip(keys, texts)], nl)
-    if not isinstance(value, (list, tuple)):
-        return _json_scalar(value)
-    return _json_container("[]", _json_leaves(value) or [_json_value(v, nl + "  ")
-                                                         for v in value], nl)
+    if _holds_record(value):
+        return _json_container("{}", [f"{json.dumps(k)}: {_json_value(value[k], nl + '  ')}"
+                                      for k in sorted(value)], nl)
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", nl)
 
 
-def _json_leaves(values) -> list[str] | None:
-    """The JSON text of each value if all are strings, all ints or all finite floats, else
-    None. A bool is not an int here: ``type`` is checked, not ``isinstance``."""
-    kinds = set(map(type, values))
-    if kinds == {str}:
-        return list(map(encode_basestring_ascii, values))
-    # a sum is finite only if every term is
-    if kinds == {int} or kinds == {float} and math.isfinite(sum(values)):
-        return list(map(repr, values))
-    return None
-
-
-def _json_scalar(value) -> str:
-    """json's spelling of one string, number, bool or None."""
-    if value is None or isinstance(value, bool):
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+def _holds_record(value) -> bool:
+    return isinstance(value, dict) and any(
+        isinstance(v, TomographyRecord) or _holds_record(v) for v in value.values())
 
 
 def _json_container(brackets: str, items: list[str], nl: str) -> str:
@@ -230,44 +204,34 @@ def _json_container(brackets: str, items: list[str], nl: str) -> str:
 
 
 def _record_text(record: TomographyRecord, nl: str) -> str:
-    """``_json_value(record.to_dict(), nl)``: the record's counts, metrics, qubits,
+    """``_json_value(record.to_dict(), nl)``: the record's counts, metrics text, qubits,
     ``rho_hat`` (finite, as a ``DensityMatrix``), seed and shots filled into its template.
     An int64 count and a finite float format by ``%s`` as their ``repr``."""
-    metrics = sorted(record.metrics.items())
-    template = _record_template(record.n_qubits, nl, tuple(key for key, _ in metrics),
-                                record.rho_hat is not None)
+    template = _record_template(record.n_qubits, nl, record.rho_hat is not None)
     values = record.counts.ravel().tolist()
-    for leaves in ([v for _, v in metrics], record.qubits):
-        values += _json_leaves(leaves) or map(_json_scalar, leaves)
+    values += [_json_value(record.metrics, nl + "  "), *record.qubits]
     if record.rho_hat is not None:
         values += record.rho_hat.elements.view(np.float64).ravel().tolist()
-    values += [_json_scalar(record.seed), _json_scalar(record.shots_per_setting)]
+    values += [record.seed, record.shots_per_setting]
     return template % tuple(values)
 
 
 @functools.lru_cache(maxsize=32)
-def _record_template(n: int, nl: str, metric_keys: tuple, has_rho: bool) -> str:
-    """The %-template of an n-qubit record's ``to_dict`` text at line breaks ``nl``, with
-    its settings written out and one ``%s`` per other leaf, in ``_record_text`` order."""
-    key = lambda k: encode_basestring_ascii(k).replace("%", "%%") + ": "
-    inner, d = nl + "  ", 2 ** n
-
-    def rows(row: str, count: int, at: str) -> str:  # a list of ``count`` equal rows
-        return _json_container("[]", [row] * count, at)
-
-    at_rows, at_cells = inner + "  ", inner + "    "
-    fields = {
-        "counts": rows(_json_container("{}", [key(label) + "%s" for label in
-                                              _outcome_labels(n)], at_rows), 3 ** n, inner),
-        "metrics": _json_container("{}", [key(k) + "%s" for k in metric_keys], inner),
-        "qubits": rows("%s", n, inner),
-        "rho_hat": (rows(rows(rows("%s", 2, at_cells), d, at_rows), d, inner) if has_rho
-                    else "null"),
-        "seed": "%s",
-        "settings": _json_value([list(s) for s in all_settings(n)], inner).replace("%", "%%"),
-        "shots_per_setting": "%s",
+def _record_template(n: int, nl: str, has_rho: bool) -> str:
+    """The %-template of an n-qubit record's ``to_dict`` text at line breaks ``nl``: the
+    json text of a skeleton record whose settings are written out and whose every other
+    leaf, and its whole metrics dict, is one ``%s``, in ``_record_text`` order."""
+    mark, d = "\0", 2 ** n
+    skeleton = {
+        "counts": [dict.fromkeys(_outcome_labels(n), mark)] * 3 ** n,
+        "metrics": mark,
+        "qubits": [mark] * n,
+        "rho_hat": [[[mark] * 2] * d] * d if has_rho else None,
+        "seed": mark,
+        "settings": [list(s) for s in all_settings(n)],
+        "shots_per_setting": mark,
     }
-    return _json_container("{}", [key(k) + text for k, text in fields.items()], nl)
+    return _json_value(skeleton, nl).replace("%", "%%").replace(json.dumps(mark), "%s")
 
 
 def _digit_quads() -> np.ndarray:
@@ -442,10 +406,7 @@ def _typed(key: str, value, default):
     if isinstance(default, list) and isinstance(value, (list, tuple)) and all(map(whole, value)):
         return list(value)
     if isinstance(default, float) and (whole(value) or isinstance(value, float)):
-        try:
-            value = float(value)
-        except OverflowError:  # an int beyond the float range
-            value = math.inf if value > 0 else -math.inf
+        value = _real(key, value)
         if not math.isfinite(value):
             raise ConfigError(f"option {key!r} must be a finite number (got {value})")
         return value
@@ -457,8 +418,8 @@ def _typed(key: str, value, default):
 
 def _checked_options(spec: ExperimentSpec, config: DeviceConfig) -> dict:
     """The experiment's options, defaults included, each of its default's type, checked
-    before any file is written; with the 0-based ``qubits`` its labels name and, for
-    ``spectroscopy``, the ``freqs`` and ``taus`` grids."""
+    before any file is written; with the 0-based ``qubits`` its labels name, for
+    ``spectroscopy`` the ``freqs`` and ``taus`` grids, and for ``shor`` the ``circuit``."""
     if type(spec.seed) is not int:  # numpy seed sequences take non-negative integers only
         raise ConfigError(f"seed must be an int (got {spec.seed!r})")
     if spec.seed < 0:
@@ -522,9 +483,14 @@ def _checked_options(spec: ExperimentSpec, config: DeviceConfig) -> dict:
     elif spec.name == "entangle" and len(labels) > MAX_QST_QUBITS:
         raise ConfigError(f"option 'participants' names {len(labels)} qubits; QST takes at most "
                           f"{MAX_QST_QUBITS}")
-    elif spec.name == "shor" and opts["variant"] not in SHOR_VARIANTS:
-        raise ConfigError(f"option 'variant' must be one of {SHOR_VARIANTS} "
-                          f"(got {opts['variant']!r})")
+    elif spec.name == "shor":
+        if opts["variant"] not in SHOR_VARIANTS:
+            raise ConfigError(f"option 'variant' must be one of {SHOR_VARIANTS} "
+                              f"(got {opts['variant']!r})")
+        circuit = opts["circuit"] = build_shor(opts["variant"])
+        if circuit.n_qubits > config.n_qubits:
+            raise ConfigError(f"variant {opts['variant']!r} needs {circuit.n_qubits} qubits; "
+                              f"the device has {config.n_qubits}")
     return opts
 
 
@@ -601,8 +567,7 @@ def _qst_with_metrics(state, qubits, shots, seed, metric_fn) -> TomographyRecord
 
 def _run_shor(opts: dict, seed: int, config: DeviceConfig,
              noise: NoiseParams | None) -> dict[str, str]:
-    variant, qst_shots = opts["variant"], opts["qst_shots"]
-    circuit = build_shor(variant)
+    variant, circuit, qst_shots = opts["variant"], opts["circuit"], opts["qst_shots"]
     result, run = factor_fifteen(circuit, opts["shots"], seed, noise)
     ghz = ghz_state()
     psi3 = QuantumState(apply_local(SINGLE_QUBIT_GATES["H"], ghz.amplitudes,

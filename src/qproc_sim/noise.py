@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
+from .dynamics import _real
 from .hilbert import DM_HERM_TOL, DensityMatrix, _check_hermitian, _frozen_array, apply_local
 
 DEFAULT_T1_NS = 400.0
@@ -38,20 +37,15 @@ class NoiseParams:
     invented_default: bool = False
 
     def __post_init__(self):
-        def number(name, value) -> float:  # float() reads a bool as 1 or 0, a str as a number
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                # named by the noise block's key, which from_dict passes on unconverted
-                raise ValueError(f"{name}_ns must hold numbers (got {value!r})")
-            return float(value)
-
+        # each named by the noise block's key, which from_dict passes on unconverted
         for name in ("t1", "t_phi"):
             values = getattr(self, name)
             # a list, not a string, whose characters would pass as one value per qubit
             if not isinstance(values, (list, tuple, np.ndarray)):
                 raise ValueError(f"{name} must list one value per qubit, got {values!r}")
-            object.__setattr__(self, name, tuple(number(name, v) for v in values))
+            object.__setattr__(self, name, tuple(_real(f"{name}_ns", v) for v in values))
         for name in ("gate_time_1q", "gate_time_2q"):
-            object.__setattr__(self, name, number(name, getattr(self, name)))
+            object.__setattr__(self, name, _real(f"{name}_ns", getattr(self, name)))
         if len(self.t1) != len(self.t_phi):
             raise ValueError("t1 and t_phi must list the same number of qubits")
         for name in ("t1", "t_phi"):
@@ -140,18 +134,14 @@ def _step_superoperator(dt: float, t1: float, t_phi: float) -> np.ndarray:
     return step
 
 
-def apply_noise_step(
-    rho,
-    params: NoiseParams,
-    dt: float,
-    qubits: Sequence[int] | None = None,
-) -> DensityMatrix:
-    """Damping then dephasing on each listed qubit (all by default) for a duration dt.
+def apply_noise_step(rho, params: NoiseParams, dt: float) -> DensityMatrix:
+    """Damping then dephasing on every qubit for a duration dt.
 
     ``rho`` is a :class:`DensityMatrix`, or the bare matrix that a gate has just
     made of one; its entries are checked finite and its Hermiticity against
     ``DM_HERM_TOL`` before the step re-symmetrizes, and the result is checked
-    as a density matrix.
+    as a density matrix. ``params`` must list at least the state's qubits; a
+    qubit with infinite times is left as it is.
     Trace-preserving and completely positive by construction (operator-sum
     form with complete Kraus pairs). Each qubit's step is one superoperator
     product on that qubit's (row, column) index pair of the flattened matrix.
@@ -161,11 +151,11 @@ def apply_noise_step(
     mat = rho.elements if isinstance(rho, DensityMatrix) else _frozen_array(rho, 2)
     _check_hermitian(mat, DM_HERM_TOL, "density matrix is not Hermitian within tolerance")
     n = len(mat).bit_length() - 1
+    if len(params.t1) < n:
+        raise ValueError(f"noise parameters list {len(params.t1)} qubits; the state has {n}")
     dims = (2,) * (2 * n)
     flat = mat.reshape(-1)
-    for q in range(n) if qubits is None else qubits:
-        if not 0 <= q < n:
-            raise ValueError(f"qubit index {q} outside 0..{n - 1}")
+    for q in range(n):
         step = _step_superoperator(dt, params.t1[q], params.t_phi[q])
         flat = apply_local(step, flat, dims, (q, n + q))
     mat = flat.reshape(mat.shape)

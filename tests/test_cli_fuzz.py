@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from qproc_sim.dynamics import DeviceConfig
 from qproc_sim.harness import _OPTION_DEFAULTS, ExperimentSpec, main, run_experiment
+from test_harness import narrow_device
 
 NOISE_BLOCK = {"t1_ns": [400] * 4, "t_phi_ns": [200] * 4, "gate_time_1q_ns": 10,
                "gate_time_2q_ns": 50, "invented_default": True}
@@ -44,7 +45,8 @@ DEVICE_KEYS = sorted(DeviceConfig.default().to_dict()) + ["noise", "bogus"]
 NOISE_KEYS = sorted(NOISE_BLOCK) + ["t2_ns"]
 VALUES = [None, True, False, "x", "7777", "inf", [], {}, -1, 0, 0.5, 2, 2.5, 7, 400, 1e308,
           -1e308, 2 ** 64, math.nan, math.inf, [1e308] * 4, [0] * 4, [None] * 4, [True] * 4,
-          [6.8] * 3, [6.8] * 4, [20.0] * 4, ["inf"] * 4, [1e-308] * 4]
+          [6.8] * 3, [6.8] * 4, [20.0] * 4, ["inf"] * 4, [1e-308] * 4, "6.1", ["55"] * 4,
+          10 ** 400]
 
 
 def run_main(argv):
@@ -125,6 +127,15 @@ def noisy(**change):
 @example(case=(["validate"], changed(f_idle_ghz=[1e308, 6.6, 6.6, 6.6])))
 @example(case=(["validate"], changed(g_mem_mhz=[20.0, 20.0, 20.0, 501.0])))
 @example(case=(["shor", "--seed", "-1"] + BASE_ARGV["shor"], changed()))
+@example(case=(["validate"], changed(f_bus_ghz="6.1", g_bus_mhz=["55"] * 4)))
+@example(case=(["validate"], changed(f_bus_ghz=10 ** 400)))
+@example(case=(["shor"] + BASE_ARGV["shor"], changed(f_bus_ghz=10 ** 400)))
+@example(case=(["shor"] + BASE_ARGV["shor"], noisy(t1_ns=[400, 10 ** 400, 400, 400])))
+@example(case=(["shor", "--variant", "four_qubit"] + BASE_ARGV["shor"],
+               json.dumps(narrow_device(3, noisy=True)).encode()))
+@example(case=(["shor", "--variant", "four_qubit"] + BASE_ARGV["shor"],
+               json.dumps(narrow_device(3, noisy=False)).encode()))
+@example(case=(["shor"] + BASE_ARGV["shor"], json.dumps(narrow_device(2, noisy=True)).encode()))
 def test_main_exit_code_contract(case):
     check_main(*case)
 

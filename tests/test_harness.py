@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qproc_sim
@@ -152,6 +152,14 @@ CONFIG_ERRORS = {
                         "gate_time_1q_ns must hold numbers"),
     "boolean_gate_2q": ({"noise": dict(NOISE_BLOCK, gate_time_2q_ns=True)},
                         "gate_time_2q_ns must hold numbers"),
+    # a JSON string where a number belongs, which float() would read as the number it spells
+    "string_bus": ({"f_bus_ghz": "6.1", "g_bus_mhz": ["55"] * 4},
+                   "f_bus must hold numbers (got '6.1')"),
+    "string_bus_couplings": ({"g_bus_mhz": ["55"] * 4}, "g_bus must hold numbers (got '55')"),
+    # a JSON integer beyond the float range, read as inf (as json reads 1e400)
+    "huge_bus": ({"f_bus_ghz": 10 ** 400}, "f_bus must be finite (got [inf])"),
+    "huge_memory_list": ({"f_memory_ghz": [6.8, -10 ** 400, 7.1, 6.9]},
+                         "f_memory must be finite"),
     # a JSON string where a per-qubit list belongs, which would be read one digit per qubit
     "string_memory": ({"f_memory_ghz": "7777"}, "f_memory must list one value per qubit"),
     "string_idle": ({"f_idle_ghz": "6666"}, "f_idle must list one value per qubit"),
@@ -232,6 +240,46 @@ def test_unparseable_config_files_exit_one(tmp_path, capsys, raw, fragment):
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and fragment in err[0]
     assert not (tmp_path / "out").exists()
+
+
+def test_huge_coherence_time_is_a_disabled_channel(tmp_path, capsys):
+    doc = dict(DeviceConfig.default().to_dict(),
+               noise=dict(NOISE_BLOCK, t1_ns=[400, 10 ** 400, 400, 400]))
+    path = write_config(tmp_path, doc)
+    assert main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == "config ok\n"
+    assert load_device_document(path)[1].t1 == (400.0, math.inf, 400.0, 400.0)
+
+
+def narrow_device(n, noisy):
+    """The shipped device cut to its first n qubits, with or without the noise block."""
+    cut = lambda block: {k: v[:n] if isinstance(v, list) else v for k, v in block.items()}
+    doc = dict(cut(DeviceConfig.default().to_dict()), n_qubits=n)
+    if noisy:
+        doc["noise"] = cut(NOISE_BLOCK)
+    return doc
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
+@pytest.mark.parametrize("n, variant, width", [(3, "four_qubit", 4), (2, "three_qubit", 3),
+                                               (2, "control", 3)])
+def test_shor_variant_wider_than_the_device_exits_one(tmp_path, capsys, n, variant, width, noisy):
+    # the noisy run ended in an IndexError, the ideal four-qubit one ran and exited 0
+    path = write_config(tmp_path, narrow_device(n, noisy))
+    assert validate_config(path) == []
+    out = tmp_path / "out"
+    assert main(["shor", "--variant", variant, "--shots", "100", "--qst-shots", "100",
+                 "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: variant {variant!r} needs {width} qubits; the device has {n}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
+def test_shor_variant_as_wide_as_the_device_runs(tmp_path, noisy):
+    path = write_config(tmp_path, narrow_device(3, noisy))
+    assert main(["shor", "--shots", "100", "--qst-shots", "100",
+                 "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_benchmark_noise_block_is_valid(tmp_path):
@@ -890,8 +938,27 @@ def as_dicts(doc):
     return {k: as_dicts(v) for k, v in doc.items()} if isinstance(doc, dict) else doc
 
 
+def example_record(n, metrics, rho=True):
+    """An n-qubit record of one shot per outcome, estimated as the maximally mixed state."""
+    d = 2 ** n
+    return TomographyRecord(qubits=tuple(range(n)), shots_per_setting=d, seed=7,
+                            counts=np.ones((3 ** n, d), np.int64), metrics=metrics,
+                            rho_hat=DensityMatrix(np.eye(d, dtype=complex) / d) if rho else None)
+
+
+# metric keys that could pass for a template's marker, a %-field or the end of a key
+MARKER_KEYS = {"\x00": 1.0, "%s": 0.5, '"': -0.0}
+NOT_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(record=tomography_records(), other=tomography_records(), depth=st.integers(0, 2))
+@example(record=example_record(2, MARKER_KEYS), other=example_record(1, {}), depth=0)
+@example(record=example_record(1, MARKER_KEYS, rho=False),
+         other=example_record(3, MARKER_KEYS), depth=2)
+@example(record=example_record(2, NOT_FINITE), other=example_record(1, NOT_FINITE), depth=1)
+@example(record=example_record(4, dict(MARKER_KEYS, **NOT_FINITE)),
+         other=example_record(4, {}, rho=False), depth=2)
 def test_json_writer_fills_records_as_json_dumps_writes_their_dicts(record, other, depth):
     # entangle writes a record alone (depth 0); shor writes register_qst at depth 1 and each
     # breakpoint record at depth 2

@@ -133,7 +133,7 @@ def test_noise_step_is_trace_preserving_and_completely_positive(dt, t1, t_phi):
     # J is the step apply_noise_step takes, run on the system half of |Φ⟩⟨Φ|/2
     params = NoiseParams(t1=(math.inf, t1), t_phi=(math.inf, t_phi))
     rho = DensityMatrix(np.outer(phi, phi.conj()) / 2)
-    step = apply_noise_step(rho, params, dt, qubits=(1,))
+    step = apply_noise_step(rho, params, dt)  # qubit 0's infinite times: an identity
     np.testing.assert_allclose(2 * step.elements, choi, rtol=0, atol=1e-12)
 
 
@@ -158,9 +158,12 @@ def test_noise_step_matches_dense_kraus_form():
     a = RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d))
     rho = DensityMatrix(a @ a.conj().T / np.trace(a @ a.conj().T))
     params = NoiseParams(t1=(300.0, 1.0, 450.0, 380.0), t_phi=(150.0, 1.0, 260.0, 210.0))
-    for qubits in (None, (3, 0), (2,)):
-        after = apply_noise_step(rho, params, dt=42.0, qubits=qubits)
-        expected = dense_noise_step(rho, params, 42.0, range(4) if qubits is None else qubits)
+    for qubits in ((0, 1, 2, 3), (3, 0), (2,)):
+        # the step on a subset is the step with infinite times on every other qubit
+        masked = NoiseParams(*([v if q in qubits else math.inf for q, v in enumerate(times)]
+                               for times in (params.t1, params.t_phi)))
+        after = apply_noise_step(rho, masked, dt=42.0)
+        expected = dense_noise_step(rho, params, 42.0, qubits)
         assert np.max(np.abs(after.elements - expected)) <= 1e-14
 
 
@@ -232,14 +235,16 @@ def test_noise_step_checks_a_bare_matrix_before_it_re_symmetrizes(bare, message)
                          dt=10.0).elements)
 
 
-@pytest.mark.parametrize("n, q", [(1, -1), (1, 1), (2, -1), (2, 2)])
-def test_apply_noise_step_rejects_qubits_outside_the_register(n, q):
-    # -1 used to act on the last factor of one qubit, and ended in numpy's errors on more
-    excited = np.zeros((2**n, 2**n), dtype=complex)
-    excited[-1, -1] = 1.0
-    rho = DensityMatrix(excited)
-    with pytest.raises(ValueError, match=rf"qubit index {q} outside 0\.\.{n - 1}"):
-        apply_noise_step(rho, NoiseParams.default(n), dt=10.0, qubits=(q,))
+@pytest.mark.parametrize("n, listed", [(2, 1), (3, 2), (4, 3)])
+def test_apply_noise_step_rejects_params_for_fewer_qubits_than_the_state(n, listed):
+    # a qubit beyond the params' lists used to end in an IndexError
+    rho = DensityMatrix(np.eye(2**n, dtype=complex) / 2**n)
+    params = NoiseParams.default(listed)
+    with pytest.raises(ValueError, match=f"parameters list {listed} qubits; the state has {n}"):
+        apply_noise_step(rho, params, dt=10.0)
+    # more listed qubits than the state has: the state's own are stepped
+    assert apply_noise_step(DensityMatrix(np.eye(2, dtype=complex) / 2), params,
+                            dt=10.0).n_qubits == 1
 
 
 def test_noise_params_validation_and_roundtrip():
