@@ -184,16 +184,9 @@ def run_circuit(circuit: Circuit, noise: NoiseParams | None = None,
     if noise is not None and isinstance(state, QuantumState):
         state = state.density_matrix()
 
-    captures = {}
-
-    def capture(position):
-        for name, pos in circuit.breakpoints.items():
-            if pos == position:
-                captures[name] = state
-
     dims = (2,) * state.n_qubits
-    capture(0)
-    for k, op in enumerate(circuit.ops, start=1):
+    states = [state]  # the state after each op, the initial state first
+    for op in circuit.ops:
         if isinstance(op, Gate):
             G = GATE_MATRICES[op.kind]
             if isinstance(state, QuantumState):
@@ -208,8 +201,9 @@ def run_circuit(circuit: Circuit, noise: NoiseParams | None = None,
         if noise is not None:
             dt = noise.gate_time_2q if duration_class == "2q" else noise.gate_time_1q
             state = apply_noise_step(state, noise, dt)
-        capture(k)
-    return CircuitRun(final=state, breakpoint_states=captures)
+        states.append(state)
+    return CircuitRun(final=state, breakpoint_states={
+        name: states[pos] for name, pos in circuit.breakpoints.items()})
 
 
 def sample_output(state, register: Sequence, shots: int, seed: int) -> dict[str, int]:

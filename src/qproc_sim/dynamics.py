@@ -100,11 +100,6 @@ class DeviceConfig:
             values = _real(name, values) if name == "f_bus" else tuple(
                 _real(name, v) for v in values)
             object.__setattr__(self, name, values)
-        violations = self.validate()
-        if violations:
-            raise ConfigError(violations)
-
-    def validate(self) -> list[str]:
         out = []
         for name in ("n_qubits", "n_max"):
             value = getattr(self, name)
@@ -129,7 +124,8 @@ class DeviceConfig:
                     f"coupling-off regime violated: f_idle[{i}]={f} GHz is within "
                     f"{COUPLING_OFF_FACTOR}x max coupling ({g_max} GHz) of f_bus={self.f_bus} GHz"
                 )
-        return out
+        if out:
+            raise ConfigError(out)
 
     @classmethod
     def default(cls) -> "DeviceConfig":
@@ -225,12 +221,15 @@ def _sample_times(duration: float, sample_dt: float) -> np.ndarray:
     return dts
 
 
-def _check_qubits(config: DeviceConfig, qubits: Sequence[int], freqs: Sequence[float]):
-    """Each qubit is one of the device's, and each frequency in its operating range."""
-    for q, f in zip(qubits, freqs):
-        if abs(f - config.f_idle[config.check_qubit(q)]) > OPERATING_HALF_RANGE_GHZ + 1e-12:
-            raise ValueError(f"frequency {f} GHz outside the 2 GHz operating range around "
-                             f"idle {config.f_idle[q]} GHz for qubit {q}")
+def _check_tuning(config: DeviceConfig, qubit: int, freqs) -> None:
+    """``qubit`` is one of the device's, and it can be tuned to every one of ``freqs`` (GHz):
+    each lies within its operating range around its idle point."""
+    idle, freqs = config.f_idle[config.check_qubit(qubit)], np.atleast_1d(freqs)
+    if np.max(np.abs(freqs - idle)) > OPERATING_HALF_RANGE_GHZ + 1e-12:
+        lo, hi = float(freqs.min()), float(freqs.max())
+        span = f"{lo}" if lo == hi else f"{lo}..{hi}"
+        raise ConfigError(f"Q{qubit + 1} cannot reach {span} GHz: outside the operating range "
+                          f"{idle} ± {OPERATING_HALF_RANGE_GHZ} GHz around its idle point")
 
 
 def _block_amplitudes(H: np.ndarray, times: np.ndarray, rows=slice(None)) -> np.ndarray:
@@ -255,8 +254,14 @@ def mean_coupling(config: DeviceConfig, participants: Sequence[int]) -> float:
 
 
 def effective_coupling(config: DeviceConfig, participants: Sequence[int]) -> float:
-    """√N-enhanced collective coupling of N simultaneously resonant qubits."""
-    return math.sqrt(len(participants)) * mean_coupling(config, participants)
+    """√N-enhanced collective coupling of N simultaneously resonant qubits; a ``ConfigError``
+    if it is not > 0, as when the squared couplings underflow."""
+    g = math.sqrt(len(participants)) * mean_coupling(config, participants)
+    if not g > 0:
+        labels = ", ".join(f"Q{q + 1}" for q in participants)
+        raise ConfigError(f"the bus couplings of {labels} give a collective coupling of {g} GHz; "
+                          f"it must be > 0")
+    return g
 
 
 def _collective_amplitudes(config: DeviceConfig, participants: tuple[int, ...],
@@ -288,7 +293,8 @@ def simultaneous_resonance(
     participants = tuple(sorted(set(participants)))
     if not participants:
         raise ValueError("participant set must be nonempty")
-    _check_qubits(config, participants, (config.f_bus,) * len(participants))
+    for q in participants:
+        _check_tuning(config, q, config.f_bus)
     times = np.concatenate(([0.0], _sample_times(dtau_max, sample_dt)))
     probs = np.clip(np.abs(_collective_amplitudes(config, participants, times)) ** 2, 0.0, 1.0)
     return OccupationTrace(times=times, qubit_ids=participants, p_qubit=probs[1:],
@@ -306,7 +312,8 @@ def prepare_shared_excitation(config: DeviceConfig, participants: Sequence[int])
     participants = tuple(sorted(set(participants)))
     if len(participants) < 2:
         raise ValueError("shared-excitation preparation needs at least 2 participants")
-    _check_qubits(config, participants, (config.f_bus,) * len(participants))
+    for q in participants:
+        _check_tuning(config, q, config.f_bus)
     tau = 1.0 / (2 * effective_coupling(config, participants))
     amps = _collective_amplitudes(config, participants, np.array([tau]))[:, 0]
     if not abs(amps[0]) <= 1e-9:  # written so that NaN fails it
@@ -343,9 +350,7 @@ def swap_spectroscopy(
         raise ValueError("frequency and time grids must be nonempty")
     if not (np.isfinite(freq_grid).all() and np.isfinite(tau_grid).all()):
         raise ValueError("frequency and time grids must be finite")
-    idle = config.f_idle[config.check_qubit(qubit_index)]
-    if np.max(np.abs(freq_grid - idle)) > OPERATING_HALF_RANGE_GHZ + 1e-12:
-        raise ValueError("frequency grid leaves the 2 GHz operating range")
+    _check_tuning(config, qubit_index, freq_grid)
 
     # one-excitation block over {|e00>, |g10>, |g01>} (qubit, bus, memory), bus frame
     H = np.zeros((freq_grid.size, 3, 3))

@@ -38,7 +38,6 @@ import numpy as np
 from . import __version__
 from .circuits import SHOR_VARIANTS, SINGLE_QUBIT_GATES, build_shor, factor_fifteen
 from .dynamics import (
-    OPERATING_HALF_RANGE_GHZ,
     ConfigError,
     DeviceConfig,
     _real,
@@ -461,13 +460,13 @@ def _checked_options(spec: ExperimentSpec, config: DeviceConfig) -> dict:
         if n_tau > MAX_CSV_ROWS / n_f:
             raise ConfigError(f"spectroscopy grid has {n_f:.4g} x {n_tau:.4g} cells, more than "
                               f"the {MAX_CSV_ROWS} rows one output CSV may hold")
-        freqs = opts["freqs"] = np.round(np.arange(f_min, f_max + f_step / 2, f_step), 9)
-        opts["taus"] = np.round(np.arange(0.0, tau_max + tau_step / 2, tau_step), 9)
-        idle = config.f_idle[labels[0] - 1]
-        if np.max(np.abs(freqs - idle)) > OPERATING_HALF_RANGE_GHZ + 1e-12:
-            raise ConfigError(
-                f"frequency grid {freqs[0]}..{freqs[-1]} GHz leaves the operating range "
-                f"{idle} ± {OPERATING_HALF_RANGE_GHZ} GHz of Q{labels[0]}")
+        # at 9 decimals a step below 1e-9 repeats values, which the CSV reader rejects
+        for key, start, stop, step in (("freqs", f_min, f_max, f_step),
+                                       ("taus", 0.0, tau_max, tau_step)):
+            grid = opts[key] = np.round(np.arange(start, stop + step / 2, step), 9)
+            if not (np.diff(grid) > 0).all():
+                raise ConfigError(f"the {key} grid repeats a value at 9 decimals "
+                                  f"(step {step}); use a step of at least 1e-9")
     elif spec.name == "rabi_scaling":
         dtau_max, sample_dt = opts["dtau_max"], opts["sample_dt"]
         n_steps = np.floor(dtau_max / sample_dt + 1e-12)  # a float: the ratio may be inf

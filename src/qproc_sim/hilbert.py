@@ -5,8 +5,8 @@ A state is its array: a register of n qubits is a vector of 2^n amplitudes or a
 The basis index is row-major with the leftmost qubit most significant: the label
 ``"eg"`` means qubit 0 excited and qubit 1 ground, and maps to index ``0b10``.
 Resonators appear only in the full-space test oracle; ``apply_local`` stays
-generic over factor dimensions for it, and for the noise steps' doubled
-(row, column) dims.
+generic over factor dimensions for it. A map on each qubit's (row, column)
+index pair, as QST and the noise step apply, is ``_contract_pairs``.
 
 The operator API (``SpaceLayout``, ``QuantumOperator``, ``hermitian_exponential``) has
 no caller in the package or its test oracles, which propagate through
@@ -221,6 +221,26 @@ def _local_plan(dims: tuple, axes: tuple, array_shape: tuple) -> tuple:
     order = axes + tuple(a for a in range(len(shape)) if a not in axes)
     m = math.prod(dims[a] for a in axes)
     return shape, order, tuple(shape[a] for a in order), tuple(np.argsort(order).tolist()), m
+
+
+def _contract_pairs(table: np.ndarray, kernels: Sequence[np.ndarray],
+                    pair: tuple[int, int]) -> np.ndarray:
+    """Contract each qubit's pair of axes of ``table`` with that qubit's kernel.
+
+    ``table`` is indexed [a_1..a_n, b_1..b_n]; ``kernels[q]`` is the matrix from qubit q's
+    flattened (a, b) index pair to its flattened (c, d) pair, of shape ``pair``. Returns the
+    (c^n, d^n) matrix indexed [c_1..c_n, d_1..d_n], the first qubit most significant.
+    """
+    n = table.ndim // 2
+    # contract qubit q's (a_q, b_q) axes, leaving its (c, d) pair at the end: the
+    # transpose, reshape and np.dot of np.tensordot(table, kernels[q], ([0, n - q], [0, 1]))
+    for q, kernel in enumerate(kernels):
+        rest = [a for a in range(table.ndim) if a not in (0, n - q)]
+        shape = [table.shape[a] for a in rest] + list(pair)
+        table = np.dot(table.transpose(rest + [0, n - q]).reshape(-1, len(kernel)), kernel)
+        table = table.reshape(shape)
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return table.transpose(order).reshape(pair[0] ** n, pair[1] ** n)
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _real
-from .hilbert import DM_HERM_TOL, DensityMatrix, _check_hermitian, _frozen_array, apply_local
+from .hilbert import DM_HERM_TOL, DensityMatrix, _check_hermitian, _contract_pairs, _frozen_array
 
 DEFAULT_T1_NS = 400.0
 DEFAULT_TPHI_NS = 200.0
@@ -144,7 +144,7 @@ def apply_noise_step(rho, params: NoiseParams, dt: float) -> DensityMatrix:
     qubit with infinite times is left as it is.
     Trace-preserving and completely positive by construction (operator-sum
     form with complete Kraus pairs). Each qubit's step is one superoperator
-    product on that qubit's (row, column) index pair of the flattened matrix.
+    product on that qubit's (row, column) index pair of the matrix.
     """
     if dt < 0:
         raise ValueError("dt must be >= 0")
@@ -153,11 +153,8 @@ def apply_noise_step(rho, params: NoiseParams, dt: float) -> DensityMatrix:
     n = len(mat).bit_length() - 1
     if len(params.t1) < n:
         raise ValueError(f"noise parameters list {len(params.t1)} qubits; the state has {n}")
-    dims = (2,) * (2 * n)
-    flat = mat.reshape(-1)
-    for q in range(n):
-        step = _step_superoperator(dt, params.t1[q], params.t_phi[q])
-        flat = apply_local(step, flat, dims, (q, n + q))
-    mat = flat.reshape(mat.shape)
+    # transposed: _contract_pairs puts each qubit's (row, column) pair on the left
+    kernels = [_step_superoperator(dt, params.t1[q], params.t_phi[q]).T for q in range(n)]
+    mat = _contract_pairs(mat.reshape((2,) * 2 * n), kernels, (2, 2))
     mat = 0.5 * (mat + mat.conj().T)
     return DensityMatrix(mat)

@@ -28,6 +28,7 @@ from .hilbert import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _contract_pairs,
     nearest_psd,
     partial_trace,
     superposition_ket,
@@ -199,7 +200,7 @@ def register_density_matrix(state, qubits: Sequence[int]) -> DensityMatrix:
 def setting_probabilities(rho: DensityMatrix) -> np.ndarray:
     """Exact (3^n, 2^n) outcome distributions of every setting, in ``all_settings`` order."""
     table = rho.elements.reshape((2,) * 2 * rho.n_qubits)  # indexed [rows, columns]
-    probs = _contract_qubits(table, _FORWARD_KERNEL, (3, 2))
+    probs = _contract_pairs(table, [_FORWARD_KERNEL] * rho.n_qubits, (3, 2))
     return np.clip(probs.real, 0.0, None)
 
 
@@ -245,27 +246,8 @@ def _linear_inversion(frequencies: np.ndarray, n: int) -> np.ndarray:
     """
     # indexed [r_1..r_n, b_1..b_n]: all_settings order varies the first qubit's rotation
     # slowest, and the first qubit is the most significant outcome bit
-    return _contract_qubits(np.reshape(frequencies, (3,) * n + (2,) * n), _INVERSION_KERNEL,
-                            (2, 2))
-
-
-def _contract_qubits(table: np.ndarray, kernel: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
-    """Contract each qubit's pair of axes of ``table`` with ``kernel``.
-
-    ``table`` is indexed [a_1..a_n, b_1..b_n]; ``kernel`` is the matrix from one qubit's
-    flattened (a, b) index pair to its flattened (c, d) pair, of shape ``pair``. Returns the
-    (c^n, d^n) matrix indexed [c_1..c_n, d_1..d_n], the first qubit most significant.
-    """
-    n = table.ndim // 2
-    # contract qubit q's (a_q, b_q) axes, leaving its (c, d) pair at the end: the
-    # transpose, reshape and np.dot of np.tensordot(table, kernel, ([0, n - q], [0, 1]))
-    for q in range(n):
-        rest = [a for a in range(table.ndim) if a not in (0, n - q)]
-        shape = [table.shape[a] for a in rest] + list(pair)
-        table = np.dot(table.transpose(rest + [0, n - q]).reshape(-1, len(kernel)), kernel)
-        table = table.reshape(shape)
-    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    return table.transpose(order).reshape(pair[0] ** n, pair[1] ** n)
+    return _contract_pairs(np.reshape(frequencies, (3,) * n + (2,) * n), [_INVERSION_KERNEL] * n,
+                           (2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +320,7 @@ WITNESS_THRESHOLDS = {"W": 2.0 / 3.0, "GHZ": 0.5}
 
 @dataclass(frozen=True)
 class WitnessResult:
-    witness_class: str
     fidelity: float
-    threshold: float
     margin: float
     passed: bool
 
@@ -353,13 +333,8 @@ def witness_check(rho: DensityMatrix, witness_class: str, target: QuantumState) 
         raise ValueError("witness classes are defined for three-qubit states")
     fidelity = state_fidelity(rho, target)
     threshold = WITNESS_THRESHOLDS[witness_class]
-    return WitnessResult(
-        witness_class=witness_class,
-        fidelity=fidelity,
-        threshold=threshold,
-        margin=fidelity - threshold,
-        passed=fidelity > threshold,
-    )
+    return WitnessResult(fidelity=fidelity, margin=fidelity - threshold,
+                         passed=fidelity > threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +345,6 @@ def witness_check(rho: DensityMatrix, witness_class: str, target: QuantumState) 
 class GaugeFidelity:
     raw: float
     gauged: float
-    phases: tuple[float, ...]
 
 
 @functools.cache
@@ -419,7 +393,7 @@ def phase_gauged_fidelity(state, target: QuantumState) -> GaugeFidelity:
         current = float(np.real(v.conj() @ rho.elements @ v))
         if abs(current - previous) < 1e-14:
             break
-    return GaugeFidelity(raw=raw, gauged=max(raw, current), phases=tuple(phases))
+    return GaugeFidelity(raw=raw, gauged=max(raw, current))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qproc_sim.dynamics import DeviceConfig
-from qproc_sim.harness import _OPTION_DEFAULTS, ExperimentSpec, main, run_experiment
+from qproc_sim.harness import (
+    _OPTION_DEFAULTS,
+    ExperimentSpec,
+    main,
+    read_rabi_traces_csv,
+    read_spectroscopy_csv,
+    run_experiment,
+)
 from test_harness import narrow_device
 
 NOISE_BLOCK = {"t1_ns": [400] * 4, "t_phi_ns": [200] * 4, "gate_time_1q_ns": 10,
@@ -102,6 +109,11 @@ def check_main(argv, config):
             assert not out.exists() or not any(out.iterdir()), err
         elif argv[0] != "validate":
             assert (out / "manifest.json").exists()
+            # and its CSV is one that its reader takes back
+            if argv[0] == "spectroscopy":
+                read_spectroscopy_csv(out / "spectroscopy.csv")
+            elif argv[0] == "rabi_scaling":
+                read_rabi_traces_csv(out / "rabi_traces.csv")
 
 
 def changed(**change):
@@ -114,7 +126,8 @@ def noisy(**change):
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(case=cli_inputs())
-# the inputs that broke the exit-code contract before, each now exit 1
+# the inputs that broke the exit-code contract before, or exited 0 with a CSV that its
+# reader rejects, each now exit 1
 @example(case=(["validate"], b"\xff\xfe{"))
 @example(case=(["spectroscopy"] + BASE_ARGV["spectroscopy"], b"[" * 100_000))
 @example(case=(["spectroscopy"], changed(f_memory_ghz=[1e308, 7.2, 7.1, 6.9])))
@@ -136,6 +149,15 @@ def noisy(**change):
 @example(case=(["shor", "--variant", "four_qubit"] + BASE_ARGV["shor"],
                json.dumps(narrow_device(3, noisy=False)).encode()))
 @example(case=(["shor"] + BASE_ARGV["shor"], json.dumps(narrow_device(2, noisy=True)).encode()))
+@example(case=(["spectroscopy", "--f-min", "6.6", "--f-max", "6.6000001", "--f-step", "1e-10",
+                "--tau-max", "1"], changed()))
+@example(case=(["spectroscopy", "--tau-max", "1e-8", "--tau-step", "1e-10"], changed()))
+@example(case=(["rabi_scaling"] + BASE_ARGV["rabi_scaling"],
+               changed(f_idle_ghz=[8.0, 6.6, 6.6, 6.6])))
+@example(case=(["entangle", "--participants", "1,2", "--qst-shots", "100"],
+               changed(f_idle_ghz=[8.0, 6.6, 6.6, 6.6])))
+@example(case=(["entangle"] + BASE_ARGV["entangle"], changed(g_bus_mhz=[1e-200] * 4)))
+@example(case=(["rabi_scaling"] + BASE_ARGV["rabi_scaling"], changed(g_bus_mhz=[1e-200] * 4)))
 def test_main_exit_code_contract(case):
     check_main(*case)
 

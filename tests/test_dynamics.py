@@ -55,7 +55,6 @@ def test_default_config_matches_shipped_device():
     assert cfg.g_bus == (55.0,) * 4
     assert cfg.g_mem == (20.0,) * 4
     assert cfg.f_idle == (6.6,) * 4
-    assert cfg.validate() == []
 
 
 def test_config_rejects_nonpositive_coupling():
@@ -617,6 +616,20 @@ def test_collective_protocols_reject_bus_outside_operating_range(protocol):
     with pytest.raises(ValueError, match="operating range"):
         COLLECTIVE_PROTOCOLS[protocol](far_idle, (0, 1))
     COLLECTIVE_PROTOCOLS[protocol](far_idle, (0, 2))
+
+
+@pytest.mark.parametrize("call, span", [
+    (lambda cfg: simultaneous_resonance(cfg, (0, 1), 20.0, 0.5), "6.1"),
+    (lambda cfg: prepare_shared_excitation(cfg, (0, 1)), "6.1"),
+    (lambda cfg: swap_spectroscopy(cfg, 1, [6.15, 6.1], [0.0]), "6.1..6.15"),
+], ids=["resonance", "shared_excitation", "spectroscopy"])
+def test_operating_range_errors_are_config_errors_naming_the_qubit(call, span):
+    far_idle = DeviceConfig(f_idle=(6.6, 7.2, 6.6, 6.6))
+    with pytest.raises(ConfigError) as exc:
+        call(far_idle)
+    assert exc.value.violations == [
+        f"Q2 cannot reach {span} GHz: outside the operating range 7.2 ± 1.0 GHz around its "
+        "idle point"]
 
 
 @pytest.mark.parametrize("protocol", list(COLLECTIVE_PROTOCOLS))

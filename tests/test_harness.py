@@ -282,6 +282,36 @@ def test_shor_variant_as_wide_as_the_device_runs(tmp_path, noisy):
                  "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
+# devices that validate, but that an experiment cannot run on: each case's argv, its change
+# to the shipped device, and a fragment of its one-line message
+DEVICE_RUN_ERRORS = {
+    # Q1 idles 1.9 GHz above the bus, outside its operating range
+    "far_idle_rabi": (["rabi_scaling"], {"f_idle_ghz": [8.0, 6.6, 6.6, 6.6]},
+                      "Q1 cannot reach 6.1 GHz: outside the operating range 8.0 ± 1.0 GHz"),
+    "far_idle_entangle": (["entangle", "--participants", "1,2"],
+                          {"f_idle_ghz": [8.0, 6.6, 6.6, 6.6]}, "Q1 cannot reach 6.1 GHz"),
+    "far_idle_spectroscopy": (["spectroscopy"], {"f_idle_ghz": [8.0, 6.6, 6.6, 6.6]},
+                              "Q1 cannot reach 6.0..7.3 GHz"),
+    # squared couplings that underflow: a ZeroDivisionError, or a coupling of 0.0 written out
+    "weak_bus_entangle": (["entangle"], {"g_bus_mhz": [1e-200] * 4},
+                          "the bus couplings of Q1, Q2 give a collective coupling of 0.0 GHz"),
+    "weak_bus_rabi": (["rabi_scaling"], {"g_bus_mhz": [1e-200] * 4},
+                      "the bus couplings of Q1 give a collective coupling of 0.0 GHz"),
+}
+
+
+@pytest.mark.parametrize("case", list(DEVICE_RUN_ERRORS))
+def test_devices_an_experiment_cannot_run_on_exit_one(tmp_path, capsys, case):
+    argv, change, fragment = DEVICE_RUN_ERRORS[case]
+    path = write_config(tmp_path, dict(DeviceConfig.default().to_dict(), **change))
+    assert validate_config(path) == []
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and fragment in err[0]
+    assert not out.exists()
+
+
 def test_benchmark_noise_block_is_valid(tmp_path):
     doc = dict(DeviceConfig.default().to_dict(), noise=NOISE_BLOCK)
     assert validate_config(write_config(tmp_path, doc)) == []
@@ -633,6 +663,11 @@ OPTION_ERRORS = {
     ("rabi_scaling", "--dtau-max", "1e308", "--sample-dt", "1"): "4 x 1e+308 samples",
     ("entangle", "--seed", "-1"): "seed must be >= 0",
     ("shor", "--seed", "-1"): "seed must be >= 0",
+    # steps below 1e-9 repeat grid values at 9 decimals; the written CSV was unreadable
+    ("spectroscopy", "--f-min", "6.6", "--f-max", "6.6000001", "--f-step", "1e-10",
+     "--tau-max", "1"): "the freqs grid repeats a value at 9 decimals",
+    ("spectroscopy", "--tau-max", "1e-8", "--tau-step", "1e-10"):
+        "the taus grid repeats a value at 9 decimals",
 }
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -19,6 +20,7 @@ from qproc_sim.hilbert import (
     QuantumOperator,
     QuantumState,
     SpaceLayout,
+    _contract_pairs,
     apply_local,
     hermitian_exponential,
     nearest_psd,
@@ -475,3 +477,20 @@ def test_apply_local_matches_kron_oracle(dims, axes):
 def test_apply_local_rejects_repeated_axes():
     with pytest.raises(ValueError):
         apply_local(np.eye(4), np.ones(8), (2, 2, 2), (1, 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("pair_in, pair_out", [((2, 2), (2, 2)), ((2, 2), (3, 2)),
+                                               ((3, 2), (2, 2))],
+                         ids=["noise", "forward", "inversion"])
+def test_contract_pairs_matches_the_kron_of_its_kernels(n, pair_in, pair_out):
+    # one different kernel per qubit, so that a kernel on the wrong qubit shows
+    kernels = [RNG.normal(size=(np.prod(pair_in), np.prod(pair_out)))
+               + 1j * RNG.normal(size=(np.prod(pair_in), np.prod(pair_out))) for _ in range(n)]
+    table = RNG.normal(size=(pair_in[0],) * n + (pair_in[1],) * n)
+    # [a_1, b_1, a_2, b_2, ...] flattened, the first qubit most significant, as kron orders it
+    interleaved = table.transpose([a for q in range(n) for a in (q, n + q)]).reshape(-1)
+    out = (interleaved @ functools.reduce(np.kron, kernels)).reshape(pair_out * n)
+    expected = out.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+    np.testing.assert_allclose(_contract_pairs(table, kernels, pair_out),
+                               expected.reshape(pair_out[0] ** n, pair_out[1] ** n), atol=1e-12)

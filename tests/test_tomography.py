@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -459,9 +460,9 @@ def _zero_shots(doc):
 
 def bell_doc():
     record = simulate_tomography(bell_singlet(), (0, 1), 100, seed=0)
-    record.rho_hat = reconstruct(record)
-    record.metrics = {"max_abs_imag": max_abs_imag(record.rho_hat), "witness_passed": 1.0}
-    return record.to_dict()
+    rho_hat = reconstruct(record)
+    return dataclasses.replace(record, rho_hat=rho_hat, metrics={
+        "max_abs_imag": max_abs_imag(rho_hat), "witness_passed": 1.0}).to_dict()
 
 
 def _bell_with(name, key, value):
@@ -563,8 +564,9 @@ def test_linear_inversion_is_bit_identical_to_tensordot(n):
 
 def test_record_json_roundtrip():
     record = simulate_tomography(bell_singlet(), (0, 1), 300, seed=17)
-    record.rho_hat = reconstruct(record)
-    record.metrics = {"fidelity": state_fidelity(record.rho_hat, bell_singlet())}
+    rho_hat = reconstruct(record)
+    record = dataclasses.replace(record, rho_hat=rho_hat,
+                                 metrics={"fidelity": state_fidelity(rho_hat, bell_singlet())})
     doc = json.loads(json.dumps(record.to_dict()))
     again = TomographyRecord.from_dict(doc)
     assert np.array_equal(again.counts, record.counts)
@@ -585,8 +587,9 @@ def tomography_records(draw):
         counts=rng.multinomial(shots, rng.dirichlet(np.ones(2 ** n)), size=3 ** n),
     )
     if draw(st.booleans()):
-        record.rho_hat = reconstruct(record)
-        record.metrics = {"max_abs_imag": max_abs_imag(record.rho_hat)}
+        rho_hat = reconstruct(record)
+        record = dataclasses.replace(record, rho_hat=rho_hat,
+                                     metrics={"max_abs_imag": max_abs_imag(rho_hat)})
     return record
 
 
